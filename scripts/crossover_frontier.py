@@ -10,7 +10,8 @@ coin method wins, above it the yield method does.
 
 import argparse
 
-from flawedqkd.cli import CrossoverConfig, crossover_csv, find_crossover
+from flawedqkd import CrossoverConfig, find_crossover
+from flawedqkd.cli import crossover_csv
 
 
 def main(argv=None):

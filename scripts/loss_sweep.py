@@ -13,8 +13,8 @@ import argparse
 import os
 import sys
 
-from flawedqkd import DeviceModel, ProtocolProbabilities
-from flawedqkd.cli import SweepConfig, run_sweep, sweep_csv
+from flawedqkd import DeviceModel, ProtocolProbabilities, SweepConfig, run_sweep
+from flawedqkd.cli import sweep_csv
 
 DEVICE_FAMILY = {
     "clean": DeviceModel(),
@@ -36,7 +36,6 @@ def main(argv=None):
     ap.add_argument("--pd", type=float, default=1e-7)
     ap.add_argument("--f-ec", type=float, default=1.16)
     ap.add_argument("--solver", default="paper_faithful")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument(
         "--devices",
         default=",".join(DEVICE_FAMILY),
@@ -62,7 +61,6 @@ def main(argv=None):
             loss_stop=stop,
             loss_step=step,
             solver=args.solver,
-            jobs=args.jobs,
         )
         text = sweep_csv(run_sweep(config))
         if args.out_dir:

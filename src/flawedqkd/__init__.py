@@ -18,12 +18,13 @@ from .channel import (
     system_efficiency,
     z_basis_yield,
 )
-from .cli import (
+from .engine import (
     CrossoverConfig,
     CrossoverRecord,
     SweepConfig,
     SweepRow,
     find_crossover,
+    loss_grid,
     run_sweep,
 )
 from .errors import (

@@ -35,12 +35,13 @@ class ChannelModel:
     f_ec: float = 1.16
 
     def __post_init__(self) -> None:
-        if self.loss_db < 0.0:
+        # Infinite loss stays valid: it is the eta = 0 limit.
+        if not self.loss_db >= 0.0:
             raise ValueError(f"loss_db must be nonnegative, got {self.loss_db}")
         if not 0.0 <= self.p_d < 1.0:
             raise ValueError(f"p_d must lie in [0, 1), got {self.p_d}")
-        if self.f_ec < 1.0:
-            raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 
 def from_distance(

@@ -12,246 +12,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Any, Sequence
 
-from .channel import ChannelModel, ProtocolProbabilities, system_efficiency
+from .channel import ProtocolProbabilities
+from .engine import (
+    CROSSOVER_PARAMS,
+    METHODS,
+    CrossoverConfig,
+    CrossoverRecord,
+    SweepConfig,
+    SweepRow,
+    find_crossover,
+    run_sweep,
+)
 from .errors import EstimatorError
 from .finite_stats import AzumaBudget, azuma_deviation, count_interval
-from .lp_estimator import key_rate_lp
-from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES, KeyRatePoint, key_rate_lt
+from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
 from .qstates import DeviceModel
 
-METHODS = ("lt", "lp")
 _SOLVER_FLAGS = {"paper": PAPER_FAITHFUL, "vertex-lp": "vertex_lp"}
-_CROSSOVER_PARAMS = ("theta", "mu")
-
-# Bracket grid for the crossover bisection in delta.
-_DELTA_SCAN = tuple(i * 0.01 for i in range(51))
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Everything needed to evaluate a loss sweep."""
-
-    device: DeviceModel
-    p_d: float
-    f_ec: float
-    probs: ProtocolProbabilities
-    loss_start: float
-    loss_stop: float
-    loss_step: float
-    methods: tuple[str, ...] = METHODS
-    solver: str = PAPER_FAITHFUL
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.loss_start > self.loss_stop:
-            raise ValueError("loss_start must not exceed loss_stop")
-        if self.loss_step <= 0.0:
-            raise ValueError(f"loss_step must be positive, got {self.loss_step}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        if self.solver not in SOLVER_MODES:
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-
-
-@dataclass(frozen=True)
-class CrossoverConfig:
-    """Search for the delta where both methods give the same rate.
-
-    One of theta/mu is held fixed, the other takes each value of the swept
-    grid; for each grid value the gap rate_lt - rate_lp is bisected in
-    delta at the comparison loss.
-    """
-
-    fixed_param: str
-    fixed_value: float
-    swept_param: str
-    swept_values: tuple[float, ...]
-    compare_loss_db: float = 20.0
-    bisection_tolerance: float = 1e-10
-    theta_mode: str = "dependent"
-    p_d: float = 1e-7
-    f_ec: float = 1.16
-    probs: ProtocolProbabilities = ProtocolProbabilities()
-    solver: str = PAPER_FAITHFUL
-
-    def __post_init__(self) -> None:
-        if self.fixed_param not in _CROSSOVER_PARAMS:
-            raise ValueError(f"fixed_param must be one of {_CROSSOVER_PARAMS}")
-        if self.swept_param not in _CROSSOVER_PARAMS:
-            raise ValueError(f"swept_param must be one of {_CROSSOVER_PARAMS}")
-        if self.fixed_param == self.swept_param:
-            raise ValueError("fixed_param and swept_param must differ")
-        if not self.swept_values:
-            raise ValueError("swept grid must be nonempty")
-        if self.bisection_tolerance <= 0.0:
-            raise ValueError("bisection tolerance must be positive")
-        if self.solver not in SOLVER_MODES:
-            raise ValueError(f"unknown solver {self.solver!r}")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One output row; numeric fields are None when this row's estimator
-    failed (the error message is kept instead)."""
-
-    loss_db: float
-    eta: float
-    method: str
-    e_z: float | None
-    e_x: float | None
-    rate_raw: float | None
-    rate: float | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class CrossoverRecord:
-    """Bisection result for one swept value; delta_star is None when the
-    rate gap never changes sign on the scan grid."""
-
-    swept_param: str
-    swept_value: float
-    delta_star: float | None
-    rate_lt: float | None
-    rate_lp: float | None
-    status: str
-
-
-def loss_grid(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive dB grid; the stop value is included when it lands on the
-    grid within floating-point slack."""
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
-
-
-def _evaluate_point(
-    method: str,
-    device: DeviceModel,
-    channel: ChannelModel,
-    probs: ProtocolProbabilities,
-    solver: str,
-) -> KeyRatePoint:
-    if method == "lt":
-        return key_rate_lt(device, channel, probs, solver)
-    return key_rate_lp(device, channel, probs)
-
-
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate every (loss, method) pair of the sweep.
-
-    Estimator failures are kept as rows with the error message and no
-    rate, so one bad point cannot take down a long sweep.  Results are
-    ordered by loss then method regardless of worker count.
-    """
-    losses = loss_grid(config.loss_start, config.loss_stop, config.loss_step)
-    methods = tuple(m for m in METHODS if m in config.methods)
-    tasks = [(loss, method) for loss in losses for method in methods]
-
-    def eval_one(task: tuple[float, str]) -> SweepRow:
-        loss, method = task
-        channel = ChannelModel(loss, config.p_d, config.f_ec)
-        try:
-            point = _evaluate_point(method, config.device, channel, config.probs, config.solver)
-        except EstimatorError as exc:
-            return SweepRow(
-                loss_db=loss,
-                eta=system_efficiency(channel),
-                method=method,
-                e_z=None,
-                e_x=None,
-                rate_raw=None,
-                rate=None,
-                error=str(exc),
-            )
-        return SweepRow(
-            loss_db=loss,
-            eta=point.eta,
-            method=method,
-            e_z=point.e_z,
-            e_x=point.e_x,
-            rate_raw=point.rate_raw,
-            rate=point.rate,
-        )
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(eval_one, tasks))
-    return [eval_one(t) for t in tasks]
-
-
-def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
-    """Bisect the delta at which both methods give the same key rate.
-
-    For each swept value the gap g(delta) = rate_lt - rate_lp is scanned
-    on a fixed delta grid; a strict sign change is bisected down to the
-    configured delta tolerance.  Grid values without a sign change yield a
-    no-crossover record.
-    """
-    channel = ChannelModel(config.compare_loss_db, config.p_d, config.f_ec)
-
-    def gap(delta: float, swept_value: float) -> float:
-        params = {config.fixed_param: config.fixed_value, config.swept_param: swept_value}
-        device = DeviceModel(
-            delta=delta,
-            theta_hat=params["theta"],
-            theta_mode=config.theta_mode,
-            mu=params["mu"],
-        )
-        lt = key_rate_lt(device, channel, config.probs, config.solver)
-        lp = key_rate_lp(device, channel, config.probs)
-        return lt.rate - lp.rate
-
-    records = []
-    for value in config.swept_values:
-        gaps = [gap(d, value) for d in _DELTA_SCAN]
-        bracket = None
-        for i in range(len(_DELTA_SCAN) - 1):
-            if gaps[i] != 0.0 and gaps[i + 1] != 0.0 and gaps[i] * gaps[i + 1] < 0.0:
-                bracket = (_DELTA_SCAN[i], _DELTA_SCAN[i + 1], gaps[i])
-                break
-        if bracket is None:
-            records.append(
-                CrossoverRecord(config.swept_param, value, None, None, None, "no-crossover")
-            )
-            continue
-        lo, hi, g_lo = bracket
-        while hi - lo > config.bisection_tolerance:
-            mid = (lo + hi) / 2.0
-            g_mid = gap(mid, value)
-            if g_mid == 0.0:
-                lo = hi = mid
-                break
-            if (g_mid > 0.0) == (g_lo > 0.0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi = mid
-        delta_star = (lo + hi) / 2.0
-        params = {config.fixed_param: config.fixed_value, config.swept_param: value}
-        device = DeviceModel(
-            delta=delta_star,
-            theta_hat=params["theta"],
-            theta_mode=config.theta_mode,
-            mu=params["mu"],
-        )
-        lt = key_rate_lt(device, channel, config.probs, config.solver)
-        lp = key_rate_lp(device, channel, config.probs)
-        records.append(
-            CrossoverRecord(
-                config.swept_param, value, delta_star, lt.rate, lp.rate, "crossover"
-            )
-        )
-    return records
 
 
 def _fmt(x: float) -> str:
@@ -264,41 +45,42 @@ def _num(x: float) -> float:
     return float(_fmt(x))
 
 
-def _cell(x: float | None) -> str:
+# Column order of each output record: its dataclass fields, less the
+# sweep's error message, which only the JSON form carries.
+_SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
+_CROSSOVER_FIELDS = tuple(f.name for f in fields(CrossoverRecord))
+
+
+def _cell(x: str | float | None) -> str:
+    if isinstance(x, str):
+        return x
     return "" if x is None else _fmt(x)
 
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["loss_db,eta,method,e_z,e_x,rate_raw,rate"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.loss_db),
-                    _fmt(r.eta),
-                    r.method,
-                    _cell(r.e_z),
-                    _cell(r.e_x),
-                    _cell(r.rate_raw),
-                    _cell(r.rate),
-                ]
-            )
-        )
+def _value(x: str | float | None) -> str | float | None:
+    if isinstance(x, str) or x is None:
+        return x
+    return _num(x)
+
+
+def _csv(preamble: list[str], records: Sequence[Any], names: tuple[str, ...]) -> str:
+    lines = [*preamble, ",".join(names)]
+    lines += [",".join(_cell(getattr(r, n)) for n in names) for r in records]
     return "\n".join(lines) + "\n"
 
 
+def _item(record: Any, names: tuple[str, ...]) -> dict[str, Any]:
+    return {n: _value(getattr(record, n)) for n in names}
+
+
+def sweep_csv(rows: Sequence[SweepRow]) -> str:
+    return _csv([], rows, _SWEEP_FIELDS)
+
+
 def sweep_json(rows: Sequence[SweepRow]) -> str:
-    payload: list[dict[str, Any]] = []
+    payload = []
     for r in rows:
-        item: dict[str, Any] = {
-            "loss_db": _num(r.loss_db),
-            "eta": _num(r.eta),
-            "method": r.method,
-            "e_z": None if r.e_z is None else _num(r.e_z),
-            "e_x": None if r.e_x is None else _num(r.e_x),
-            "rate_raw": None if r.rate_raw is None else _num(r.rate_raw),
-            "rate": None if r.rate is None else _num(r.rate),
-        }
+        item = _item(r, _SWEEP_FIELDS)
         if r.error is not None:
             item["error"] = r.error
         payload.append(item)
@@ -306,40 +88,13 @@ def sweep_json(rows: Sequence[SweepRow]) -> str:
 
 
 def crossover_csv(records: Sequence[CrossoverRecord], compare_loss_db: float) -> str:
-    lines = [
-        f"# compare_loss_db={_fmt(compare_loss_db)}",
-        "swept_param,swept_value,delta_star,rate_lt,rate_lp,status",
-    ]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.swept_param,
-                    _fmt(r.swept_value),
-                    _cell(r.delta_star),
-                    _cell(r.rate_lt),
-                    _cell(r.rate_lp),
-                    r.status,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv([f"# compare_loss_db={_fmt(compare_loss_db)}"], records, _CROSSOVER_FIELDS)
 
 
 def crossover_json(records: Sequence[CrossoverRecord], compare_loss_db: float) -> str:
     payload = {
         "compare_loss_db": _num(compare_loss_db),
-        "records": [
-            {
-                "swept_param": r.swept_param,
-                "swept_value": _num(r.swept_value),
-                "delta_star": None if r.delta_star is None else _num(r.delta_star),
-                "rate_lt": None if r.rate_lt is None else _num(r.rate_lt),
-                "rate_lp": None if r.rate_lp is None else _num(r.rate_lp),
-                "status": r.status,
-            }
-            for r in records
-        ],
+        "records": [_item(r, _CROSSOVER_FIELDS) for r in records],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -456,12 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--loss-range", default=None, help="start:stop:step in dB")
     sweep.add_argument("--method", choices=("lt", "lp", "both"), default=None)
     sweep.add_argument("--solver", choices=tuple(_SOLVER_FLAGS), default=None)
-    sweep.add_argument("--jobs", type=int, default=None, help="worker threads")
+    sweep.add_argument(
+        "--jobs", type=int, default=None, help="accepted and ignored; sweeps run serially"
+    )
 
     crossover = sub.add_parser(
         "crossover", parents=[shared], help="delta where both methods tie"
     )
-    crossover.add_argument("--sweep-param", choices=_CROSSOVER_PARAMS, default=None)
+    crossover.add_argument("--sweep-param", choices=CROSSOVER_PARAMS, default=None)
     crossover.add_argument("--sweep-values", default=None, help="comma-separated grid")
     crossover.add_argument("--compare-loss", type=float, default=None, help="comparison loss, dB")
     crossover.add_argument("--bisect-tol", type=float, default=None, help="delta tolerance")
@@ -477,49 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_rate(args: argparse.Namespace) -> str:
-    cfg = _load_config_file(args.config) if args.config else {}
-    loss = _pick(args.loss, _cfg(cfg, "loss"), None)
-    if loss is None:
-        raise ValueError("rate needs --loss (or 'loss' in the config file)")
+def _sweep_config(
+    args: argparse.Namespace, cfg: dict[str, Any], start: float, stop: float, step: float, jobs: int = 1
+) -> SweepConfig:
     p_d, f_ec = _channel_template(args, cfg)
-    config = SweepConfig(
-        device=_device_from(args, cfg),
-        p_d=p_d,
-        f_ec=f_ec,
-        probs=_probs_from(args, cfg),
-        loss_start=loss,
-        loss_stop=loss,
-        loss_step=1.0,
-        methods=_methods_from(args.method, cfg),
-        solver=_solver_from(args.solver, cfg),
-    )
-    device = config.device
-    channel = ChannelModel(loss, p_d, f_ec)
-    rows = []
-    for method in (m for m in METHODS if m in config.methods):
-        point = _evaluate_point(method, device, channel, config.probs, config.solver)
-        rows.append(
-            SweepRow(point.loss_db, point.eta, method, point.e_z, point.e_x, point.rate_raw, point.rate)
-        )
-    fmt = _pick(args.format, _cfg(cfg, "format"), "csv")
-    return sweep_csv(rows) if fmt == "csv" else sweep_json(rows)
-
-
-def _run_sweep(args: argparse.Namespace) -> str:
-    cfg = _load_config_file(args.config) if args.config else {}
-    if args.loss_range is not None:
-        start, stop, step = _parse_loss_range(args.loss_range)
-    else:
-        start = _cfg(cfg, "loss_start")
-        stop = _cfg(cfg, "loss_stop")
-        step = _cfg(cfg, "loss_step")
-        if start is None or stop is None or step is None:
-            raise ValueError(
-                "sweep needs --loss-range (or loss_start/loss_stop/loss_step in the config file)"
-            )
-    p_d, f_ec = _channel_template(args, cfg)
-    config = SweepConfig(
+    return SweepConfig(
         device=_device_from(args, cfg),
         p_d=p_d,
         f_ec=f_ec,
@@ -529,21 +248,43 @@ def _run_sweep(args: argparse.Namespace) -> str:
         loss_step=step,
         methods=_methods_from(args.method, cfg),
         solver=_solver_from(args.solver, cfg),
-        jobs=_pick(args.jobs, _cfg(cfg, "jobs"), 1),
+        jobs=jobs,
     )
-    rows = run_sweep(config)
+
+
+def _run_rate(args: argparse.Namespace, cfg: dict[str, Any], fmt: str) -> str:
+    loss = _pick(args.loss, _cfg(cfg, "loss"), None)
+    if loss is None:
+        raise ValueError("rate needs --loss (or 'loss' in the config file)")
+    rows = run_sweep(_sweep_config(args, cfg, loss, loss, 1.0))
+    # A single point has nothing to salvage: its first failure fails the command.
+    for r in rows:
+        if r.error is not None:
+            raise EstimatorError(r.error)
+    return sweep_csv(rows) if fmt == "csv" else sweep_json(rows)
+
+
+def _run_sweep(args: argparse.Namespace, cfg: dict[str, Any], fmt: str) -> str:
+    if args.loss_range is not None:
+        start, stop, step = _parse_loss_range(args.loss_range)
+    else:
+        start, stop, step = (_cfg(cfg, k) for k in ("loss_start", "loss_stop", "loss_step"))
+        if start is None or stop is None or step is None:
+            raise ValueError(
+                "sweep needs --loss-range (or loss_start/loss_stop/loss_step in the config file)"
+            )
+    jobs = _pick(args.jobs, _cfg(cfg, "jobs"), 1)
+    rows = run_sweep(_sweep_config(args, cfg, start, stop, step, jobs))
     for r in rows:
         if r.error is not None:
             print(
                 f"warning: loss={_fmt(r.loss_db)} method={r.method}: {r.error}",
                 file=sys.stderr,
             )
-    fmt = _pick(args.format, _cfg(cfg, "format"), "csv")
     return sweep_csv(rows) if fmt == "csv" else sweep_json(rows)
 
 
-def _run_crossover(args: argparse.Namespace) -> str:
-    cfg = _load_config_file(args.config) if args.config else {}
+def _run_crossover(args: argparse.Namespace, cfg: dict[str, Any], fmt: str) -> str:
     swept_param = _pick(args.sweep_param, _cfg(cfg, "swept_param"), None)
     if swept_param is None:
         raise ValueError("crossover needs --sweep-param")
@@ -557,6 +298,7 @@ def _run_crossover(args: argparse.Namespace) -> str:
     fixed_param = "mu" if swept_param == "theta" else "theta"
     fixed_flag = {"mu": args.mu, "theta": args.theta}[fixed_param]
     fixed_value = _pick(fixed_flag, _cfg(cfg, "fixed_value"), 0.0)
+    p_d, f_ec = _channel_template(args, cfg)
     config = CrossoverConfig(
         fixed_param=fixed_param,
         fixed_value=fixed_value,
@@ -565,13 +307,12 @@ def _run_crossover(args: argparse.Namespace) -> str:
         compare_loss_db=_pick(args.compare_loss, _cfg(cfg, "compare_loss_db"), 20.0),
         bisection_tolerance=_pick(args.bisect_tol, _cfg(cfg, "bisection_tolerance"), 1e-10),
         theta_mode=_pick(args.theta_mode, _cfg(cfg, "device", "theta_mode"), "dependent"),
-        p_d=_channel_template(args, cfg)[0],
-        f_ec=_channel_template(args, cfg)[1],
+        p_d=p_d,
+        f_ec=f_ec,
         probs=_probs_from(args, cfg),
         solver=_solver_from(args.solver, cfg),
     )
     records = find_crossover(config)
-    fmt = _pick(args.format, _cfg(cfg, "format"), "csv")
     if fmt == "csv":
         return crossover_csv(records, config.compare_loss_db)
     return crossover_json(records, config.compare_loss_db)
@@ -580,52 +321,36 @@ def _run_crossover(args: argparse.Namespace) -> str:
 def _run_azuma(args: argparse.Namespace) -> str:
     budget = AzumaBudget(args.n_trials, args.eps, args.eps_hat)
     low, high = count_interval(args.observed, budget)
-    f_eps = azuma_deviation(budget.n_trials, budget.epsilon)
-    f_eps_hat = azuma_deviation(budget.n_trials, budget.epsilon_hat)
-    if args.format == "csv":
-        header = "n_trials,observed,epsilon,epsilon_hat,f_eps,f_eps_hat,low,high"
-        row = ",".join(
-            _fmt(v)
-            for v in (
-                budget.n_trials,
-                args.observed,
-                budget.epsilon,
-                budget.epsilon_hat,
-                f_eps,
-                f_eps_hat,
-                low,
-                high,
-            )
-        )
-        return header + "\n" + row + "\n"
-    payload = {
+    values = {
         "n_trials": budget.n_trials,
-        "observed": _num(args.observed),
-        "epsilon": _num(budget.epsilon),
-        "epsilon_hat": _num(budget.epsilon_hat),
-        "f_eps": _num(f_eps),
-        "f_eps_hat": _num(f_eps_hat),
-        "low": _num(low),
-        "high": _num(high),
+        "observed": args.observed,
+        "epsilon": budget.epsilon,
+        "epsilon_hat": budget.epsilon_hat,
+        "f_eps": azuma_deviation(budget.n_trials, budget.epsilon),
+        "f_eps_hat": azuma_deviation(budget.n_trials, budget.epsilon_hat),
+        "low": low,
+        "high": high,
     }
+    if args.format == "csv":
+        return ",".join(values) + "\n" + ",".join(_fmt(v) for v in values.values()) + "\n"
+    # The trial count stays an integer in JSON.
+    payload = {k: v if k == "n_trials" else _num(v) for k, v in values.items()}
     return json.dumps(payload, indent=2) + "\n"
 
 
+_HANDLERS = {"rate": _run_rate, "sweep": _run_sweep, "crossover": _run_crossover}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "rate": _run_rate,
-        "sweep": _run_sweep,
-        "crossover": _run_crossover,
-        "azuma": _run_azuma,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        output = handlers[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.command == "azuma":
+            output = _run_azuma(args)
+        else:
+            cfg = _load_config_file(args.config) if args.config else {}
+            fmt = _pick(args.format, _cfg(cfg, "format"), "csv")
+            output = _HANDLERS[args.command](args, cfg, fmt)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimatorError as exc:

@@ -287,7 +287,7 @@ def key_rate_lt(
         loss_db=channel.loss_db,
         eta=system_efficiency(channel),
         e_z=e_z,
-        e_x=e_x,
-        rate_raw=raw,
-        rate=rate,
+        e_x=float(e_x),
+        rate_raw=float(raw),
+        rate=float(rate),
     )

@@ -83,7 +83,7 @@ class DeviceModel:
             raise ValueError(
                 f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}"
             )
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
 
 
@@ -188,25 +188,13 @@ def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
     return (side_weight + root) / 2.0, (side_weight - root) / 2.0
 
 
-def _require_default_side_channel(side_overlap: float) -> None:
-    # Hook for models where distinct side-channel states are known to have
-    # nonzero overlap.  Only the worst case (overlap 0) ships.
-    if side_overlap != 0.0:
-        raise NotImplementedError(
-            "only the worst-case side-channel overlap of 0 is implemented"
-        )
-
-
-def actual_decomposition(
-    setting: Setting, device: DeviceModel, side_overlap: float = 0.0
-) -> StateDecomposition:
+def actual_decomposition(setting: Setting, device: DeviceModel) -> StateDecomposition:
     """Decompose one actually emitted state.
 
     The qubit weight is C_I^2 cos^2(theta) for the setting's rotation angle
     theta; everything else (rotated polarization, leaked light) counts as
     side channel, with worst-case mutually orthogonal side states.
     """
-    _require_default_side_channel(side_overlap)
     theta = mode_angles(device)[setting]
     c_i, _ = tha_coefficients(device.mu)
     qubit_weight = (c_i * math.cos(theta)) ** 2
@@ -223,9 +211,7 @@ def actual_decomposition(
     )
 
 
-def virtual_decomposition(
-    j: int, device: DeviceModel, side_overlap: float = 0.0
-) -> StateDecomposition:
+def virtual_decomposition(j: int, device: DeviceModel) -> StateDecomposition:
     """Decompose the unnormalized virtual state for phase-error bit j.
 
     The virtual states are the (un-normalized) components of the Z-basis
@@ -234,7 +220,6 @@ def virtual_decomposition(
     """
     if j not in (0, 1):
         raise ValueError(f"j must be 0 or 1, got {j}")
-    _require_default_side_channel(side_overlap)
     angles = mode_angles(device)
     t0 = angles[SETTING_0Z]
     t1 = angles[SETTING_1Z]
@@ -287,16 +272,13 @@ def virtual_decomposition(
     )
 
 
-def full_overlap(
-    s1: Setting, s2: Setting, device: DeviceModel, side_overlap: float = 0.0
-) -> float:
+def full_overlap(s1: Setting, s2: Setting, device: DeviceModel) -> float:
     """Inner product of two full emitted states (qubit plus side channels).
 
     Cross-polarization terms and distinct worst-case leakage states
     contribute nothing, so only the co-polarized leakage-free component
     survives.
     """
-    _require_default_side_channel(side_overlap)
     angles = mode_angles(device)
     c_i, _ = tha_coefficients(device.mu)
     k1 = qubit_state(s1, device.delta)

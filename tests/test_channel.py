@@ -104,6 +104,21 @@ class TestChannelModel:
             from_distance(-1.0)
 
 
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (lambda v: ChannelModel(v), "loss_db", math.nan),
+        (lambda v: ChannelModel(10.0, f_ec=v), "f_ec", math.nan),
+        (lambda v: ChannelModel(10.0, f_ec=v), "f_ec", math.inf),
+        (lambda v: DeviceModel(mu=v), "mu", math.nan),
+    ],
+    ids=["loss_db-nan", "f_ec-nan", "f_ec-inf", "mu-nan"],
+)
+def test_non_finite_parameters_fail_early_by_name(build, field, value):
+    with pytest.raises(ValueError, match=field):
+        build(value)
+
+
 class TestProtocolProbabilities:
     def test_split(self, probs):
         assert probs.p_0z == 0.25

@@ -1,21 +1,125 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from flawedqkd import DeviceModel, ProtocolProbabilities
-from flawedqkd.cli import (
+import flawedqkd
+from flawedqkd import (
     CrossoverConfig,
+    DeviceModel,
+    ProtocolProbabilities,
     SweepConfig,
     SweepRow,
-    crossover_csv,
     loss_grid,
-    main,
     run_sweep,
-    sweep_csv,
-    sweep_json,
 )
+from flawedqkd.cli import crossover_csv, main, sweep_csv, sweep_json
 
 IDEAL = DeviceModel()
+
+# Exact stdout of three JSON runs, covering error rows, null fields and the
+# vertex solver; CSV bytes are pinned by the benchmark's reference digests.
+SWEEP_WITH_ERRORS_JSON = """\
+[
+  {
+    "loss_db": 0.0,
+    "eta": 1.0,
+    "method": "lt",
+    "e_z": null,
+    "e_x": null,
+    "rate_raw": null,
+    "rate": null,
+    "error": "the three encoding states are collinear; the yield system cannot be inverted"
+  },
+  {
+    "loss_db": 0.0,
+    "eta": 1.0,
+    "method": "lp",
+    "e_z": 1.499999699e-07,
+    "e_x": 0.9999998502,
+    "rate_raw": -1.048838478e-06,
+    "rate": 0.0
+  },
+  {
+    "loss_db": 5.0,
+    "eta": 0.316227766,
+    "method": "lt",
+    "e_z": null,
+    "e_x": null,
+    "rate_raw": null,
+    "rate": null,
+    "error": "the three encoding states are collinear; the yield system cannot be inverted"
+  },
+  {
+    "loss_db": 5.0,
+    "eta": 0.316227766,
+    "method": "lp",
+    "e_z": 5.824549117e-07,
+    "e_x": 1.0,
+    "rate_raw": -1.183351605e-06,
+    "rate": 0.0
+  }
+]
+"""
+
+CROSSOVER_JSON = """\
+{
+  "compare_loss_db": 20.0,
+  "records": [
+    {
+      "swept_param": "mu",
+      "swept_value": 1e-09,
+      "delta_star": 0.03101370562,
+      "rate_lt": 0.002053022286,
+      "rate_lp": 0.002053022285,
+      "status": "crossover"
+    },
+    {
+      "swept_param": "mu",
+      "swept_value": 1e-07,
+      "delta_star": 0.1008112988,
+      "rate_lt": 0.0003110765319,
+      "rate_lp": 0.0003110765325,
+      "status": "crossover"
+    },
+    {
+      "swept_param": "mu",
+      "swept_value": 1e-05,
+      "delta_star": null,
+      "rate_lt": null,
+      "rate_lp": null,
+      "status": "no-crossover"
+    }
+  ]
+}
+"""
+
+VERTEX_RATE_JSON = """\
+[
+  {
+    "loss_db": 20.0,
+    "eta": 0.01,
+    "method": "lt",
+    "e_z": 0.009897511912,
+    "e_x": 1.994920602e-05,
+    "rate_raw": 0.002266912066,
+    "rate": 0.002266912066
+  },
+  {
+    "loss_db": 20.0,
+    "eta": 0.01,
+    "method": "lp",
+    "e_z": 0.009897511912,
+    "e_x": 0.3739764967,
+    "rate_raw": -0.0001165233845,
+    "rate": 0.0
+  }
+]
+"""
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +158,29 @@ class TestSweepConfig:
             SweepConfig(IDEAL, 1e-7, 1.16, probs, 0.0, 10.0, 1.0, solver="other")
         with pytest.raises(ValueError):
             SweepConfig(IDEAL, 1e-7, 1.16, probs, 0.0, 10.0, 1.0, jobs=0)
+
+    @pytest.mark.parametrize(
+        "start, stop, step, field",
+        [
+            (math.nan, 10.0, 1.0, "loss_start"),
+            (-math.inf, 10.0, 1.0, "loss_start"),
+            (0.0, math.inf, 1.0, "loss_stop"),
+            (0.0, math.nan, 1.0, "loss_stop"),
+            (0.0, 10.0, math.inf, "loss_step"),
+            (0.0, 10.0, math.nan, "loss_step"),
+            (0.0, 1e6, 1.0, "loss_step"),
+            (0.0, 1e12, 1e-9, "loss_step"),
+            (0.0, 10.0, 1e-320, "loss_step"),
+        ],
+    )
+    def test_rejects_non_finite_or_oversized_grids(self, start, stop, step, field):
+        # Only the config is built: an oversized grid must never be evaluated.
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(IDEAL, 1e-7, 1.16, ProtocolProbabilities(), start, stop, step)
+
+    def test_largest_allowed_grid(self):
+        config = SweepConfig(IDEAL, 1e-7, 1.16, ProtocolProbabilities(), 0.0, 999999.0, 1.0)
+        assert config.loss_stop == 999999.0
 
 
 class TestCrossoverConfig:
@@ -119,6 +246,41 @@ class TestRendering:
         text = crossover_csv([], 20.0)
         assert text.splitlines()[0] == "# compare_loss_db=20"
         assert text.splitlines()[1] == "swept_param,swept_value,delta_star,rate_lt,rate_lp,status"
+
+
+class TestGoldenJson:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["sweep", "--loss-range", "0:5:5", "--theta", "1.0", "--format", "json"],
+                SWEEP_WITH_ERRORS_JSON,
+            ),
+            (
+                [
+                    "crossover",
+                    "--sweep-param",
+                    "mu",
+                    "--sweep-values",
+                    "1e-9,1e-7,1e-5",
+                    "--theta",
+                    "1e-6",
+                    "--format",
+                    "json",
+                ],
+                CROSSOVER_JSON,
+            ),
+            (
+                ["rate", "--loss", "20", "--delta", "0.126", "--solver", "vertex-lp", "--format", "json"],
+                VERTEX_RATE_JSON,
+            ),
+        ],
+        ids=["sweep-error-rows", "crossover-nulls", "rate-vertex"],
+    )
+    def test_stdout_bytes(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected
 
 
 class TestRateCommand:
@@ -230,6 +392,22 @@ class TestSweepCommand:
     def test_missing_range(self, capsys):
         code, _, _ = run_cli(capsys, "sweep")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["sweep", "--loss-range", "0:inf:1"], "loss_stop"),
+            (["sweep", "--loss-range", "0:nan:1"], "loss_stop"),
+            (["sweep", "--loss-range", "0:10:inf"], "loss_step"),
+            (["sweep", "--loss-range", "0:1e12:1e-9"], "loss_step"),
+            (["rate", "--loss", "inf"], "loss_start"),
+        ],
+    )
+    def test_unusable_grid_is_usage_error(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
 
     def test_vertex_solver_flag(self, capsys):
         code, out, _ = run_cli(
@@ -400,3 +578,17 @@ class TestAzumaCommand:
             "500",
         )
         assert code == 2
+
+
+def test_package_import_leaves_cli_unloaded():
+    src = str(Path(flawedqkd.__file__).resolve().parents[1])
+    code = "import sys, flawedqkd; print('flawedqkd.cli' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from flawedqkd import (
     actual_decomposition,
     actual_yields,
     coefficient_matrix,
+    key_rate_lp,
     key_rate_lt,
     normalized_yields,
     phase_error_rate_lt,
@@ -313,3 +315,17 @@ class TestKeyRate:
         point = key_rate_lt(COMPOSITE, ChannelModel(20.0), probs)
         assert point.rate_raw < 0.0
         assert point.rate == 0.0
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda ch, probs: key_rate_lt(COMPOSITE, ch, probs, PAPER_FAITHFUL),
+            lambda ch, probs: key_rate_lt(COMPOSITE, ch, probs, VERTEX_LP),
+            lambda ch, probs: key_rate_lp(COMPOSITE, ch, probs),
+        ],
+        ids=["lt-paper", "lt-vertex", "lp"],
+    )
+    def test_fields_are_plain_floats(self, probs, estimate):
+        point = estimate(ChannelModel(10.0), probs)
+        for f in fields(point):
+            assert type(getattr(point, f.name)) is float, f.name

@@ -187,10 +187,6 @@ class TestActualDecomposition:
         assert dec.qubit_weight == pytest.approx(0.999990130428, abs=1e-12)
         assert dec.lambda_max == pytest.approx(0.00314651064452, rel=1e-10)
 
-    def test_nonzero_side_overlap_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            actual_decomposition(SETTING_0Z, DeviceModel(), side_overlap=0.3)
-
     @given(devices, st.sampled_from(FOUR_SETTINGS))
     def test_weights_partition_unity(self, device, setting):
         dec = actual_decomposition(setting, device)
@@ -253,10 +249,6 @@ class TestVirtualDecomposition:
         with pytest.raises(DegenerateStateError):
             virtual_decomposition(0, DeviceModel(delta=3.14159265))
 
-    def test_nonzero_side_overlap_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            virtual_decomposition(0, DeviceModel(), side_overlap=0.1)
-
     @given(devices)
     @settings(max_examples=300)
     def test_weights_close(self, device):
@@ -294,10 +286,6 @@ class TestFullOverlap:
         assert full_overlap(SETTING_0Z, SETTING_0X, d) == pytest.approx(
             math.sqrt(0.5), abs=1e-12
         )
-
-    def test_nonzero_side_overlap_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            full_overlap(SETTING_0Z, SETTING_1Z, DeviceModel(), side_overlap=1.0)
 
     @given(devices, st.sampled_from(FOUR_SETTINGS), st.sampled_from(FOUR_SETTINGS))
     def test_symmetric_and_bounded(self, device, s1, s2):
