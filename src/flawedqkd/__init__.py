@@ -36,11 +36,9 @@ from .errors import (
 )
 from .finite_stats import AzumaBudget, azuma_deviation, count_interval
 from .lp_estimator import (
-    CoinImbalance,
     coin_imbalance,
     delta_prime,
     key_rate_lp,
-    loss_enhanced_imbalance,
     lp_phase_error_bound,
     phase_error_rate_lp,
 )

@@ -161,31 +161,22 @@ def actual_yields(
     Bob's selection probabilities.
     """
     eta = system_efficiency(channel)
-    p_d = channel.p_d
     d = device.delta
+    x_outcomes = (SETTING_0X, SETTING_1X, probs.p_xb)
+    z_outcomes = (SETTING_0Z, SETTING_1Z, probs.p_zb)
     entries: dict[tuple[Setting, Setting], float] = {}
-
-    # X-basis measurement of the 0Z pulse.
-    y0, y1 = _detector_pair(probs.p_0z * probs.p_xb, math.sin(d / 2), eta, p_d)
-    entries[(SETTING_0X, SETTING_0Z)] = y0
-    entries[(SETTING_1X, SETTING_0Z)] = y1
-    # Z-basis measurement of the 0Z pulse.
-    y0, y1 = _detector_pair(probs.p_0z * probs.p_zb, math.cos(d), eta, p_d)
-    entries[(SETTING_0Z, SETTING_0Z)] = y0
-    entries[(SETTING_1Z, SETTING_0Z)] = y1
-    # X-basis measurement of the 1Z pulse.
-    y0, y1 = _detector_pair(probs.p_1z * probs.p_xb, -math.sin(3 * d / 2), eta, p_d)
-    entries[(SETTING_0X, SETTING_1Z)] = y0
-    entries[(SETTING_1X, SETTING_1Z)] = y1
-    # Z-basis measurement of the 1Z pulse.
-    y0, y1 = _detector_pair(probs.p_1z * probs.p_zb, -math.cos(2 * d), eta, p_d)
-    entries[(SETTING_0Z, SETTING_1Z)] = y0
-    entries[(SETTING_1Z, SETTING_1Z)] = y1
-    # X-basis measurement of the 0X pulse.
-    y0, y1 = _detector_pair(probs.p_0x * probs.p_xb, math.cos(d), eta, p_d)
-    entries[(SETTING_0X, SETTING_0X)] = y0
-    entries[(SETTING_1X, SETTING_0X)] = y1
-
+    # Each sent pulse, Bob's two outcomes and basis probability, and the
+    # Bloch alignment c of the pulse with the measured axis.
+    for sent, (zero, one, p_basis), c in (
+        (SETTING_0Z, x_outcomes, math.sin(d / 2)),
+        (SETTING_0Z, z_outcomes, math.cos(d)),
+        (SETTING_1Z, x_outcomes, -math.sin(3 * d / 2)),
+        (SETTING_1Z, z_outcomes, -math.cos(2 * d)),
+        (SETTING_0X, x_outcomes, math.cos(d)),
+    ):
+        y0, y1 = _detector_pair(probs.sent_probability(sent) * p_basis, c, eta, channel.p_d)
+        entries[(zero, sent)] = y0
+        entries[(one, sent)] = y1
     return YieldTable(entries)
 
 

@@ -107,12 +107,29 @@ def _load_config_file(path: str) -> dict[str, Any]:
     return data
 
 
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# What a config-file value must be, by its last key; every other key holds
+# a number.
+_STRING = (lambda x: isinstance(x, str), "a string")
+_FILE_KINDS = {
+    **dict.fromkeys(("solver", "theta_mode", "swept_param", "format"), _STRING),
+    "methods": (lambda x: isinstance(x, (str, list)), "a string or a list"),
+    "swept_values": (lambda x: isinstance(x, list) and all(map(_is_number, x)), "a list of numbers"),
+}
+
+
 def _cfg(cfg: dict[str, Any], *path: str) -> Any:
     node: Any = cfg
     for key in path:
         if not isinstance(node, dict) or key not in node:
             return None
         node = node[key]
+    valid, kind = _FILE_KINDS.get(path[-1], (_is_number, "a number"))
+    if node is not None and not valid(node):
+        raise ValueError(f"config key {'.'.join(path)!r} must be {kind}, got {node!r}")
     return node
 
 

@@ -106,8 +106,9 @@ class CrossoverConfig:
             raise ValueError("fixed_param and swept_param must differ")
         if not self.swept_values:
             raise ValueError("swept grid must be nonempty")
-        if self.bisection_tolerance <= 0.0:
-            raise ValueError("bisection tolerance must be positive")
+        tol = self.bisection_tolerance
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"bisection_tolerance must be finite and > 0, got {tol}")
         if self.solver not in SOLVER_MODES:
             raise ValueError(f"unknown solver {self.solver!r}")
 

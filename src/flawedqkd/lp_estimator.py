@@ -10,17 +10,15 @@ a phase-error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channel import (
     ChannelModel,
     ProtocolProbabilities,
     basis_detection_probability,
     bit_error_rate,
-    system_efficiency,
 )
 from .errors import NoDetectionError
-from .lt_estimator import KeyRatePoint, _rate_from_errors
+from .lt_estimator import KeyRatePoint, _key_rate_point
 from .qstates import (
     SETTING_0X,
     SETTING_0Z,
@@ -29,14 +27,6 @@ from .qstates import (
     DeviceModel,
     full_overlap,
 )
-
-
-@dataclass(frozen=True)
-class CoinImbalance:
-    """Source imbalance Delta and its loss-enhanced value Delta'."""
-
-    delta_coin: float
-    delta_prime: float
 
 
 def coin_imbalance(device: DeviceModel) -> float:
@@ -68,12 +58,6 @@ def delta_prime(delta_coin: float, channel: ChannelModel) -> float:
     if y_det <= 0.0:
         raise NoDetectionError("no detections: Delta' is undefined")
     return min(delta_coin / y_det, 0.5)
-
-
-def loss_enhanced_imbalance(device: DeviceModel, channel: ChannelModel) -> CoinImbalance:
-    """Convenience wrapper returning both Delta and Delta'."""
-    d = coin_imbalance(device)
-    return CoinImbalance(delta_coin=d, delta_prime=delta_prime(d, channel))
 
 
 def lp_phase_error_bound(e_z: float, d_prime: float) -> float:
@@ -112,13 +96,4 @@ def key_rate_lp(
 ) -> KeyRatePoint:
     """Secure key rate per emitted pulse under the quantum-coin analysis."""
     e_z = bit_error_rate(device, channel)
-    e_x = phase_error_rate_lp(device, channel)
-    raw, rate = _rate_from_errors(e_z, e_x, channel, probs)
-    return KeyRatePoint(
-        loss_db=channel.loss_db,
-        eta=system_efficiency(channel),
-        e_z=e_z,
-        e_x=e_x,
-        rate_raw=raw,
-        rate=rate,
-    )
+    return _key_rate_point(e_z, phase_error_rate_lp(device, channel), channel, probs)

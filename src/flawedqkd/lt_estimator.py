@@ -7,7 +7,7 @@ yields over the allowed transmission-rate region.  Two solvers provide that
 region:
 
 * ``paper_faithful`` propagates the per-setting eigenvalue interval through
-  the matrix inverse sign-by-sign, giving a closed-form box.
+  the inverse sign-by-sign, giving a closed-form box checked for physicality.
 * ``vertex_lp`` intersects the same interval constraints with physicality
   boxes and enumerates the polytope's vertices exactly.
 
@@ -17,7 +17,6 @@ With no side channels both collapse to the unique linear-system solution.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,10 @@ from .channel import (
 )
 from .errors import InfeasibleStatisticsError, NoDetectionError, SingularSystemError
 from .qstates import (
+    SETTING_0X,
+    SETTING_1X,
     THREE_SETTINGS,
     DeviceModel,
-    Setting,
     actual_decomposition,
     virtual_decomposition,
 )
@@ -47,10 +47,17 @@ SOLVER_MODES = (PAPER_FAITHFUL, VERTEX_LP)
 
 _DET_TOL = 1e-12
 _FEAS_TOL = 1e-9
+_INFEASIBLE = "no physical transmission rates are consistent with the yields"
 
 # All 3-subsets of the 16 halfspaces, fixed once; the polytope never has
 # more facets than that.
 _TRIPLES = np.array(list(itertools.combinations(range(16), 3)), dtype=np.intp)
+
+# Physicality rows a . q <= b: q_Id in [0, 1], then, for q_x and q_z with
+# either sign, |q_axis| <= q_Id and |q_axis| <= 1 - q_Id.
+_PHYSICAL_A = np.array([(1, 0, 0), (-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0), (1, -1, 0),
+                        (-1, 0, 1), (1, 0, 1), (-1, 0, -1), (1, 0, -1)], dtype=float)
+_PHYSICAL_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,21 @@ class KeyRatePoint:
     rate: float
 
 
+def _sent_terms(device: DeviceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # One decomposition of the three sent states gives the coefficient
+    # matrix and the per-setting eigenvalue bounds lam_min, lam_max.
+    decs = [actual_decomposition(setting, device) for setting in THREE_SETTINGS]
+    mat = np.array(
+        [(d.qubit_weight, d.qubit_weight * d.bloch.px, d.qubit_weight * d.bloch.pz) for d in decs]
+    ).T
+    if abs(np.linalg.det(mat)) < _DET_TOL:
+        raise SingularSystemError(
+            "the three encoding states are collinear; the yield system "
+            "cannot be inverted"
+        )
+    return mat, np.array([d.lambda_min for d in decs]), np.array([d.lambda_max for d in decs])
+
+
 def coefficient_matrix(device: DeviceModel) -> np.ndarray:
     """3x3 matrix whose k-th column is E_k * (1, px_k, pz_k) for the three
     sent settings.
@@ -88,18 +110,7 @@ def coefficient_matrix(device: DeviceModel) -> np.ndarray:
     singular exactly when the three states stop spanning a triangle on the
     Bloch sphere.
     """
-    cols = []
-    for setting in THREE_SETTINGS:
-        dec = actual_decomposition(setting, device)
-        e = dec.qubit_weight
-        cols.append((e, e * dec.bloch.px, e * dec.bloch.pz))
-    mat = np.array(cols).T
-    if abs(np.linalg.det(mat)) < _DET_TOL:
-        raise SingularSystemError(
-            "the three encoding states are collinear; the yield system "
-            "cannot be inverted"
-        )
-    return mat
+    return _sent_terms(device)[0]
 
 
 def normalized_yields(
@@ -109,7 +120,7 @@ def normalized_yields(
     the probability of preparing that setting and of Bob choosing X."""
     if s not in (0, 1):
         raise ValueError(f"s must be 0 or 1, got {s}")
-    outcome = Setting(s, "X")
+    outcome = (SETTING_0X, SETTING_1X)[s]
     return np.array(
         [
             yields.value(outcome, sent) / (probs.sent_probability(sent) * probs.p_xb)
@@ -130,36 +141,23 @@ def _interval_box(
     return central + lo_choice.sum(axis=0), central + up_choice.sum(axis=0)
 
 
+def _require_physical(lower: np.ndarray, upper: np.ndarray) -> None:
+    # The box meets the physical region when some q_Id in [lo_0, hi_0] and [0, 1]
+    # has min(q_Id, 1 - q_Id) at least the smallest |q_x| and |q_z| in the box.
+    reach = min(min(upper[0], 1.0), 1.0 - max(lower[0], 0.0), 0.5)
+    need = max(lower[1], -upper[1], lower[2], -upper[2], 0.0)
+    if reach < need - _FEAS_TOL:
+        raise InfeasibleStatisticsError(_INFEASIBLE)
+
+
 def _halfspaces(
     coef: np.ndarray, ytil: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Rows a with a . q <= b: six yield-interval constraints, then
-    # q_Id in [0, 1], then |q_x|, |q_z| <= min(q_Id, 1 - q_Id).
-    rows = []
-    rhs = []
-    for k in range(3):
-        v = coef[:, k]
-        rows.append(v)
-        rhs.append(ytil[k] - lam_min[k])
-        rows.append(-v)
-        rhs.append(-(ytil[k] - lam_max[k]))
-    rows.append(np.array([1.0, 0.0, 0.0]))
-    rhs.append(1.0)
-    rows.append(np.array([-1.0, 0.0, 0.0]))
-    rhs.append(0.0)
-    for axis in (1, 2):
-        for sign in (1.0, -1.0):
-            row = np.zeros(3)
-            row[axis] = sign
-            row[0] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            row = np.zeros(3)
-            row[axis] = sign
-            row[0] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-    return np.array(rows), np.array(rhs)
+    # Rows a with a . q <= b: (+v_k, -v_k) for each sent setting k, then
+    # the constant physical rows.
+    rows = np.stack((coef.T, -coef.T), axis=1).reshape(6, 3)
+    rhs = np.stack((ytil - lam_min, lam_max - ytil), axis=1).reshape(6)
+    return np.vstack((rows, _PHYSICAL_A)), np.concatenate((rhs, _PHYSICAL_B))
 
 
 def _vertex_box(
@@ -177,9 +175,7 @@ def _vertex_box(
     feasible = np.all(amat @ verts.T <= bvec[:, None] + _FEAS_TOL, axis=0)
     verts = verts[feasible]
     if verts.shape[0] == 0:
-        raise InfeasibleStatisticsError(
-            "no physical transmission rates are consistent with the yields"
-        )
+        raise InfeasibleStatisticsError(_INFEASIBLE)
     lo_idx = np.argmin(verts, axis=0)
     hi_idx = np.argmax(verts, axis=0)
     return verts[lo_idx, np.arange(3)], verts[hi_idx, np.arange(3)], verts[lo_idx], verts[hi_idx]
@@ -195,14 +191,12 @@ def transmission_rate_bounds(
     """Bound (q_Id, q_x, q_z) for Bob outcome s from the observed yields."""
     if mode not in SOLVER_MODES:
         raise ValueError(f"mode must be one of {SOLVER_MODES}, got {mode!r}")
-    coef = coefficient_matrix(device)
+    coef, lam_min, lam_max = _sent_terms(device)
     ytil = normalized_yields(s, yields, probs)
-    decs = [actual_decomposition(st, device) for st in THREE_SETTINGS]
-    lam_min = np.array([d.lambda_min for d in decs])
-    lam_max = np.array([d.lambda_max for d in decs])
 
     if mode == PAPER_FAITHFUL:
         lower, upper = _interval_box(ytil, lam_min, lam_max, np.linalg.inv(coef))
+        _require_physical(lower, upper)
         return TransmissionRateBounds(tuple(lower), tuple(upper))
 
     amat, bvec = _halfspaces(coef, ytil, lam_min, lam_max)
@@ -259,18 +253,24 @@ def phase_error_rate_lt(
     return min(max(num / denom, 0.0), 1.0)
 
 
-def _rate_from_errors(
+def _key_rate_point(
     e_z: float, e_x: float, channel: ChannelModel, probs: ProtocolProbabilities
-) -> tuple[float, float]:
+) -> KeyRatePoint:
     # Error rates beyond 1/2 carry no extractable key, so the entropy
     # arguments are clamped at the entropy maximum.
-    yz = z_basis_yield(channel, probs)
-    raw = yz * (
+    raw = z_basis_yield(channel, probs) * (
         1.0
         - binary_entropy(min(e_x, 0.5))
         - channel.f_ec * binary_entropy(min(e_z, 0.5))
     )
-    return raw, max(raw, 0.0)
+    return KeyRatePoint(
+        loss_db=channel.loss_db,
+        eta=system_efficiency(channel),
+        e_z=e_z,
+        e_x=float(e_x),
+        rate_raw=float(raw),
+        rate=float(max(raw, 0.0)),
+    )
 
 
 def key_rate_lt(
@@ -281,13 +281,4 @@ def key_rate_lt(
 ) -> KeyRatePoint:
     """Secure key rate per emitted pulse under the loss-tolerant analysis."""
     e_z = bit_error_rate(device, channel)
-    e_x = phase_error_rate_lt(device, channel, probs, mode)
-    raw, rate = _rate_from_errors(e_z, e_x, channel, probs)
-    return KeyRatePoint(
-        loss_db=channel.loss_db,
-        eta=system_efficiency(channel),
-        e_z=e_z,
-        e_x=float(e_x),
-        rate_raw=float(raw),
-        rate=float(rate),
-    )
+    return _key_rate_point(e_z, phase_error_rate_lt(device, channel, probs, mode), channel, probs)

@@ -194,6 +194,11 @@ class TestCrossoverConfig:
         with pytest.raises(ValueError):
             CrossoverConfig("theta", 1e-6, "mu", (1e-9,), bisection_tolerance=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="bisection_tolerance"):
+            CrossoverConfig("theta", 1e-6, "mu", (1e-9,), bisection_tolerance=tol)
+
 
 class TestRunSweep:
     def test_worker_count_does_not_change_rows(self, probs):
@@ -431,6 +436,18 @@ class TestSweepCommand:
         assert rate == pytest.approx(0.00926864776575, rel=1e-8)
 
 
+# A config-file value of the wrong JSON type, the command reading it, and the
+# key the error must name.
+WRONG_TYPE_CONFIGS = [
+    ("loss", {"loss": "20"}, ["rate"]),
+    ("loss_start", {"loss_start": "0", "loss_stop": 10, "loss_step": 5}, ["sweep"]),
+    ("jobs", {"jobs": "2"}, ["sweep", "--loss-range", "0:10:5"]),
+    ("swept_values", {"swept_values": "1e-9"}, ["crossover", "--sweep-param", "mu"]),
+    ("solver", {"solver": ["x"]}, ["rate", "--loss", "10"]),
+    ("device.delta", {"device": {"delta": "0.1"}}, ["rate", "--loss", "10"]),
+]
+
+
 class TestConfigFile:
     def test_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -469,6 +486,19 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "rate", "--config", str(cfg), "--loss", "10")
         assert code == 2
         assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "key, content, argv",
+        WRONG_TYPE_CONFIGS,
+        ids=[case[0] for case in WRONG_TYPE_CONFIGS],
+    )
+    def test_wrong_json_type_is_usage_error(self, capsys, tmp_path, key, content, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"'{key}'" in err
 
 
 class TestCrossoverCommand:
@@ -523,6 +553,24 @@ class TestCrossoverCommand:
             capsys, "crossover", "--sweep-param", "mu", "--sweep-values", "a,b"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys,
+            "crossover",
+            "--sweep-param",
+            "mu",
+            "--sweep-values",
+            "1e-9",
+            "--theta",
+            "1e-6",
+            "--bisect-tol",
+            tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "bisection_tolerance" in err
 
 
 class TestAzumaCommand:

@@ -9,7 +9,6 @@ from flawedqkd import (
     coin_imbalance,
     delta_prime,
     key_rate_lp,
-    loss_enhanced_imbalance,
     lp_phase_error_bound,
     phase_error_rate_lp,
 )
@@ -70,11 +69,6 @@ class TestDeltaPrime:
     def test_no_detections(self):
         with pytest.raises(NoDetectionError):
             delta_prime(0.01, ChannelModel(float("inf"), p_d=0.0))
-
-    def test_wrapper_carries_both_values(self):
-        coin = loss_enhanced_imbalance(DeviceModel(delta=0.126), ChannelModel(20.0))
-        assert coin.delta_coin == pytest.approx(0.0007593770648606, abs=1e-14)
-        assert coin.delta_prime == pytest.approx(0.0759346842856, rel=1e-9)
 
     def test_monotone_in_loss(self):
         coin = 0.001

@@ -12,6 +12,7 @@ from flawedqkd import (
     SETTING_0Z,
     SETTING_1X,
     SETTING_1Z,
+    SOLVER_MODES,
     THREE_SETTINGS,
     VERTEX_LP,
     ChannelModel,
@@ -185,7 +186,8 @@ class TestTransmissionRateBounds:
             (-0.000316177746003, -0.00315246614764, -0.00160102522069)
         )
 
-    def test_contradictory_yields_are_infeasible(self, probs):
+    @pytest.mark.parametrize("mode", SOLVER_MODES)
+    def test_contradictory_yields_are_infeasible(self, probs, mode):
         # both Z pulses land on outcome 0X with normalized yield 0.9 while
         # the X pulse almost never does; the unique linear solution then
         # needs |q_x| > min(q_Id, 1 - q_Id), which no state can do
@@ -200,7 +202,31 @@ class TestTransmissionRateBounds:
         entries[(SETTING_0X, SETTING_1Z)] = 0.9 * 0.25 * 0.5
         entries[(SETTING_0X, SETTING_0X)] = 0.01 * 0.5 * 0.5
         with pytest.raises(InfeasibleStatisticsError):
-            transmission_rate_bounds(0, YieldTable(entries), DeviceModel(), probs, VERTEX_LP)
+            transmission_rate_bounds(0, YieldTable(entries), DeviceModel(), probs, mode)
+
+    @pytest.mark.parametrize("mode", SOLVER_MODES)
+    def test_inflated_x_yield_is_infeasible(self, probs, mode):
+        # 50 times the 0X->0X yield pushes the interval box to q_x near 2.4
+        # with q_Id near 0.1, far outside the physical region
+        entries = dict(actual_yields(COMPOSITE, ChannelModel(10.0), probs).entries)
+        entries[(SETTING_0X, SETTING_0X)] *= 50.0
+        with pytest.raises(InfeasibleStatisticsError):
+            transmission_rate_bounds(0, YieldTable(entries), COMPOSITE, probs, mode)
+
+    @pytest.mark.parametrize("mode", SOLVER_MODES)
+    @pytest.mark.parametrize("q", [(0.1, 0.3, 0.0), (0.9, -0.3, 0.0), (0.2, 0.0, -0.3)])
+    def test_rates_outside_the_physical_region_are_infeasible(self, probs, mode, q):
+        # the ideal device has no side channel, so the yields fix q exactly;
+        # each q has |q_x| or |q_z| below 1/2 but above min(q_Id, 1 - q_Id)
+        ytil = np.array(q) @ coefficient_matrix(DeviceModel())
+        table = YieldTable(
+            {
+                (SETTING_0X, sent): y * probs.sent_probability(sent) * probs.p_xb
+                for sent, y in zip(THREE_SETTINGS, ytil)
+            }
+        )
+        with pytest.raises(InfeasibleStatisticsError):
+            transmission_rate_bounds(0, table, DeviceModel(), probs, mode)
 
     @given(small_devices, st.floats(0.0, 30.0), st.sampled_from([0, 1]))
     @settings(max_examples=60)

@@ -1,0 +1,46 @@
+"""Smoke runs of the scripts in scripts/, each in-process on a tiny grid."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Script, its arguments, the CSV header it must print, and its data rows.
+CASES = [
+    (
+        "crossover_frontier",
+        ["--sweep-values", "1e-9"],
+        "swept_param,swept_value,delta_star,rate_lt,rate_lp,status",
+        1,
+    ),
+    (
+        "loss_sweep",
+        ["--loss-range", "0:10:5", "--devices", "clean,leaky"],
+        "device,loss_db,eta,method,e_z,e_x,rate_raw,rate",
+        12,
+    ),
+    (
+        "solver_comparison",
+        ["--loss-stop", "2"],
+        "loss_db,e_x_interval,e_x_vertex,rate_interval,rate_vertex,rate_gain",
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv, header, n_rows", CASES, ids=[c[0] for c in CASES])
+def test_script_prints_its_csv(capsys, name, argv, header, n_rows):
+    assert load_script(name).main(argv) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
