@@ -35,23 +35,25 @@ from .errors import (
     SingularSystemError,
 )
 from .finite_stats import AzumaBudget, azuma_deviation, count_interval
-from .lp_estimator import (
-    coin_imbalance,
-    delta_prime,
+from .grid import (
+    GridRates,
+    KeyRatePoint,
+    PreparedDevice,
+    evaluate_grid,
     key_rate_lp,
-    lp_phase_error_bound,
+    key_rate_lt,
     phase_error_rate_lp,
+    phase_error_rate_lt,
+    prepare,
 )
+from .lp_estimator import coin_imbalance, delta_prime, lp_phase_error_bound
 from .lt_estimator import (
     PAPER_FAITHFUL,
     SOLVER_MODES,
     VERTEX_LP,
-    KeyRatePoint,
     TransmissionRateBounds,
     coefficient_matrix,
-    key_rate_lt,
     normalized_yields,
-    phase_error_rate_lt,
     transmission_rate_bounds,
     virtual_yield_upper,
 )

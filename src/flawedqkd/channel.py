@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import NoDetectionError
 from .qstates import (
     SETTING_0X,
@@ -129,26 +131,73 @@ class YieldTable:
         )
 
 
+def efficiency(loss_db: float) -> float:
+    """Transmittance eta = 10^(-loss_db/10) of a loss in dB."""
+    return 10.0 ** (-loss_db / 10.0)
+
+
 def system_efficiency(channel: ChannelModel) -> float:
     """Transmittance eta = 10^(-loss_db/10)."""
-    return 10.0 ** (-channel.loss_db / 10.0)
+    return efficiency(channel.loss_db)
 
 
-def _detector_pair(prefactor: float, c: float, eta: float, p_d: float) -> tuple[float, float]:
-    # Joint probabilities for the two outcomes of one basis measurement on
-    # one sent state, where c is the Bloch-axis alignment of the state with
-    # the measured axis.  First order in p_d, double clicks split evenly.
-    y_plus = prefactor * (
-        (1.0 - eta / 2.0) * p_d
-        + (eta / 4.0) * (1.0 + c) * (1.0 - p_d / 2.0)
-        + (eta / 8.0) * (1.0 - c) * p_d
+# Each yield row: the sent pulse and Bob's two outcomes in the measured basis.
+_X_OUTCOMES = (SETTING_0X, SETTING_1X)
+_Z_OUTCOMES = (SETTING_0Z, SETTING_1Z)
+YIELD_ROWS = (
+    (SETTING_0Z, _X_OUTCOMES),
+    (SETTING_0Z, _Z_OUTCOMES),
+    (SETTING_1Z, _X_OUTCOMES),
+    (SETTING_1Z, _Z_OUTCOMES),
+    (SETTING_0X, _X_OUTCOMES),
+)
+# The X-basis rows, one per sent setting in THREE_SETTINGS order, and the
+# Z-basis rows on the two Z pulses.
+X_ROWS = slice(0, 5, 2)
+Z_ROWS = slice(1, 4, 2)
+
+
+def yield_prefactors(probs: ProtocolProbabilities) -> np.ndarray:
+    """Alice's and Bob's selection probability of each yield row."""
+    p_0z, p_1z, p_0x = probs.p_0z, probs.p_1z, probs.p_0x
+    p_xb, p_zb = probs.p_xb, probs.p_zb
+    return np.array((p_0z * p_xb, p_0z * p_zb, p_1z * p_xb, p_1z * p_zb, p_0x * p_xb))
+
+
+def yield_alignments(delta: float) -> np.ndarray:
+    """Bloch alignment c of each yield row's pulse with the measured axis."""
+    return np.array(
+        (
+            math.sin(delta / 2),
+            math.cos(delta),
+            -math.sin(3 * delta / 2),
+            -math.cos(2 * delta),
+            math.cos(delta),
+        )
     )
-    y_minus = prefactor * (
-        (1.0 - eta / 2.0) * p_d
-        + (eta / 8.0) * (1.0 + c) * p_d
-        + (eta / 4.0) * (1.0 - c) * (1.0 - p_d / 2.0)
-    )
-    return y_plus, y_minus
+
+
+# eta over these gives the eta/4 and eta/8 shares of the two outcomes.
+_SHARE_DIVISORS = np.array([[4.0], [8.0]])
+
+
+def detector_yields(prefactor: np.ndarray, c: np.ndarray, eta, p_d: float) -> np.ndarray:
+    """Joint probabilities of Bob's two outcomes for each yield row.
+
+    prefactor and c hold each row's selection probability and Bloch
+    alignment with the measured axis; eta is a float or an array of shape
+    (n,), giving shape (2, 5) or (n, 2, 5) with the outcome (0, then 1)
+    before the row.  First order in p_d, double clicks split evenly.
+    """
+    eta = np.asarray(eta, dtype=float)[..., None, None]
+    dark = (1.0 - eta / 2.0) * p_d
+    share = eta / _SHARE_DIVISORS
+    weight = np.array([[1.0 - p_d / 2.0], [p_d]])
+    # The aligned outcome clicks with eta/4 (1 + c), the other one with
+    # eta/8 (1 + c) from the double clicks; likewise for 1 - c.
+    aligned = share * (1.0 + c) * weight
+    opposed = share[..., ::-1, :] * (1.0 - c) * weight[::-1]
+    return prefactor * (dark + aligned + opposed)
 
 
 def actual_yields(
@@ -160,24 +209,26 @@ def actual_yields(
     the 0X pulse.  Entries are joint probabilities including Alice's and
     Bob's selection probabilities.
     """
-    eta = system_efficiency(channel)
-    d = device.delta
-    x_outcomes = (SETTING_0X, SETTING_1X, probs.p_xb)
-    z_outcomes = (SETTING_0Z, SETTING_1Z, probs.p_zb)
+    y_zero, y_one = detector_yields(
+        yield_prefactors(probs),
+        yield_alignments(device.delta),
+        system_efficiency(channel),
+        channel.p_d,
+    ).tolist()
     entries: dict[tuple[Setting, Setting], float] = {}
-    # Each sent pulse, Bob's two outcomes and basis probability, and the
-    # Bloch alignment c of the pulse with the measured axis.
-    for sent, (zero, one, p_basis), c in (
-        (SETTING_0Z, x_outcomes, math.sin(d / 2)),
-        (SETTING_0Z, z_outcomes, math.cos(d)),
-        (SETTING_1Z, x_outcomes, -math.sin(3 * d / 2)),
-        (SETTING_1Z, z_outcomes, -math.cos(2 * d)),
-        (SETTING_0X, x_outcomes, math.cos(d)),
-    ):
-        y0, y1 = _detector_pair(probs.sent_probability(sent) * p_basis, c, eta, channel.p_d)
+    for (sent, (zero, one)), y0, y1 in zip(YIELD_ROWS, y_zero, y_one):
         entries[(zero, sent)] = y0
         entries[(one, sent)] = y1
     return YieldTable(entries)
+
+
+def detection_probability(eta, p_d):
+    """Probability of a detection given any fixed basis pair, for a
+    transmittance eta (a float or an array).
+
+    The symmetric channel makes this the same for both bases.
+    """
+    return 4.0 * (1.0 - eta / 2.0) * p_d + eta
 
 
 def basis_detection_probability(channel: ChannelModel) -> float:
@@ -185,23 +236,31 @@ def basis_detection_probability(channel: ChannelModel) -> float:
 
     The symmetric channel makes this the same for both bases.
     """
-    eta = system_efficiency(channel)
-    return 4.0 * (1.0 - eta / 2.0) * channel.p_d + eta
+    return detection_probability(system_efficiency(channel), channel.p_d)
+
+
+def error_tilt(delta: float) -> float:
+    """The device's share of the bit error: cos(2 delta) + cos(delta)."""
+    return math.cos(2 * delta) + math.cos(delta)
+
+
+def bit_errors(eta, p_d, tilt):
+    """Probability of a Z-basis bit error given a Z-basis pair, for a
+    transmittance eta (a float or an array); e_Z is this over
+    detection_probability."""
+    return 2.0 * (1.0 - eta / 2.0) * p_d + eta / 2.0 + (eta / 4.0) * tilt * (p_d - 1.0)
+
+
+NO_DETECTIONS = "no detections: eta = 0 and p_d = 0"
 
 
 def bit_error_rate(device: DeviceModel, channel: ChannelModel) -> float:
     """Z-basis bit error rate e_Z of the sifted key."""
     eta = system_efficiency(channel)
-    p_d = channel.p_d
-    denom = basis_detection_probability(channel)
+    denom = detection_probability(eta, channel.p_d)
     if denom <= 0.0:
-        raise NoDetectionError("no detections: eta = 0 and p_d = 0")
-    num = (
-        2.0 * (1.0 - eta / 2.0) * p_d
-        + eta / 2.0
-        + (eta / 4.0) * (math.cos(2 * device.delta) + math.cos(device.delta)) * (p_d - 1.0)
-    )
-    return num / denom
+        raise NoDetectionError(NO_DETECTIONS)
+    return bit_errors(eta, channel.p_d, error_tilt(device.delta)) / denom
 
 
 def z_basis_yield(channel: ChannelModel, probs: ProtocolProbabilities) -> float:

@@ -33,6 +33,7 @@ from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
 from .qstates import DeviceModel
 
 _SOLVER_FLAGS = {"paper": PAPER_FAITHFUL, "vertex-lp": "vertex_lp"}
+_FORMATS = ("csv", "json")
 
 
 def _fmt(x: float) -> str:
@@ -99,11 +100,39 @@ def crossover_json(records: Sequence[CrossoverRecord], compare_loss_db: float) -
     return json.dumps(payload, indent=2) + "\n"
 
 
+# Every key a config file may hold, for any subcommand: a section maps to
+# the keys inside it, a plain key to None.
+_CONFIG_KEYS: dict[str, tuple[str, ...] | None] = {
+    "device": ("delta", "theta_hat", "theta_mode", "mu"),
+    "probs": ("p_za", "p_zb"),
+    "channel": ("p_d", "f_ec"),
+    **dict.fromkeys(
+        (
+            "format", "loss", "loss_start", "loss_stop", "loss_step", "jobs", "methods",
+            "solver", "swept_param", "swept_values", "fixed_value", "compare_loss_db",
+            "bisection_tolerance",
+        )
+    ),
+}
+
+
 def _load_config_file(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    # A misspelled key would otherwise be ignored and run the defaults.
+    for key, value in data.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        section = _CONFIG_KEYS[key]
+        if section is None:
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be an object, got {value!r}")
+        for inner in value:
+            if inner not in section:
+                raise ValueError(f"unknown config key '{key}.{inner}'")
     return data
 
 
@@ -115,7 +144,8 @@ def _is_number(x: Any) -> bool:
 # a number.
 _STRING = (lambda x: isinstance(x, str), "a string")
 _FILE_KINDS = {
-    **dict.fromkeys(("solver", "theta_mode", "swept_param", "format"), _STRING),
+    **dict.fromkeys(("solver", "theta_mode", "swept_param"), _STRING),
+    "format": (lambda x: x in _FORMATS, "'csv' or 'json'"),
     "methods": (lambda x: isinstance(x, (str, list)), "a string or a list"),
     "swept_values": (lambda x: isinstance(x, list) and all(map(_is_number, x)), "a list of numbers"),
 }
@@ -216,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--f-ec", type=float, default=None, help="error correction inefficiency")
     shared.add_argument("--pza", type=float, default=None, help="Alice Z-basis probability")
     shared.add_argument("--pzb", type=float, default=None, help="Bob Z-basis probability")
-    shared.add_argument("--format", choices=("csv", "json"), default=None)
+    shared.add_argument("--format", choices=_FORMATS, default=None)
     shared.add_argument("--config", default=None, help="JSON config file; flags override file values")
 
     rate = sub.add_parser("rate", parents=[shared], help="single key-rate point")
@@ -246,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     azuma.add_argument("--eps", type=float, required=True)
     azuma.add_argument("--eps-hat", type=float, required=True)
     azuma.add_argument("--observed", type=float, required=True)
-    azuma.add_argument("--format", choices=("csv", "json"), default="csv")
+    azuma.add_argument("--format", choices=_FORMATS, default="csv")
 
     return parser
 

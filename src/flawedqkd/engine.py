@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelModel, ProtocolProbabilities, system_efficiency
-from .errors import EstimatorError
-from .lp_estimator import key_rate_lp
-from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES, key_rate_lt
+import numpy as np
+
+from .channel import ChannelModel, ProtocolProbabilities, efficiency, system_efficiency
+from .grid import METHODS, evaluate_grid, prepare
+from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
 from .qstates import DeviceModel
 
-METHODS = ("lt", "lp")
 CROSSOVER_PARAMS = ("theta", "mu")
 
 # Bracket grid for the crossover bisection in delta.
@@ -149,29 +149,39 @@ def loss_grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate every (loss, method) pair of the sweep, serially.
+    """Evaluate every (loss, method) pair of the sweep on one prepared
+    device, with the whole loss grid as arrays.
 
     Estimator failures are kept as rows with the error message and no
     rate, so one bad point cannot take down a long sweep.  Rows are
     ordered by loss, then method.  config.jobs is ignored.
     """
     methods = tuple(m for m in METHODS if m in config.methods)
+    losses = loss_grid(config.loss_start, config.loss_stop, config.loss_step)
+    # The grid ascends from loss_start, so one channel validates them all.
+    ChannelModel(losses[0], config.p_d, config.f_ec)
+    etas = [efficiency(loss) for loss in losses]
+    rates = evaluate_grid(
+        prepare(config.device, config.probs),
+        np.array(etas),
+        config.p_d,
+        config.f_ec,
+        methods,
+        config.solver,
+    )
+    columns = [
+        (m, rates[m].e_z.tolist(), rates[m].e_x.tolist(), rates[m].rate_raw.tolist(),
+         rates[m].errors)
+        for m in methods
+    ]
     rows = []
-    for loss in loss_grid(config.loss_start, config.loss_stop, config.loss_step):
-        channel = ChannelModel(loss, config.p_d, config.f_ec)
-        for method in methods:
-            try:
-                if method == "lt":
-                    point = key_rate_lt(config.device, channel, config.probs, config.solver)
-                else:
-                    point = key_rate_lp(config.device, channel, config.probs)
-            except EstimatorError as exc:
-                eta = system_efficiency(channel)
-                rows.append(SweepRow(loss, eta, method, None, None, None, None, str(exc)))
-                continue
-            rows.append(
-                SweepRow(loss, point.eta, method, point.e_z, point.e_x, point.rate_raw, point.rate)
-            )
+    for i, (loss, eta) in enumerate(zip(losses, etas)):
+        for method, e_z, e_x, rate_raw, errors in columns:
+            if errors[i] is not None:
+                rows.append(SweepRow(loss, eta, method, None, None, None, None, str(errors[i])))
+            else:
+                raw = rate_raw[i]
+                rows.append(SweepRow(loss, eta, method, e_z[i], e_x[i], raw, max(raw, 0.0)))
     return rows
 
 
@@ -184,8 +194,10 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     no-crossover record.
     """
     channel = ChannelModel(config.compare_loss_db, config.p_d, config.f_ec)
+    eta = np.array([system_efficiency(channel)])
 
     def rates(delta: float, swept_value: float) -> tuple[float, float]:
+        # Both methods from one prepared device; a failure fails the search.
         params = {config.fixed_param: config.fixed_value, config.swept_param: swept_value}
         device = DeviceModel(
             delta=delta,
@@ -193,9 +205,21 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
             theta_mode=config.theta_mode,
             mu=params["mu"],
         )
-        lt = key_rate_lt(device, channel, config.probs, config.solver)
-        lp = key_rate_lp(device, channel, config.probs)
-        return lt.rate, lp.rate
+        prepared = prepare(device, config.probs)
+        point = (prepared, eta, channel.p_d, channel.f_ec)
+        try:
+            both = evaluate_grid(*point, METHODS, config.solver)
+        except ValueError:
+            # lp's inputs are out of range; an lt failure fails the search first.
+            lt_error = evaluate_grid(*point, ("lt",), config.solver)["lt"].errors[0]
+            if lt_error is not None:
+                raise lt_error from None
+            raise
+        for result in both.values():
+            if result.errors[0] is not None:
+                raise result.errors[0]
+        lt, lp = (max(float(both[m].rate_raw[0]), 0.0) for m in METHODS)
+        return lt, lp
 
     records = []
     for value in config.swept_values:

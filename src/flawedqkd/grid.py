@@ -1,0 +1,308 @@
+"""Both estimators on a grid of transmittances, from one prepared device.
+
+Loss enters the lt and lp bounds only through yields that are affine in
+eta, so everything else is computed once per device by ``prepare`` and
+``evaluate_grid`` carries a whole loss grid through each stage as arrays.
+The single-point entry points are one-point grids of the same path.
+
+The arrays reproduce the per-point arithmetic bit for bit: every stage
+keeps the operand order of its formula, the transmittance is Python's
+``10.0 ** (-loss / 10.0)`` per point, yields go through the inverse as one
+BLAS product, and entropies use ``math.log2`` per element.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channel import (
+    NO_DETECTIONS,
+    X_ROWS,
+    Z_ROWS,
+    ChannelModel,
+    ProtocolProbabilities,
+    binary_entropy,
+    bit_errors,
+    detection_probability,
+    detector_yields,
+    error_tilt,
+    system_efficiency,
+    yield_alignments,
+    yield_prefactors,
+)
+from .errors import EstimatorError, InfeasibleStatisticsError, NoDetectionError
+from .lp_estimator import coin_imbalance, coin_phase_errors
+from .lt_estimator import (
+    INFEASIBLE,
+    PAPER_FAITHFUL,
+    SOLVER_MODES,
+    LtTerms,
+    halfspace_rhs,
+    halfspace_rows,
+    interval_box,
+    lt_terms,
+    triple_systems,
+    unphysical,
+    vertex_box,
+    virtual_yields,
+)
+from .qstates import DeviceModel
+
+METHODS = ("lt", "lp")
+
+
+@dataclass(frozen=True)
+class PreparedDevice:
+    """Everything the estimators need that does not depend on the loss.
+
+    prefactor and alignment are the selection probabilities and Bloch
+    alignments of the five yield rows, tilt the device's term of the bit
+    error, lt the loss-tolerant device terms and coin the quantum-coin
+    imbalance Delta.
+    """
+
+    probs: ProtocolProbabilities
+    prefactor: np.ndarray
+    alignment: np.ndarray
+    tilt: float
+    lt: LtTerms
+    coin: float
+
+
+@dataclass(frozen=True)
+class GridRates:
+    """One method's values over the grid.
+
+    errors holds, per grid point, the failure of the estimator there or
+    None; the numbers of a failed point mean nothing.
+    """
+
+    e_z: np.ndarray
+    e_x: np.ndarray
+    rate_raw: np.ndarray
+    errors: list[EstimatorError | None]
+
+
+@dataclass(frozen=True)
+class KeyRatePoint:
+    """Per-loss record of the channel point and the resulting key rate."""
+
+    loss_db: float
+    eta: float
+    e_z: float
+    e_x: float
+    rate_raw: float
+    rate: float
+
+
+def prepare(device: DeviceModel, probs: ProtocolProbabilities) -> PreparedDevice:
+    """Compute the device-only terms of both estimators once."""
+    return PreparedDevice(
+        probs=probs,
+        prefactor=yield_prefactors(probs),
+        alignment=yield_alignments(device.delta),
+        tilt=error_tilt(device.delta),
+        lt=lt_terms(device),
+        coin=coin_imbalance(device),
+    )
+
+
+def _entropies(
+    e_z: np.ndarray, stages: dict[str, tuple[np.ndarray, list, dict[int, ValueError]]]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    # h(min(e, 1/2)) of e_z and of each method's e_x, at the points where
+    # a method succeeded: error rates beyond 1/2 carry no extractable key.
+    # Points are visited in row order, method by method, so an input out of
+    # range raises where a point-by-point evaluation would; h(e_z) is
+    # computed once per point, where the first method needs it.
+    ez = e_z.tolist()
+    h_z = [0.0] * len(ez)
+    h_x = {m: [0.0] * len(ez) for m in stages}
+    columns = [(e_x.tolist(), errors, rejected, h_x[m])
+               for m, (e_x, errors, rejected) in stages.items()]
+    for i, z in enumerate(ez):
+        pending = True
+        for e_x, errors, rejected, h in columns:
+            if errors[i] is None:
+                if i in rejected:
+                    raise rejected[i]
+                h[i] = binary_entropy(min(e_x[i], 0.5))
+                if pending:
+                    h_z[i] = binary_entropy(min(z, 0.5))
+                    pending = False
+    return np.array(h_z), {m: np.array(h) for m, h in h_x.items()}
+
+
+def _lt_bounds(
+    terms: LtTerms, ytil: np.ndarray, todo: np.ndarray, solver: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Transmission-rate boxes of shape (n, 2, 3), one per point and Bob
+    # outcome, and whether each point's yields are infeasible; points not
+    # in todo have already failed.
+    if solver == PAPER_FAITHFUL:
+        lower, upper = interval_box(ytil, terms)
+        return lower, upper, unphysical(lower, upper).any(axis=1)
+    # The vertex enumeration stays one point at a time: batching its
+    # triples over the grid costs megabytes per point.
+    rows = halfspace_rows(terms)
+    systems = triple_systems(rows)
+    rhs = halfspace_rhs(ytil, terms)
+    lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
+    infeasible = np.zeros(todo.shape, dtype=bool)
+    for i in np.flatnonzero(todo).tolist():
+        for s in (0, 1):
+            box = vertex_box(rows, systems, rhs[i, s])
+            if box is None:
+                infeasible[i] = True
+                break
+            lower[i, s], upper[i, s] = box[0], box[1]
+    return lower, upper, infeasible
+
+
+def _lt_phase_errors(
+    prepared: PreparedDevice,
+    eta: np.ndarray,
+    p_d: float,
+    errors: list[EstimatorError | None],
+    solver: str,
+) -> tuple[np.ndarray, list[EstimatorError | None]]:
+    # e_x of the loss-tolerant bound; errors comes in with each point's
+    # failure so far and leaves with the first lt failure added.
+    terms = prepared.lt
+    yields = detector_yields(prepared.prefactor, prepared.alignment, eta, p_d)
+    z_yields = yields[:, :, Z_ROWS]
+    # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
+    z_sum = z_yields[:, 0, 0] + z_yields[:, 1, 0] + z_yields[:, 0, 1] + z_yields[:, 1, 1]
+    no_z = NoDetectionError("no Z-basis detections; e_X is undefined")
+    errors = [no_z if e is None and z <= 0.0 else e for e, z in zip(errors, z_sum.tolist())]
+    if terms.singular is not None:
+        return np.zeros_like(eta), [terms.singular if e is None else e for e in errors]
+
+    ytil = yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS]
+    todo = np.array([e is None for e in errors])
+    lower, upper, infeasible = _lt_bounds(terms, ytil, todo, solver)
+    infeasible_error = InfeasibleStatisticsError(INFEASIBLE)
+    errors = [infeasible_error if e is None and bad else e
+              for e, bad in zip(errors, infeasible.tolist())]
+    if terms.degenerate is not None:
+        return np.zeros_like(eta), [terms.degenerate if e is None else e for e in errors]
+
+    probs = prepared.probs
+    y = virtual_yields(lower, upper, terms.corner, *terms.virtual, probs.p_za * probs.p_zb)
+    e_x = (y[:, 0] + y[:, 1]) / z_sum
+    return np.minimum(np.where(0.0 > e_x, 0.0, e_x), 1.0), errors
+
+
+def evaluate_grid(
+    prepared: PreparedDevice,
+    eta: np.ndarray,
+    p_d: float,
+    f_ec: float,
+    methods: tuple[str, ...] = METHODS,
+    solver: str = PAPER_FAITHFUL,
+) -> dict[str, GridRates]:
+    """e_z, e_x and the unclamped rate of each method at each transmittance.
+
+    eta has shape (n,).  A failure at one point is kept in that point's
+    error slot and never stops the others.  Per point, a failure reports
+    in the order the chain meets it: no detections at all, no Z-basis
+    detections (lt), a singular yield system (lt), infeasible yields (lt),
+    a degenerate virtual state (lt).
+    """
+    if solver not in SOLVER_MODES:
+        raise ValueError(f"mode must be one of {SOLVER_MODES}, got {solver!r}")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    probs = prepared.probs
+    # Points that fail, or sit at a subnormal eta, may divide by zero or
+    # overflow; their error slots and the clamps take care of the result.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y_det = detection_probability(eta, p_d)
+        e_z = bit_errors(eta, p_d, prepared.tilt) / y_det
+        undetected = y_det <= 0.0
+        no_detection = NoDetectionError(NO_DETECTIONS)
+        errors = [no_detection if bad else None for bad in undetected.tolist()]
+        # Each stage: e_x, the failure of each point, and the points whose
+        # input the method rejects as out of range.
+        stages = {}
+        if "lt" in methods:
+            stages["lt"] = (*_lt_phase_errors(prepared, eta, p_d, errors, solver), {})
+        if "lp" in methods:
+            e_zc = np.minimum(e_z, 0.5)
+            enhanced = prepared.coin / y_det
+            rejected = {}
+            if (e_z < 0.0).any():
+                # The coin bound takes e_z in [0, 1/2] where the imbalance
+                # has not run away; a detected point below it stops the grid.
+                below = (e_z < 0.0) & ~(enhanced > 0.5)
+                rejected = {
+                    i: ValueError(f"e_z must lie in [0, 1/2], got {e_zc[i].item()}")
+                    for i in np.flatnonzero(below).tolist()
+                }
+            stages["lp"] = (coin_phase_errors(e_zc, enhanced), errors, rejected)
+        h_z, h_x = _entropies(e_z, stages)
+        y_z = probs.p_za * probs.p_zb * y_det
+        ec_cost = f_ec * h_z
+        return {
+            m: GridRates(e_z, e_x, y_z * (1.0 - h_x[m] - ec_cost), method_errors)
+            for m, (e_x, method_errors, _) in stages.items()
+        }
+
+
+def _point(
+    prepared: PreparedDevice, channel: ChannelModel, method: str, solver: str
+) -> KeyRatePoint:
+    # A one-point grid; its failure, if any, is raised.
+    eta = system_efficiency(channel)
+    rates = evaluate_grid(prepared, np.array([eta]), channel.p_d, channel.f_ec, (method,), solver)
+    result = rates[method]
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    rate_raw = float(result.rate_raw[0])
+    return KeyRatePoint(
+        loss_db=channel.loss_db,
+        eta=eta,
+        e_z=float(result.e_z[0]),
+        e_x=float(result.e_x[0]),
+        rate_raw=rate_raw,
+        rate=max(rate_raw, 0.0),
+    )
+
+
+def key_rate_lt(
+    device: DeviceModel,
+    channel: ChannelModel,
+    probs: ProtocolProbabilities,
+    mode: str = PAPER_FAITHFUL,
+) -> KeyRatePoint:
+    """Secure key rate per emitted pulse under the loss-tolerant analysis."""
+    return _point(prepare(device, probs), channel, "lt", mode)
+
+
+def phase_error_rate_lt(
+    device: DeviceModel,
+    channel: ChannelModel,
+    probs: ProtocolProbabilities,
+    mode: str = PAPER_FAITHFUL,
+) -> float:
+    """Worst-case phase error rate of the sifted Z key."""
+    return key_rate_lt(device, channel, probs, mode).e_x
+
+
+def key_rate_lp(
+    device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities
+) -> KeyRatePoint:
+    """Secure key rate per emitted pulse under the quantum-coin analysis."""
+    return _point(prepare(device, probs), channel, "lp", PAPER_FAITHFUL)
+
+
+def phase_error_rate_lp(device: DeviceModel, channel: ChannelModel) -> float:
+    """Worst-case phase error rate under the quantum-coin analysis.
+
+    An imbalance whose loss enhancement exceeds 1/2 gives Eve full control
+    of the coin, so the bound degenerates to 1.
+    """
+    return key_rate_lp(device, channel, ProtocolProbabilities()).e_x

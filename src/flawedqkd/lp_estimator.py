@@ -11,22 +11,11 @@ from __future__ import annotations
 
 import math
 
-from .channel import (
-    ChannelModel,
-    ProtocolProbabilities,
-    basis_detection_probability,
-    bit_error_rate,
-)
+import numpy as np
+
+from .channel import ChannelModel, basis_detection_probability
 from .errors import NoDetectionError
-from .lt_estimator import KeyRatePoint, _key_rate_point
-from .qstates import (
-    SETTING_0X,
-    SETTING_0Z,
-    SETTING_1X,
-    SETTING_1Z,
-    DeviceModel,
-    full_overlap,
-)
+from .qstates import DeviceModel, cross_basis_overlaps
 
 
 def coin_imbalance(device: DeviceModel) -> float:
@@ -38,10 +27,7 @@ def coin_imbalance(device: DeviceModel) -> float:
     its two terms is chosen to maximize the overlap; the ideal device then
     gives exactly Delta = 0.
     """
-    ov_00 = full_overlap(SETTING_0Z, SETTING_0X, device)
-    ov_01 = full_overlap(SETTING_0Z, SETTING_1X, device)
-    ov_10 = full_overlap(SETTING_1Z, SETTING_0X, device)
-    ov_11 = full_overlap(SETTING_1Z, SETTING_1X, device)
+    ov_00, ov_01, ov_10, ov_11 = cross_basis_overlaps(device)
     fixed = (ov_00 + ov_10) / (2.0 * math.sqrt(2.0))
     phased = (ov_01 - ov_11) / (2.0 * math.sqrt(2.0))
     overlap = fixed + abs(phased)
@@ -60,6 +46,25 @@ def delta_prime(delta_coin: float, channel: ChannelModel) -> float:
     return min(delta_coin / y_det, 0.5)
 
 
+def coin_phase_errors(e_z, enhanced):
+    """Phase-error bounds for bit error rates e_z in [0, 1/2] and
+    loss-enhanced imbalances (arrays of one shape).
+
+    An imbalance whose loss enhancement exceeds 1/2 gives Eve full control
+    of the coin, so the bound degenerates to 1; otherwise it is the coin
+    bound, capped at 1.
+    """
+    runaway = enhanced > 0.5
+    d = np.minimum(enhanced, 0.5)
+    d_rest, e_rest = 1.0 - d, 1.0 - e_z
+    e_x = (
+        e_z
+        + 4.0 * d * d_rest * (1.0 - 2.0 * e_z)
+        + 4.0 * (1.0 - 2.0 * d) * np.sqrt(d * d_rest * e_z * e_rest)
+    )
+    return np.where(runaway, 1.0, np.minimum(e_x, 1.0))
+
+
 def lp_phase_error_bound(e_z: float, d_prime: float) -> float:
     """Phase-error bound from the bit error rate and the loss-enhanced
     imbalance, capped at 1."""
@@ -67,33 +72,4 @@ def lp_phase_error_bound(e_z: float, d_prime: float) -> float:
         raise ValueError(f"e_z must lie in [0, 1/2], got {e_z}")
     if not 0.0 <= d_prime <= 0.5:
         raise ValueError(f"delta_prime must lie in [0, 1/2], got {d_prime}")
-    e_x = (
-        e_z
-        + 4.0 * d_prime * (1.0 - d_prime) * (1.0 - 2.0 * e_z)
-        + 4.0 * (1.0 - 2.0 * d_prime) * math.sqrt(d_prime * (1.0 - d_prime) * e_z * (1.0 - e_z))
-    )
-    return min(e_x, 1.0)
-
-
-def phase_error_rate_lp(device: DeviceModel, channel: ChannelModel) -> float:
-    """Worst-case phase error rate under the quantum-coin analysis.
-
-    An imbalance whose loss enhancement exceeds 1/2 gives Eve full control
-    of the coin, so the bound degenerates to 1.
-    """
-    e_z = min(bit_error_rate(device, channel), 0.5)
-    y_det = basis_detection_probability(channel)
-    if y_det <= 0.0:
-        raise NoDetectionError("no detections: e_X is undefined")
-    enhanced = coin_imbalance(device) / y_det
-    if enhanced > 0.5:
-        return 1.0
-    return lp_phase_error_bound(e_z, enhanced)
-
-
-def key_rate_lp(
-    device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities
-) -> KeyRatePoint:
-    """Secure key rate per emitted pulse under the quantum-coin analysis."""
-    e_z = bit_error_rate(device, channel)
-    return _key_rate_point(e_z, phase_error_rate_lp(device, channel), channel, probs)
+    return float(coin_phase_errors(e_z, d_prime))

@@ -21,24 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelModel,
-    ProtocolProbabilities,
-    YieldTable,
-    actual_yields,
-    binary_entropy,
-    bit_error_rate,
-    system_efficiency,
-    z_basis_yield,
-)
-from .errors import InfeasibleStatisticsError, NoDetectionError, SingularSystemError
+from .channel import X_ROWS, ProtocolProbabilities, YieldTable, yield_prefactors
+from .errors import DegenerateStateError, InfeasibleStatisticsError, SingularSystemError
 from .qstates import (
     SETTING_0X,
     SETTING_1X,
     THREE_SETTINGS,
     DeviceModel,
-    actual_decomposition,
-    virtual_decomposition,
+    sent_terms,
+    virtual_terms,
 )
 
 PAPER_FAITHFUL = "paper_faithful"
@@ -47,7 +38,7 @@ SOLVER_MODES = (PAPER_FAITHFUL, VERTEX_LP)
 
 _DET_TOL = 1e-12
 _FEAS_TOL = 1e-9
-_INFEASIBLE = "no physical transmission rates are consistent with the yields"
+INFEASIBLE = "no physical transmission rates are consistent with the yields"
 
 # All 3-subsets of the 16 halfspaces, fixed once; the polytope never has
 # more facets than that.
@@ -76,30 +67,68 @@ class TransmissionRateBounds:
 
 
 @dataclass(frozen=True)
-class KeyRatePoint:
-    """Per-loss record of the channel point and the resulting key rate."""
+class LtTerms:
+    """What the loss-tolerant bound needs from the device alone.
 
-    loss_db: float
-    eta: float
-    e_z: float
-    e_x: float
-    rate_raw: float
-    rate: float
+    coef is the coefficient matrix, lam_min/lam_max the side-channel
+    intervals of the three sent states, and box_lower/box_upper what those
+    intervals add to the central solution through the inverse.  virtual
+    holds the qubit weight, lambda_max, px and pz of the virtual state
+    paired with each Bob outcome s (bit j = 1 - s), one column per s, and
+    corner which box corner maximizes that virtual yield, one row per s.
+    A singular system leaves inv and the box unset, a degenerate virtual
+    state leaves virtual and corner unset; either failure is kept rather
+    than raised, because a loss point reports its earlier failures first.
+    """
+
+    coef: np.ndarray
+    inv: np.ndarray | None
+    lam_min: np.ndarray
+    lam_max: np.ndarray
+    box_lower: np.ndarray | None
+    box_upper: np.ndarray | None
+    virtual: np.ndarray | None
+    corner: np.ndarray | None
+    singular: SingularSystemError | None
+    degenerate: DegenerateStateError | None
 
 
-def _sent_terms(device: DeviceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # One decomposition of the three sent states gives the coefficient
-    # matrix and the per-setting eigenvalue bounds lam_min, lam_max.
-    decs = [actual_decomposition(setting, device) for setting in THREE_SETTINGS]
-    mat = np.array(
-        [(d.qubit_weight, d.qubit_weight * d.bloch.px, d.qubit_weight * d.bloch.pz) for d in decs]
-    ).T
-    if abs(np.linalg.det(mat)) < _DET_TOL:
-        raise SingularSystemError(
+def _virtual_bound_terms(j: int, device: DeviceModel) -> tuple[float, float, float, float]:
+    # qubit_weight, lambda_max, px and pz of bit j's virtual state.
+    weight, _, _, lam_max, _, px, pz = virtual_terms(j, device)
+    return weight, lam_max, px, pz
+
+
+def lt_terms(device: DeviceModel) -> LtTerms:
+    """Decompose the device once for every lt evaluation on it."""
+    sent = sent_terms(device)
+    coef = np.array([(w, w * px, w * pz) for w, _, _, _, _, px, pz in sent]).T
+    lam_min, lam_max = np.array([[t[4] for t in sent], [t[3] for t in sent]])
+    inv = box_lower = box_upper = singular = None
+    if abs(np.linalg.det(coef)) < _DET_TOL:
+        singular = SingularSystemError(
             "the three encoding states are collinear; the yield system "
             "cannot be inverted"
         )
-    return mat, np.array([d.lambda_min for d in decs]), np.array([d.lambda_max for d in decs])
+    else:
+        # q_i = sum_k (ytil_k - lam_k) inv[k, i] with lam_k free in its
+        # interval; extremize each coordinate by picking the interval end
+        # matching the sign of inv[k, i].
+        inv = np.linalg.inv(coef)
+        low_end, high_end = -lam_min[:, None] * inv, -lam_max[:, None] * inv
+        lo, hi = np.minimum(low_end, high_end), np.maximum(low_end, high_end)
+        box_lower, box_upper = lo[0] + lo[1] + lo[2], hi[0] + hi[1] + hi[2]
+    virtual = corner = degenerate = None
+    try:
+        # Outcome s pairs with the virtual state of bit 1 - s.
+        terms = [_virtual_bound_terms(j, device) for j in (1, 0)]
+        virtual = np.array(terms).T
+        corner = np.array([upper_corner(px, pz) for _, _, px, pz in terms])
+    except DegenerateStateError as exc:
+        degenerate = exc
+    return LtTerms(
+        coef, inv, lam_min, lam_max, box_lower, box_upper, virtual, corner, singular, degenerate
+    )
 
 
 def coefficient_matrix(device: DeviceModel) -> np.ndarray:
@@ -110,7 +139,10 @@ def coefficient_matrix(device: DeviceModel) -> np.ndarray:
     singular exactly when the three states stop spanning a triangle on the
     Bloch sphere.
     """
-    return _sent_terms(device)[0]
+    terms = lt_terms(device)
+    if terms.singular is not None:
+        raise terms.singular
+    return terms.coef
 
 
 def normalized_yields(
@@ -121,61 +153,66 @@ def normalized_yields(
     if s not in (0, 1):
         raise ValueError(f"s must be 0 or 1, got {s}")
     outcome = (SETTING_0X, SETTING_1X)[s]
-    return np.array(
-        [
-            yields.value(outcome, sent) / (probs.sent_probability(sent) * probs.p_xb)
-            for sent in THREE_SETTINGS
-        ]
-    )
+    observed = np.array([yields.value(outcome, sent) for sent in THREE_SETTINGS])
+    return observed / yield_prefactors(probs)[X_ROWS]
 
 
-def _interval_box(
-    ytil: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray, inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # q_i = sum_k (ytil_k - lam_k) inv[k, i] with lam_k free in its
-    # interval; extremize each coordinate by picking the interval end
-    # matching the sign of inv[k, i].
-    central = ytil @ inv
-    up_choice = np.maximum(-lam_min[:, None] * inv, -lam_max[:, None] * inv)
-    lo_choice = np.minimum(-lam_min[:, None] * inv, -lam_max[:, None] * inv)
-    return central + lo_choice.sum(axis=0), central + up_choice.sum(axis=0)
+def interval_box(ytil: np.ndarray, terms: LtTerms) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper box corners for normalized yields ytil of shape
+    (..., 3), one box per leading index."""
+    # One (m, 3) @ (3, 3) product: its bits match a row-by-row product.
+    central = (ytil.reshape(-1, 3) @ terms.inv).reshape(ytil.shape)
+    return central + terms.box_lower, central + terms.box_upper
 
 
-def _require_physical(lower: np.ndarray, upper: np.ndarray) -> None:
-    # The box meets the physical region when some q_Id in [lo_0, hi_0] and [0, 1]
-    # has min(q_Id, 1 - q_Id) at least the smallest |q_x| and |q_z| in the box.
-    reach = min(min(upper[0], 1.0), 1.0 - max(lower[0], 0.0), 0.5)
-    need = max(lower[1], -upper[1], lower[2], -upper[2], 0.0)
-    if reach < need - _FEAS_TOL:
-        raise InfeasibleStatisticsError(_INFEASIBLE)
+def unphysical(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Whether each box misses the physical region: no q_Id in [lo_0, hi_0]
+    and [0, 1] has min(q_Id, 1 - q_Id) at least the smallest |q_x| and |q_z|
+    in the box."""
+    reach = np.minimum(np.minimum(upper[..., 0], 0.5), 1.0 - np.maximum(lower[..., 0], 0.0))
+    need = np.maximum(lower[..., 1:], -upper[..., 1:]).max(axis=-1, initial=0.0)
+    return reach < need - _FEAS_TOL
 
 
-def _halfspaces(
-    coef: np.ndarray, ytil: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # Rows a with a . q <= b: (+v_k, -v_k) for each sent setting k, then
-    # the constant physical rows.
-    rows = np.stack((coef.T, -coef.T), axis=1).reshape(6, 3)
-    rhs = np.stack((ytil - lam_min, lam_max - ytil), axis=1).reshape(6)
-    return np.vstack((rows, _PHYSICAL_A)), np.concatenate((rhs, _PHYSICAL_B))
+def halfspace_rows(terms: LtTerms) -> np.ndarray:
+    """Rows a of the halfspaces a . q <= b: (+v_k, -v_k) for each sent
+    setting k, then the physical rows."""
+    coef = terms.coef
+    return np.vstack((np.stack((coef.T, -coef.T), axis=1).reshape(6, 3), _PHYSICAL_A))
 
 
-def _vertex_box(
-    amat: np.ndarray, bvec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    sub_a = amat[_TRIPLES]
-    sub_b = bvec[_TRIPLES]
+def halfspace_rhs(ytil: np.ndarray, terms: LtTerms) -> np.ndarray:
+    """Right-hand sides b of the halfspaces for ytil of shape (..., 3)."""
+    rhs = np.stack((ytil - terms.lam_min, terms.lam_max - ytil), axis=-1)
+    rhs = rhs.reshape(*ytil.shape[:-1], 6)
+    physical = np.broadcast_to(_PHYSICAL_B, (*ytil.shape[:-1], _PHYSICAL_B.size))
+    return np.concatenate((rhs, physical), axis=-1)
+
+
+def triple_systems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The regular 3x3 systems among all triples of halfspace rows, and the
+    row indices of each."""
+    sub_a = rows[_TRIPLES]
     # Singular triples are expected (parallel facets); the batched det can
     # warn on them, so the warning is silenced rather than each triple
     # filtered up front.
     with np.errstate(divide="ignore", invalid="ignore"):
         dets = np.linalg.det(sub_a)
     regular = np.abs(dets) > 1e-14
-    verts = np.linalg.solve(sub_a[regular], sub_b[regular][:, :, None])[:, :, 0]
-    feasible = np.all(amat @ verts.T <= bvec[:, None] + _FEAS_TOL, axis=0)
+    return sub_a[regular], _TRIPLES[regular]
+
+
+def vertex_box(
+    rows: np.ndarray, systems: tuple[np.ndarray, np.ndarray], bvec: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Componentwise extremes of the polytope a . q <= bvec and the vertices
+    attaining them, or None when no vertex is feasible."""
+    sub_a, triples = systems
+    verts = np.linalg.solve(sub_a, bvec[triples][:, :, None])[:, :, 0]
+    feasible = np.all(rows @ verts.T <= bvec[:, None] + _FEAS_TOL, axis=0)
     verts = verts[feasible]
     if verts.shape[0] == 0:
-        raise InfeasibleStatisticsError(_INFEASIBLE)
+        return None
     lo_idx = np.argmin(verts, axis=0)
     hi_idx = np.argmax(verts, axis=0)
     return verts[lo_idx, np.arange(3)], verts[hi_idx, np.arange(3)], verts[lo_idx], verts[hi_idx]
@@ -191,22 +228,49 @@ def transmission_rate_bounds(
     """Bound (q_Id, q_x, q_z) for Bob outcome s from the observed yields."""
     if mode not in SOLVER_MODES:
         raise ValueError(f"mode must be one of {SOLVER_MODES}, got {mode!r}")
-    coef, lam_min, lam_max = _sent_terms(device)
+    terms = lt_terms(device)
+    if terms.singular is not None:
+        raise terms.singular
     ytil = normalized_yields(s, yields, probs)
 
     if mode == PAPER_FAITHFUL:
-        lower, upper = _interval_box(ytil, lam_min, lam_max, np.linalg.inv(coef))
-        _require_physical(lower, upper)
+        lower, upper = interval_box(ytil, terms)
+        if unphysical(lower, upper):
+            raise InfeasibleStatisticsError(INFEASIBLE)
         return TransmissionRateBounds(tuple(lower), tuple(upper))
 
-    amat, bvec = _halfspaces(coef, ytil, lam_min, lam_max)
-    lower, upper, wit_lo, wit_hi = _vertex_box(amat, bvec)
+    rows = halfspace_rows(terms)
+    box = vertex_box(rows, triple_systems(rows), halfspace_rhs(ytil, terms))
+    if box is None:
+        raise InfeasibleStatisticsError(INFEASIBLE)
+    lower, upper, wit_lo, wit_hi = box
     return TransmissionRateBounds(
         tuple(lower),
         tuple(upper),
         witness_lower=tuple(tuple(v) for v in wit_lo),
         witness_upper=tuple(tuple(v) for v in wit_hi),
     )
+
+
+def upper_corner(px: float, pz: float) -> tuple[bool, bool, bool]:
+    """Which end of each box coordinate maximizes a virtual yield: the
+    qubit weight is nonnegative, so q_Id takes its upper end and q_x, q_z
+    the end matching the sign of their Bloch coefficient."""
+    return True, px >= 0.0, pz >= 0.0
+
+
+def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):
+    """Upper bounds on virtual yields from transmission-rate boxes.
+
+    Maximizes the qubit term over the box, at the corner upper_corner
+    picks, and adds the worst-case non-qubit eigenvalue; p_zz is the
+    probability that both parties choose Z.  The virtual-state terms
+    broadcast against the boxes' leading axes.
+    """
+    best = np.where(corner, upper, lower)
+    val = best[..., 0] + px * best[..., 1] + pz * best[..., 2]
+    y = p_zz * (weight * val + lam_max)
+    return np.where(0.0 > y, 0.0, y)
 
 
 def virtual_yield_upper(
@@ -217,68 +281,11 @@ def virtual_yield_upper(
     probs: ProtocolProbabilities,
 ) -> float:
     """Upper bound on the virtual yield: bit j's virtual state measured in
-    X, Bob declaring outcome s.
-
-    Maximizes the qubit term over the bounds box (the qubit weight is
-    nonnegative, so each coordinate picks the interval end matching its
-    Bloch coefficient's sign) and adds the worst-case non-qubit eigenvalue.
-    """
+    X, Bob declaring outcome s."""
     if s not in (0, 1):
         raise ValueError(f"s must be 0 or 1, got {s}")
-    vd = virtual_decomposition(j, device)
-    lo, up = bounds.lower, bounds.upper
-    val = up[0]
-    val += vd.bloch.px * (up[1] if vd.bloch.px >= 0.0 else lo[1])
-    val += vd.bloch.pz * (up[2] if vd.bloch.pz >= 0.0 else lo[2])
-    y = probs.p_za * probs.p_zb * (vd.qubit_weight * val + vd.lambda_max)
-    return max(y, 0.0)
-
-
-def phase_error_rate_lt(
-    device: DeviceModel,
-    channel: ChannelModel,
-    probs: ProtocolProbabilities,
-    mode: str = PAPER_FAITHFUL,
-) -> float:
-    """Worst-case phase error rate of the sifted Z key."""
-    yields = actual_yields(device, channel, probs)
-    denom = yields.z_detection_sum()
-    if denom <= 0.0:
-        raise NoDetectionError("no Z-basis detections; e_X is undefined")
-    bounds0 = transmission_rate_bounds(0, yields, device, probs, mode)
-    bounds1 = transmission_rate_bounds(1, yields, device, probs, mode)
-    num = virtual_yield_upper(0, 1, bounds0, device, probs) + virtual_yield_upper(
-        1, 0, bounds1, device, probs
-    )
-    return min(max(num / denom, 0.0), 1.0)
-
-
-def _key_rate_point(
-    e_z: float, e_x: float, channel: ChannelModel, probs: ProtocolProbabilities
-) -> KeyRatePoint:
-    # Error rates beyond 1/2 carry no extractable key, so the entropy
-    # arguments are clamped at the entropy maximum.
-    raw = z_basis_yield(channel, probs) * (
-        1.0
-        - binary_entropy(min(e_x, 0.5))
-        - channel.f_ec * binary_entropy(min(e_z, 0.5))
-    )
-    return KeyRatePoint(
-        loss_db=channel.loss_db,
-        eta=system_efficiency(channel),
-        e_z=e_z,
-        e_x=float(e_x),
-        rate_raw=float(raw),
-        rate=float(max(raw, 0.0)),
-    )
-
-
-def key_rate_lt(
-    device: DeviceModel,
-    channel: ChannelModel,
-    probs: ProtocolProbabilities,
-    mode: str = PAPER_FAITHFUL,
-) -> KeyRatePoint:
-    """Secure key rate per emitted pulse under the loss-tolerant analysis."""
-    e_z = bit_error_rate(device, channel)
-    return _key_rate_point(e_z, phase_error_rate_lt(device, channel, probs, mode), channel, probs)
+    weight, lam_max, px, pz = _virtual_bound_terms(j, device)
+    lower, upper = np.array(bounds.lower), np.array(bounds.upper)
+    corner = np.array(upper_corner(px, pz))
+    p_zz = probs.p_za * probs.p_zb
+    return float(virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz))

@@ -46,6 +46,11 @@ class Setting:
     def label(self) -> str:
         return f"{self.bit}{self.basis}"
 
+    @property
+    def index(self) -> int:
+        """Position in FOUR_SETTINGS: 0Z, 1Z, 0X, 1X."""
+        return self.bit + (2 if self.basis == "X" else 0)
+
 
 SETTING_0Z = Setting(0, "Z")
 SETTING_1Z = Setting(1, "Z")
@@ -125,30 +130,44 @@ class StateDecomposition:
     bloch: BlochVector
 
 
+def _ket(index: int, delta: float) -> tuple[float, float]:
+    # Amplitudes of the setting at FOUR_SETTINGS[index].
+    if index == 0:
+        return 1.0, 0.0
+    if index == 1:
+        return -math.sin(delta / 2), math.cos(delta / 2)
+    a = math.pi / 4 + delta / 4 if index == 2 else 3 * math.pi / 4 + 3 * delta / 4
+    return math.cos(a), math.sin(a)
+
+
 def qubit_state(setting: Setting, delta: float) -> QubitKet:
     """Amplitudes of the intended-but-tilted qubit state for one setting.
 
     The Z states sit near the poles, the X states near the equator; delta
     tilts every state except 0Z, which is used as the phase reference.
     """
-    if setting == SETTING_0Z:
-        return QubitKet(1.0, 0.0)
-    if setting == SETTING_1Z:
-        return QubitKet(-math.sin(delta / 2), math.cos(delta / 2))
-    if setting == SETTING_0X:
-        a = math.pi / 4 + delta / 4
-        return QubitKet(math.cos(a), math.sin(a))
-    if setting == SETTING_1X:
-        a = 3 * math.pi / 4 + 3 * delta / 4
-        return QubitKet(math.cos(a), math.sin(a))
-    raise ValueError(f"unknown setting {setting!r}")
+    return QubitKet(*_ket(setting.index, delta))
+
+
+def _bloch(c0: float, c1: float) -> tuple[float, float]:
+    return 2.0 * c0 * c1, c0 * c0 - c1 * c1
 
 
 def bloch_vector(ket: QubitKet) -> BlochVector:
     """Bloch components (px, pz) of a normalized real ket."""
     if abs(ket.norm_sq() - 1.0) > 1e-9:
         raise ValueError(f"ket is not normalized: |c|^2 = {ket.norm_sq()}")
-    return BlochVector(2.0 * ket.c0 * ket.c1, ket.c0 * ket.c0 - ket.c1 * ket.c1)
+    return BlochVector(*_bloch(ket.c0, ket.c1))
+
+
+# Dependent-mode rotation per unit theta_hat, in FOUR_SETTINGS order.
+_DEPENDENT_ROTATION = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
+
+
+def _mode_angle(index: int, device: DeviceModel) -> float:
+    if device.theta_mode == "independent":
+        return device.theta_hat
+    return _DEPENDENT_ROTATION[index] * device.theta_hat
 
 
 def mode_angles(device: DeviceModel) -> dict[Setting, float]:
@@ -158,15 +177,7 @@ def mode_angles(device: DeviceModel) -> dict[Setting, float]:
     pi*theta_hat for 1Z, pi/2*theta_hat for 0X, 3pi/2*theta_hat for 1X); in
     independent mode every setting is rotated by theta_hat.
     """
-    th = device.theta_hat
-    if device.theta_mode == "independent":
-        return {s: th for s in FOUR_SETTINGS}
-    return {
-        SETTING_0Z: 0.0,
-        SETTING_1Z: math.pi * th,
-        SETTING_0X: (math.pi / 2) * th,
-        SETTING_1X: (3 * math.pi / 2) * th,
-    }
+    return {s: _mode_angle(i, device) for i, s in enumerate(FOUR_SETTINGS)}
 
 
 def tha_coefficients(mu: float) -> tuple[float, float]:
@@ -188,6 +199,32 @@ def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
     return (side_weight + root) / 2.0, (side_weight - root) / 2.0
 
 
+# A decomposition as a plain tuple: qubit_weight, side_weight, cross_mag,
+# lambda_max, lambda_min, then the Bloch components px, pz.
+Terms = tuple[float, float, float, float, float, float, float]
+
+
+def _sent_terms(index: int, device: DeviceModel, c_i: float) -> Terms:
+    qubit_weight = (c_i * math.cos(_mode_angle(index, device))) ** 2
+    side_weight = 1.0 - qubit_weight
+    cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
+    lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
+    px, pz = _bloch(*_ket(index, device.delta))
+    return qubit_weight, side_weight, cross_mag, lam_max, lam_min, px, pz
+
+
+def sent_terms(device: DeviceModel) -> list[Terms]:
+    """The decompositions of the three sent states, in THREE_SETTINGS
+    order, as tuples in StateDecomposition's field order."""
+    c_i, _ = tha_coefficients(device.mu)
+    return [_sent_terms(index, device, c_i) for index in range(3)]
+
+
+def _decomposition(terms: Terms) -> StateDecomposition:
+    *split, px, pz = terms
+    return StateDecomposition(*split, bloch=BlochVector(px, pz))
+
+
 def actual_decomposition(setting: Setting, device: DeviceModel) -> StateDecomposition:
     """Decompose one actually emitted state.
 
@@ -195,49 +232,31 @@ def actual_decomposition(setting: Setting, device: DeviceModel) -> StateDecompos
     theta; everything else (rotated polarization, leaked light) counts as
     side channel, with worst-case mutually orthogonal side states.
     """
-    theta = mode_angles(device)[setting]
     c_i, _ = tha_coefficients(device.mu)
-    qubit_weight = (c_i * math.cos(theta)) ** 2
-    side_weight = 1.0 - qubit_weight
-    cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
-    lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
-    return StateDecomposition(
-        qubit_weight=qubit_weight,
-        side_weight=side_weight,
-        cross_mag=cross_mag,
-        lambda_max=lam_max,
-        lambda_min=lam_min,
-        bloch=bloch_vector(qubit_state(setting, device.delta)),
-    )
+    return _decomposition(_sent_terms(setting.index, device, c_i))
 
 
-def virtual_decomposition(j: int, device: DeviceModel) -> StateDecomposition:
-    """Decompose the unnormalized virtual state for phase-error bit j.
-
-    The virtual states are the (un-normalized) components of the Z-basis
-    source state after Alice measures her ancilla along X.  Their qubit
-    weights A_0 + A_1 plus side weights C_0 + C_1 sum to 1.
-    """
+def virtual_terms(j: int, device: DeviceModel) -> Terms:
+    """virtual_decomposition(j, device) as a tuple in its field order."""
     if j not in (0, 1):
         raise ValueError(f"j must be 0 or 1, got {j}")
-    angles = mode_angles(device)
-    t0 = angles[SETTING_0Z]
-    t1 = angles[SETTING_1Z]
+    cos_t0, sin_t0 = math.cos(_mode_angle(0, device)), math.sin(_mode_angle(0, device))
+    cos_t1, sin_t1 = math.cos(_mode_angle(1, device)), math.sin(_mode_angle(1, device))
     c_i, c_d = tha_coefficients(device.mu)
     sgn = 1.0 if j == 0 else -1.0
     s_half = math.sin(device.delta / 2)
     c_half = math.cos(device.delta / 2)
 
     a_j = 0.25 * c_i * c_i * (
-        math.cos(t0) ** 2
-        - sgn * 2.0 * math.cos(t0) * math.cos(t1) * s_half
-        + math.cos(t1) ** 2
+        cos_t0 ** 2
+        - sgn * 2.0 * cos_t0 * cos_t1 * s_half
+        + cos_t1 ** 2
     )
     c_j = 0.25 * (
         c_i * c_i * (
-            math.sin(t0) ** 2
-            - sgn * 2.0 * math.sin(t0) * math.sin(t1) * s_half
-            + math.sin(t1) ** 2
+            sin_t0 ** 2
+            - sgn * 2.0 * sin_t0 * sin_t1 * s_half
+            + sin_t1 ** 2
         )
         + 2.0 * c_d * c_d
     )
@@ -254,22 +273,33 @@ def virtual_decomposition(j: int, device: DeviceModel) -> StateDecomposition:
     # phase error keeps a spurious O(delta^2) floor on a lossless channel.
     denom = 4.0 * a_j / (c_i * c_i)
     px = (
-        sgn * 2.0 * math.cos(t0) * math.cos(t1) * c_half
-        - 2.0 * math.cos(t1) ** 2 * c_half * s_half
+        sgn * 2.0 * cos_t0 * cos_t1 * c_half
+        - 2.0 * cos_t1 ** 2 * c_half * s_half
     ) / denom
     pz = (
-        math.cos(t1) ** 2 * math.cos(device.delta)
-        + sgn * 2.0 * math.cos(t0) * math.cos(t1) * s_half
-        - math.cos(t0) ** 2
+        cos_t1 ** 2 * math.cos(device.delta)
+        + sgn * 2.0 * cos_t0 * cos_t1 * s_half
+        - cos_t0 ** 2
     ) / denom
-    return StateDecomposition(
-        qubit_weight=a_j,
-        side_weight=c_j,
-        cross_mag=b_j,
-        lambda_max=lam_max,
-        lambda_min=lam_min,
-        bloch=BlochVector(px, pz),
-    )
+    return a_j, c_j, b_j, lam_max, lam_min, px, pz
+
+
+def virtual_decomposition(j: int, device: DeviceModel) -> StateDecomposition:
+    """Decompose the unnormalized virtual state for phase-error bit j.
+
+    The virtual states are the (un-normalized) components of the Z-basis
+    source state after Alice measures her ancilla along X.  Their qubit
+    weights A_0 + A_1 plus side weights C_0 + C_1 sum to 1.
+    """
+    return _decomposition(virtual_terms(j, device))
+
+
+def _overlap(index1: int, index2: int, device: DeviceModel, c_i: float) -> float:
+    k1 = _ket(index1, device.delta)
+    k2 = _ket(index2, device.delta)
+    qubit_ov = k1[0] * k2[0] + k1[1] * k2[1]
+    cos1 = math.cos(_mode_angle(index1, device))
+    return cos1 * math.cos(_mode_angle(index2, device)) * c_i * c_i * qubit_ov
 
 
 def full_overlap(s1: Setting, s2: Setting, device: DeviceModel) -> float:
@@ -279,9 +309,11 @@ def full_overlap(s1: Setting, s2: Setting, device: DeviceModel) -> float:
     contribute nothing, so only the co-polarized leakage-free component
     survives.
     """
-    angles = mode_angles(device)
     c_i, _ = tha_coefficients(device.mu)
-    k1 = qubit_state(s1, device.delta)
-    k2 = qubit_state(s2, device.delta)
-    qubit_ov = k1.c0 * k2.c0 + k1.c1 * k2.c1
-    return math.cos(angles[s1]) * math.cos(angles[s2]) * c_i * c_i * qubit_ov
+    return _overlap(s1.index, s2.index, device, c_i)
+
+
+def cross_basis_overlaps(device: DeviceModel) -> tuple[float, float, float, float]:
+    """full_overlap of (0Z, 0X), (0Z, 1X), (1Z, 0X) and (1Z, 1X)."""
+    c_i, _ = tha_coefficients(device.mu)
+    return tuple(_overlap(z, x, device, c_i) for z in (0, 1) for x in (2, 3))

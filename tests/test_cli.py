@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -121,6 +122,95 @@ VERTEX_RATE_JSON = """\
 ]
 """
 
+
+# sha256 of "<exit code>\n<stdout>" for CLI runs over both formats and
+# solvers, every estimator error the CLI reaches (collinear states, a
+# degenerate virtual state, no detections at eta = 0 and at a subnormal
+# eta, and their precedence within one row), the underflow tail near
+# eta = 1e-250, and the subnormal eta where e_z turns negative: the range
+# checks stop a sweep there, while a crossover still fails on lt first.
+# Recorded before sweeps were evaluated on the loss grid as arrays; a
+# failing exit also pins its stderr.
+GOLDEN_DIGESTS = [
+    ("rate-csv", "rate --loss 20 --delta 0.126",
+     "d27ce9ab3005060cb2efa2a3658ec06f36a47a9934c42f9f4fc80ee80083258b",
+     None),
+    ("rate-paper-json", "rate --loss 10 --delta 0.063 --theta 1e-3 --mu 1e-7 --format json",
+     "4de44507846c6f4bad921ecc111911d50a66785f3e1eccc1a7111fb16813afa0",
+     None),
+    ("rate-vertex-csv", "rate --loss 10 --delta 0.063 --theta 1e-3 --mu 1e-7 --solver vertex-lp",
+     "8fc024ab59cbca22c5067c577b3658f16e771b68b65aa2484ecb6b8b9b7eb135",
+     None),
+    ("rate-lp-options", "rate --loss 3.7 --delta 0.2 --theta 0.01 --theta-mode independent --mu 1e-5 --method lp --pza 0.7 --pzb 0.6 --f-ec 1.1",
+     "01e841cd75577b53b1221b658263d23d9bf8d795dcf9778be34503e0df26ee9f",
+     None),
+    ("sweep-both-csv", "sweep --loss-range 0:70:0.5 --delta 0.126 --method both",
+     "c79d7007fc727a16c53b09cfb62da98cc569ab9f873386f613a6b27d986c1868",
+     None),
+    ("sweep-both-json", "sweep --loss-range 0:40:0.25 --delta 0.05 --theta 1e-4 --theta-mode independent --mu 1e-7 --format json",
+     "029516aabcdd39af22cf4c52af2fb2f5c9560f67283fac5e10bb30f0926649a8",
+     None),
+    ("sweep-fine-grid", "sweep --loss-range 0:3:0.05 --delta 0.09 --theta 5e-4 --mu 1e-6 --pd 1e-6 --pza 0.8",
+     "add2ba00acbeda9df70543cf9f2c71260fe429b3f8b7b47fdae8821a330133cc",
+     None),
+    ("sweep-vertex", "sweep --loss-range 0:40:2 --method lt --solver vertex-lp --delta 0.063 --theta 1e-3 --mu 1e-7",
+     "a7ab6dce9497a07380bea132ba5287f31a43cb704e82a70c1fd9474e5f71d384",
+     None),
+    ("sweep-lp-json", "sweep --loss-range 0:60:1 --method lp --mu 1e-6 --format json",
+     "3227b23735f6c678fbc86580ef768d0358e8162ff1aff7f66a2ece98e1501a28",
+     None),
+    ("crossover-csv", "crossover --sweep-param mu --sweep-values 1e-9,1e-8,1e-5 --theta 1e-6",
+     "10087f9c713992470b40fdd824604f88ce6c1d1be9627f34adf5af8d0cc1f2f4",
+     None),
+    ("crossover-theta-json", "crossover --sweep-param theta --sweep-values 1e-4,1e-3 --mu 1e-8 --compare-loss 15 --format json",
+     "531b0e7cc7a3a86790767e92f6f3677ccf485a3b55a522ec38e21e6fe0a9d882",
+     None),
+    ("crossover-vertex", "crossover --sweep-param mu --sweep-values 1e-8 --theta 1e-6 --solver vertex-lp --bisect-tol 1e-6",
+     "093029ba9b17dc55454acd81c78f3b4e49f71d7d0c2e3c6b1b0e0f406ed73f89",
+     None),
+    ("collinear-rate", "rate --loss 5 --theta 1.0",
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+     "numerical failure: the three encoding states are collinear; the yield system cannot be inverted\n"),
+    ("collinear-sweep", "sweep --loss-range 0:10:5 --theta 1.0",
+     "7578d48dd3702be26e61f7409a6fbffcae8bbbd3f9411722a638d90be5a845a6",
+     None),
+    ("degenerate-rate", "rate --loss 5 --delta 3.14159265",
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+     "numerical failure: virtual state j=0 has no qubit component (A_j = 0.0)\n"),
+    ("degenerate-sweep-json", "sweep --loss-range 0:10:5 --delta 3.14159265 --format json",
+     "81e873a1be2cbb4265b2d72ed5fcf0edbae8b3373e82ee901fa5470636ba5ede",
+     None),
+    ("no-detections-csv", "sweep --pd 0 --loss-range 0:5000:2500",
+     "72f3e291a8fc1f2f51fb15cda67d1f426450a1977fa8c01aca1e9700f4a4fe83",
+     None),
+    ("no-detections-json", "sweep --pd 0 --loss-range 0:5000:2500 --delta 0.1 --mu 1e-7 --format json",
+     "d3b2892fcbe7e54e160834d19f3a63a955614dafba711233749786cec488ad4a",
+     None),
+    ("no-detections-rate", "rate --pd 0 --loss 5000",
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+     "numerical failure: no detections: eta = 0 and p_d = 0\n"),
+    ("error-precedence-json", "sweep --pd 0 --loss-range 0:5000:2500 --theta 1.0 --delta 3.14159265 --format json",
+     "a024f462b0e6167f95442fb0c67a4b8aea8dd0e0c2b267527c4ab1aac2915145",
+     None),
+    ("subnormal-eta-json", "sweep --pd 0 --loss-range 3228:3238:1 --delta 0.1 --format json",
+     "c981f789ebb965a8216a264e4f8ae5251d711abef4850c3001f4d7aa3679a61c",
+     None),
+    ("underflow-tail", "sweep --loss-range 2400:2600:50 --delta 0.1 --theta 1e-3 --mu 1e-7",
+     "e5018249df106886aa5fe3b71df44a2bd72c7f9a67a3fbec02453c7af230361f",
+     None),
+    ("underflow-tail-vertex", "sweep --loss-range 2500:3300:100 --pd 0 --solver vertex-lp --delta 0.1 --mu 1e-3",
+     "733b11d8319bff13f251a6aa5983e1d2204e266ae49cdc4315cbd601643ca221",
+     None),
+    ("negative-e-z-lp-abort", "sweep --loss-range 3225:3225.3:0.1 --delta 1e-8 --pd 0",
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+     "error: e_z must lie in [0, 1/2], got -0.16666666666666666\n"),
+    ("negative-e-z-entropy-abort", "sweep --loss-range 3225:3225.3:0.1 --pd 0",
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+     "error: binary_entropy needs x in [0, 1], got -0.16666666666666666\n"),
+    ("crossover-lt-failure-first", "crossover --sweep-param mu --sweep-values 1e-9 --compare-loss 3225.2 --pd 0",
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+     "numerical failure: no Z-basis detections; e_X is undefined\n"),
+]
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -288,6 +378,19 @@ class TestGoldenJson:
         assert out == expected
 
 
+class TestGoldenDigests:
+    @pytest.mark.parametrize(
+        "command, digest, stderr",
+        [case[1:] for case in GOLDEN_DIGESTS],
+        ids=[case[0] for case in GOLDEN_DIGESTS],
+    )
+    def test_exit_code_and_stdout(self, capsys, command, digest, stderr):
+        code, out, err = run_cli(capsys, *command.split())
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
+        if stderr is not None:
+            assert err == stderr
+
+
 class TestRateCommand:
     def test_pinned_point(self, capsys):
         code, out, _ = run_cli(
@@ -447,6 +550,18 @@ WRONG_TYPE_CONFIGS = [
     ("device.delta", {"device": {"delta": "0.1"}}, ["rate", "--loss", "10"]),
 ]
 
+# A config file the CLI must refuse, and the key its error must name: a
+# misspelled key, a section that is not an object, a key unknown inside a
+# section, and an output format other than csv or json.
+REFUSED_CONFIGS = [
+    ("device.detla", {"device": {"detla": 0.1}, "loss": 10}),
+    ("lost", {"lost": 10, "loss": 10}),
+    ("device", {"device": 5, "loss": 10}),
+    ("channel", {"channel": [1e-7], "loss": 10}),
+    ("probs.p_z", {"probs": {"p_z": 0.5}, "loss": 10}),
+    ("format", {"format": "xml", "loss": 10}),
+]
+
 
 class TestConfigFile:
     def test_file_supplies_defaults(self, capsys, tmp_path):
@@ -499,6 +614,30 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert f"'{key}'" in err
+
+
+    @pytest.mark.parametrize(
+        "key, content", REFUSED_CONFIGS, ids=[case[0] for case in REFUSED_CONFIGS]
+    )
+    def test_unknown_or_malformed_key_is_usage_error(self, capsys, tmp_path, key, content):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"'{key}'" in err
+
+    def test_keys_of_other_commands_are_accepted(self, capsys, tmp_path):
+        # one file can serve every subcommand: rate ignores the sweep range
+        # and the crossover grid it holds
+        cfg = tmp_path / "run.json"
+        shared = {"device": {"delta": 0.126}, "format": "json"}
+        others = {"loss_start": 0, "loss_stop": 10, "loss_step": 5, "swept_values": [1e-9]}
+        cfg.write_text(json.dumps({**shared, **others, "loss": 20}))
+        code, out, _ = run_cli(capsys, "rate", "--config", str(cfg))
+        assert code == 0
+        _, plain, _ = run_cli(capsys, "rate", "--loss", "20", "--delta", "0.126", "--format", "json")
+        assert out == plain
 
 
 class TestCrossoverCommand:

@@ -1,0 +1,283 @@
+"""A sweep evaluates its whole loss grid as arrays from one prepared device.
+
+Every row must carry exactly the bits of a one-point evaluation at its
+loss, so neither the grid length nor the array shapes may change a value,
+and the bits of the scalar per-point arithmetic the arrays replaced.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flawedqkd import (
+    PAPER_FAITHFUL,
+    SOLVER_MODES,
+    VERTEX_LP,
+    ChannelModel,
+    DegenerateStateError,
+    DeviceModel,
+    EstimatorError,
+    NoDetectionError,
+    ProtocolProbabilities,
+    SingularSystemError,
+    SweepConfig,
+    actual_decomposition,
+    coin_imbalance,
+    evaluate_grid,
+    key_rate_lp,
+    key_rate_lt,
+    loss_grid,
+    prepare,
+    run_sweep,
+    system_efficiency,
+    virtual_decomposition,
+)
+from flawedqkd.qstates import SETTING_0X, SETTING_0Z, SETTING_1X, SETTING_1Z, THREE_SETTINGS
+
+# Small flaws, plus the devices whose lt evaluation fails everywhere.
+devices = st.one_of(
+    st.builds(
+        DeviceModel,
+        delta=st.floats(0.0, 0.4),
+        theta_hat=st.floats(0.0, 5e-3),
+        theta_mode=st.sampled_from(["independent", "dependent"]),
+        mu=st.floats(0.0, 1e-4),
+    ),
+    st.sampled_from([DeviceModel(theta_hat=1.0), DeviceModel(delta=3.14159265)]),
+)
+dark_counts = st.sampled_from([0.0, 1e-9, 1e-7, 1e-5])
+probabilities = st.builds(
+    ProtocolProbabilities, p_za=st.floats(0.05, 0.95), p_zb=st.floats(0.05, 0.95)
+)
+METHOD_POINTS = {
+    "lt": lambda device, channel, probs, solver: key_rate_lt(device, channel, probs, solver),
+    "lp": lambda device, channel, probs, solver: key_rate_lp(device, channel, probs),
+}
+
+
+def assert_row_matches_point(row, device, p_d, f_ec, probs, solver):
+    channel = ChannelModel(row.loss_db, p_d, f_ec)
+    try:
+        point = METHOD_POINTS[row.method](device, channel, probs, solver)
+    except EstimatorError as exc:
+        assert row.error == str(exc)
+        return
+    assert row.error is None
+    got = (row.eta, row.e_z, row.e_x, row.rate_raw, row.rate)
+    assert got == (point.eta, point.e_z, point.e_x, point.rate_raw, point.rate)
+
+
+@given(
+    device=devices,
+    p_d=dark_counts,
+    f_ec=st.floats(1.0, 1.5),
+    probs=probabilities,
+    start=st.floats(0.0, 80.0),
+    step=st.floats(0.01, 5.0),
+    points=st.integers(1, 40),
+    solver=st.sampled_from(SOLVER_MODES),
+)
+@settings(max_examples=60)
+def test_sweep_rows_equal_single_points(device, p_d, f_ec, probs, start, step, points, solver):
+    if solver == VERTEX_LP:
+        points = min(points, 8)
+    stop = start + step * (points - 1)
+    rows = run_sweep(SweepConfig(device, p_d, f_ec, probs, start, stop, step, solver=solver))
+    assert len(rows) == 2 * len(loss_grid(start, stop, step))
+    for row in rows:
+        assert_row_matches_point(row, device, p_d, f_ec, probs, solver)
+
+
+@given(
+    device=devices,
+    p_d=dark_counts,
+    losses=st.lists(st.floats(0.0, 120.0), min_size=1, max_size=30),
+)
+@settings(max_examples=40)
+def test_grid_order_and_length_leave_values_alone(device, p_d, losses):
+    # An unsorted grid, its reverse and each point alone give the same bits.
+    probs = ProtocolProbabilities()
+    prepared = prepare(device, probs)
+    eta = np.array([system_efficiency(ChannelModel(loss)) for loss in losses])
+    forward = evaluate_grid(prepared, eta, p_d, 1.16)
+    backward = evaluate_grid(prepared, eta[::-1].copy(), p_d, 1.16)
+    for i in range(len(losses)):
+        alone = evaluate_grid(prepared, eta[i:i + 1], p_d, 1.16)
+        for method, rates in forward.items():
+            reverse = len(losses) - 1 - i
+            for other, j in ((alone[method], 0), (backward[method], reverse)):
+                assert (other.errors[j] is None) == (rates.errors[i] is None)
+                if rates.errors[i] is None:
+                    assert other.e_z[j] == rates.e_z[i]
+                    assert other.e_x[j] == rates.e_x[i]
+                    assert other.rate_raw[j] == rates.rate_raw[i]
+
+
+def per_point_reference(device, loss, p_d, f_ec, probs):
+    """The paper-solver lt and the lp rows at one loss, computed scalar by
+    scalar in the operand order of the per-point code the grid replaced:
+    (e_z, e_x, rate_raw) per method, or the estimator's error message."""
+    eta = 10.0 ** (-loss / 10.0)
+    d = delta = device.delta
+    y_det = 4.0 * (1.0 - eta / 2.0) * p_d + eta
+    if y_det <= 0.0:
+        return {m: "no detections: eta = 0 and p_d = 0" for m in ("lt", "lp")}
+    e_z = (
+        2.0 * (1.0 - eta / 2.0) * p_d
+        + eta / 2.0
+        + (eta / 4.0) * (math.cos(2 * delta) + math.cos(delta)) * (p_d - 1.0)
+    ) / y_det
+    y_z = probs.p_za * probs.p_zb * y_det
+
+    def h(x):
+        return 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+    def rate(e_x):
+        return e_z, e_x, y_z * (1.0 - h(min(e_x, 0.5)) - f_ec * h(min(e_z, 0.5)))
+
+    out = {}
+    enhanced = coin_imbalance(device) / y_det
+    if enhanced > 0.5:
+        out["lp"] = rate(1.0)
+    else:
+        e, dp = min(e_z, 0.5), enhanced
+        e_x = e + 4.0 * dp * (1.0 - dp) * (1.0 - 2.0 * e) + 4.0 * (1.0 - 2.0 * dp) * math.sqrt(
+            dp * (1.0 - dp) * e * (1.0 - e)
+        )
+        out["lp"] = rate(min(e_x, 1.0))
+
+    yields = {}
+    x_pair, z_pair = (SETTING_0X, SETTING_1X, probs.p_xb), (SETTING_0Z, SETTING_1Z, probs.p_zb)
+    sent_prob = {SETTING_0Z: probs.p_0z, SETTING_1Z: probs.p_1z, SETTING_0X: probs.p_0x}
+    for sent, (zero, one, p_basis), c in (
+        (SETTING_0Z, x_pair, math.sin(d / 2)),
+        (SETTING_0Z, z_pair, math.cos(d)),
+        (SETTING_1Z, x_pair, -math.sin(3 * d / 2)),
+        (SETTING_1Z, z_pair, -math.cos(2 * d)),
+        (SETTING_0X, x_pair, math.cos(d)),
+    ):
+        pre = sent_prob[sent] * p_basis
+        yields[zero, sent] = pre * (
+            (1.0 - eta / 2.0) * p_d
+            + (eta / 4.0) * (1.0 + c) * (1.0 - p_d / 2.0)
+            + (eta / 8.0) * (1.0 - c) * p_d
+        )
+        yields[one, sent] = pre * (
+            (1.0 - eta / 2.0) * p_d
+            + (eta / 8.0) * (1.0 + c) * p_d
+            + (eta / 4.0) * (1.0 - c) * (1.0 - p_d / 2.0)
+        )
+    z_sum = (
+        yields[SETTING_0Z, SETTING_0Z]
+        + yields[SETTING_1Z, SETTING_0Z]
+        + yields[SETTING_0Z, SETTING_1Z]
+        + yields[SETTING_1Z, SETTING_1Z]
+    )
+    if z_sum <= 0.0:
+        out["lt"] = "no Z-basis detections; e_X is undefined"
+        return out
+    decs = [actual_decomposition(k, device) for k in THREE_SETTINGS]
+    coef = np.array([(q.qubit_weight, q.qubit_weight * q.bloch.px, q.qubit_weight * q.bloch.pz)
+                     for q in decs]).T
+    if abs(np.linalg.det(coef)) < 1e-12:
+        out["lt"] = "the three encoding states are collinear; the yield system cannot be inverted"
+        return out
+    inv = np.linalg.inv(coef)
+    lam_min = np.array([q.lambda_min for q in decs])
+    lam_max = np.array([q.lambda_max for q in decs])
+    num = 0.0
+    for s, j in ((0, 1), (1, 0)):
+        outcome = (SETTING_0X, SETTING_1X)[s]
+        ytil = np.array([yields[outcome, k] / (sent_prob[k] * probs.p_xb) for k in THREE_SETTINGS])
+        central = ytil @ inv
+        low = central + np.minimum(-lam_min[:, None] * inv, -lam_max[:, None] * inv).sum(axis=0)
+        up = central + np.maximum(-lam_min[:, None] * inv, -lam_max[:, None] * inv).sum(axis=0)
+        reach = min(min(up[0], 1.0), 1.0 - max(low[0], 0.0), 0.5)
+        if reach < max(low[1], -up[1], low[2], -up[2], 0.0) - 1e-9:
+            out["lt"] = "no physical transmission rates are consistent with the yields"
+            return out
+        vd = virtual_decomposition(j, device)
+        val = up[0]
+        val += vd.bloch.px * (up[1] if vd.bloch.px >= 0.0 else low[1])
+        val += vd.bloch.pz * (up[2] if vd.bloch.pz >= 0.0 else low[2])
+        num += max(probs.p_za * probs.p_zb * (vd.qubit_weight * val + vd.lambda_max), 0.0)
+    out["lt"] = rate(float(min(max(num / z_sum, 0.0), 1.0)))
+    return out
+
+
+@given(
+    device=st.builds(
+        DeviceModel,
+        delta=st.floats(0.0, 0.4),
+        theta_hat=st.floats(0.0, 5e-3),
+        theta_mode=st.sampled_from(["independent", "dependent"]),
+        mu=st.floats(0.0, 1e-4),
+    ),
+    p_d=dark_counts,
+    f_ec=st.floats(1.0, 1.5),
+    probs=probabilities,
+    start=st.floats(0.0, 80.0),
+    step=st.floats(0.01, 5.0),
+    points=st.integers(1, 40),
+)
+@settings(max_examples=60)
+def test_sweep_rows_equal_the_per_point_arithmetic(device, p_d, f_ec, probs, start, step, points):
+    stop = start + step * (points - 1)
+    rows = run_sweep(SweepConfig(device, p_d, f_ec, probs, start, stop, step))
+    for row in rows:
+        expected = per_point_reference(device, row.loss_db, p_d, f_ec, probs)[row.method]
+        if isinstance(expected, str):
+            assert row.error == expected
+        else:
+            assert (row.e_z, row.e_x, row.rate_raw) == expected
+
+
+def test_pinned_point_at_a_fifth_of_a_db():
+    # The grid's eta is Python's 10.0 ** (-loss / 10.0) per point; a
+    # vectorized power differs from it in the last bit first at 0.2 dB.
+    device = DeviceModel(delta=0.063, theta_hat=1e-3, mu=1e-7)
+    probs = ProtocolProbabilities()
+    for solver in SOLVER_MODES:
+        rows = run_sweep(SweepConfig(device, 1e-7, 1.16, probs, 0.0, 0.4, 0.2, solver=solver))
+        at_fifth = [row for row in rows if row.loss_db == 0.2]
+        assert [row.method for row in at_fifth] == ["lt", "lp"]
+        for row in at_fifth:
+            assert row.eta == 10.0 ** (-0.2 / 10.0)
+            assert_row_matches_point(row, device, 1e-7, 1.16, probs, solver)
+
+
+class TestErrorsPerPoint:
+    def test_device_failure_yields_to_no_detections(self):
+        # 0 and 2500 dB detect something, 5000 dB (eta = 0) nothing at all
+        prepared = prepare(DeviceModel(theta_hat=1.0), ProtocolProbabilities())
+        eta = np.array([1.0, 1e-250, 0.0])
+        rates = evaluate_grid(prepared, eta, 0.0, 1.16)
+        kinds = [type(e) for e in rates["lt"].errors]
+        assert kinds == [SingularSystemError, SingularSystemError, NoDetectionError]
+        assert [e is None for e in rates["lp"].errors] == [True, True, False]
+
+    def test_degenerate_virtual_state_fails_only_lt(self):
+        prepared = prepare(DeviceModel(delta=3.14159265), ProtocolProbabilities())
+        rates = evaluate_grid(prepared, np.array([0.1, 0.01]), 1e-7, 1.16)
+        assert all(isinstance(e, DegenerateStateError) for e in rates["lt"].errors)
+        assert rates["lp"].errors == [None, None]
+
+    def test_subnormal_eta_loses_only_the_z_yields(self):
+        # eta = 5e-324: one detection in 2e323, but every Z yield underflows
+        prepared = prepare(DeviceModel(delta=0.1), ProtocolProbabilities())
+        rates = evaluate_grid(prepared, np.array([5e-324]), 0.0, 1.16)
+        assert str(rates["lt"].errors[0]) == "no Z-basis detections; e_X is undefined"
+        assert rates["lp"].errors == [None]
+
+    def test_unknown_solver(self):
+        prepared = prepare(DeviceModel(), ProtocolProbabilities())
+        with pytest.raises(ValueError, match="mode"):
+            evaluate_grid(prepared, np.array([1.0]), 1e-7, 1.16, solver="simplex")
+
+    def test_only_the_requested_methods(self):
+        prepared = prepare(DeviceModel(), ProtocolProbabilities())
+        rates = evaluate_grid(prepared, np.array([1.0]), 1e-7, 1.16, ("lp",), PAPER_FAITHFUL)
+        assert list(rates) == ["lp"]
