@@ -164,16 +164,14 @@ def yield_prefactors(probs: ProtocolProbabilities) -> np.ndarray:
     return np.array((p_0z * p_xb, p_0z * p_zb, p_1z * p_xb, p_1z * p_zb, p_0x * p_xb))
 
 
-def yield_alignments(delta: float) -> np.ndarray:
+def yield_alignments(delta: float) -> tuple[float, float, float, float, float]:
     """Bloch alignment c of each yield row's pulse with the measured axis."""
-    return np.array(
-        (
-            math.sin(delta / 2),
-            math.cos(delta),
-            -math.sin(3 * delta / 2),
-            -math.cos(2 * delta),
-            math.cos(delta),
-        )
+    return (
+        math.sin(delta / 2),
+        math.cos(delta),
+        -math.sin(3 * delta / 2),
+        -math.cos(2 * delta),
+        math.cos(delta),
     )
 
 
@@ -184,12 +182,14 @@ _SHARE_DIVISORS = np.array([[4.0], [8.0]])
 def detector_yields(prefactor: np.ndarray, c: np.ndarray, eta, p_d: float) -> np.ndarray:
     """Joint probabilities of Bob's two outcomes for each yield row.
 
-    prefactor and c hold each row's selection probability and Bloch
-    alignment with the measured axis; eta is a float or an array of shape
-    (n,), giving shape (2, 5) or (n, 2, 5) with the outcome (0, then 1)
-    before the row.  First order in p_d, double clicks split evenly.
+    prefactor holds each row's selection probability, c of shape (m, 5)
+    each device's Bloch alignment of each row with the measured axis; eta
+    is a float or an array of shape (n,), where m is 1 or n.  The result
+    has shape (m, 2, 5) or (n, 2, 5), with the outcome (0, then 1) before
+    the row.  First order in p_d, double clicks split evenly.
     """
     eta = np.asarray(eta, dtype=float)[..., None, None]
+    c = c[:, None, :]
     dark = (1.0 - eta / 2.0) * p_d
     share = eta / _SHARE_DIVISORS
     weight = np.array([[1.0 - p_d / 2.0], [p_d]])
@@ -211,10 +211,10 @@ def actual_yields(
     """
     y_zero, y_one = detector_yields(
         yield_prefactors(probs),
-        yield_alignments(device.delta),
+        np.array([yield_alignments(device.delta)]),
         system_efficiency(channel),
         channel.p_d,
-    ).tolist()
+    )[0].tolist()
     entries: dict[tuple[Setting, Setting], float] = {}
     for (sent, (zero, one)), y0, y1 in zip(YIELD_ROWS, y_zero, y_one):
         entries[(zero, sent)] = y0

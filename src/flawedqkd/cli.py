@@ -387,9 +387,15 @@ def _run_azuma(args: argparse.Namespace) -> str:
 
 _HANDLERS = {"rate": _run_rate, "sweep": _run_sweep, "crossover": _run_crossover}
 
+# Built by the first main call and kept for the rest of the process.
+_parser: argparse.ArgumentParser | None = None
+
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "azuma":
             output = _run_azuma(args)

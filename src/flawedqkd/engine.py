@@ -185,6 +185,66 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     return rows
 
 
+def _evaluate(
+    config: CrossoverConfig, eta: float, points: list[tuple[float, float]], methods: tuple[str, ...]
+) -> dict:
+    # The methods on the device of each (delta, swept value) point, as one
+    # batch at the comparison transmittance.
+    devices = []
+    for delta, value in points:
+        params = {config.fixed_param: config.fixed_value, config.swept_param: value}
+        devices.append(DeviceModel(
+            delta=delta, theta_hat=params["theta"], theta_mode=config.theta_mode, mu=params["mu"]
+        ))
+    return evaluate_grid(
+        prepare(devices, config.probs),
+        np.full(len(devices), eta),
+        config.p_d,
+        config.f_ec,
+        methods,
+        config.solver,
+    )
+
+
+def _clamped(both: dict) -> list[tuple[float, float]]:
+    lt, lp = ([max(r, 0.0) for r in both[m].rate_raw.tolist()] for m in METHODS)
+    return list(zip(lt, lp))
+
+
+def _rates_alone(config: CrossoverConfig, eta: float, point: tuple[float, float]):
+    # Both clamped rates of one device, or the failure that stops a search
+    # there: lt's failure before lp's, and either before a range error.
+    try:
+        both = _evaluate(config, eta, [point], METHODS)
+    except ValueError as exc:
+        try:
+            lt_error = _evaluate(config, eta, [point], ("lt",))["lt"].errors[0]
+        except ValueError as again:
+            return again
+        return exc if lt_error is None else lt_error
+    failures = [r.errors[0] for r in both.values() if r.errors[0] is not None]
+    return failures[0] if failures else _clamped(both)[0]
+
+
+def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]]) -> list:
+    """Both clamped rates at each (delta, swept value) point, or the
+    failure that stops a search there.
+
+    The points are one batch.  If any of them fails, each is evaluated
+    again alone, in order, so that every point reports the failure its own
+    evaluation meets first.
+    """
+    if not points:
+        return []
+    try:
+        both = _evaluate(config, eta, points, METHODS)
+    except ValueError:
+        both = None
+    if both is not None and all(e is None for r in both.values() for e in r.errors):
+        return _clamped(both)
+    return [_rates_alone(config, eta, point) for point in points]
+
+
 def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     """Bisect the delta at which both methods give the same key rate.
 
@@ -192,64 +252,62 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     on a fixed delta grid; a strict sign change is bisected down to the
     configured delta tolerance.  Grid values without a sign change yield a
     no-crossover record.
+
+    Each value's scan is one batch of devices; then every bracket takes
+    its bisection steps in lockstep with the others, one batch per step,
+    and one batch evaluates every delta*.  A value whose evaluation fails
+    stops there; the search then raises the failure of the first such
+    value, which is the one a value-by-value search would meet.
     """
     channel = ChannelModel(config.compare_loss_db, config.p_d, config.f_ec)
-    eta = np.array([system_efficiency(channel)])
-
-    def rates(delta: float, swept_value: float) -> tuple[float, float]:
-        # Both methods from one prepared device; a failure fails the search.
-        params = {config.fixed_param: config.fixed_value, config.swept_param: swept_value}
-        device = DeviceModel(
-            delta=delta,
-            theta_hat=params["theta"],
-            theta_mode=config.theta_mode,
-            mu=params["mu"],
-        )
-        prepared = prepare(device, config.probs)
-        point = (prepared, eta, channel.p_d, channel.f_ec)
-        try:
-            both = evaluate_grid(*point, METHODS, config.solver)
-        except ValueError:
-            # lp's inputs are out of range; an lt failure fails the search first.
-            lt_error = evaluate_grid(*point, ("lt",), config.solver)["lt"].errors[0]
-            if lt_error is not None:
-                raise lt_error from None
-            raise
-        for result in both.values():
-            if result.errors[0] is not None:
-                raise result.errors[0]
-        lt, lp = (max(float(both[m].rate_raw[0]), 0.0) for m in METHODS)
-        return lt, lp
-
-    records = []
-    for value in config.swept_values:
-        gaps = [lt - lp for lt, lp in (rates(d, value) for d in _DELTA_SCAN)]
-        bracket = None
+    eta = system_efficiency(channel)
+    values = config.swept_values
+    failures: dict[int, Exception] = {}
+    # Per bracketed value: lo, hi and the gap at lo.
+    brackets: dict[int, list[float]] = {}
+    for k, value in enumerate(values):
+        scan = _rates(config, eta, [(d, value) for d in _DELTA_SCAN])
+        failed = next((r for r in scan if isinstance(r, Exception)), None)
+        if failed is not None:
+            failures[k] = failed
+            continue
+        gaps = [lt - lp for lt, lp in scan]
         for i in range(len(_DELTA_SCAN) - 1):
             if gaps[i] != 0.0 and gaps[i + 1] != 0.0 and gaps[i] * gaps[i + 1] < 0.0:
-                bracket = (_DELTA_SCAN[i], _DELTA_SCAN[i + 1], gaps[i])
+                brackets[k] = [_DELTA_SCAN[i], _DELTA_SCAN[i + 1], gaps[i]]
                 break
-        if bracket is None:
-            records.append(
-                CrossoverRecord(config.swept_param, value, None, None, None, "no-crossover")
-            )
-            continue
-        lo, hi, g_lo = bracket
-        while hi - lo > config.bisection_tolerance:
-            mid = (lo + hi) / 2.0
-            rate_lt, rate_lp = rates(mid, value)
-            g_mid = rate_lt - rate_lp
+
+    tol = config.bisection_tolerance
+    active = [k for k, (lo, hi, _) in brackets.items() if hi - lo > tol]
+    while active:
+        mids = [(brackets[k][0] + brackets[k][1]) / 2.0 for k in active]
+        results = _rates(config, eta, [(mid, values[k]) for k, mid in zip(active, mids)])
+        still = []
+        for k, mid, result in zip(active, mids, results):
+            if isinstance(result, Exception):
+                failures[k] = result
+                continue
+            bracket = brackets[k]
+            g_mid = result[0] - result[1]
             if g_mid == 0.0:
-                lo = hi = mid
-                break
-            if (g_mid > 0.0) == (g_lo > 0.0):
-                lo, g_lo = mid, g_mid
+                bracket[0] = bracket[1] = mid
+                continue
+            if (g_mid > 0.0) == (bracket[2] > 0.0):
+                bracket[0], bracket[2] = mid, g_mid
             else:
-                hi = mid
-        delta_star = (lo + hi) / 2.0
-        records.append(
-            CrossoverRecord(
-                config.swept_param, value, delta_star, *rates(delta_star, value), "crossover"
-            )
-        )
-    return records
+                bracket[1] = mid
+            if bracket[1] - bracket[0] > tol:
+                still.append(k)
+        active = still
+
+    stars = {k: (lo + hi) / 2.0 for k, (lo, hi, _) in brackets.items() if k not in failures}
+    finals = dict(zip(stars, _rates(config, eta, [(d, values[k]) for k, d in stars.items()])))
+    failures.update((k, r) for k, r in finals.items() if isinstance(r, Exception))
+    if failures:
+        raise failures[min(failures)]
+    return [
+        CrossoverRecord(config.swept_param, value, stars[k], *finals[k], "crossover")
+        if k in finals
+        else CrossoverRecord(config.swept_param, value, None, None, None, "no-crossover")
+        for k, value in enumerate(values)
+    ]

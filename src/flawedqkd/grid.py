@@ -1,19 +1,24 @@
-"""Both estimators on a grid of transmittances, from one prepared device.
+"""Both estimators on a grid of transmittances, from prepared devices.
 
 Loss enters the lt and lp bounds only through yields that are affine in
 eta, so everything else is computed once per device by ``prepare`` and
-``evaluate_grid`` carries a whole loss grid through each stage as arrays.
-The single-point entry points are one-point grids of the same path.
+``evaluate_grid`` carries a whole grid through each stage as arrays.  The
+device-only terms have a leading device axis: one device serves a whole
+loss grid (a sweep), or n devices each take their own transmittance (the
+crossover search).  The single-point entry points are one-point grids of
+the same path.
 
 The arrays reproduce the per-point arithmetic bit for bit: every stage
 keeps the operand order of its formula, the transmittance is Python's
-``10.0 ** (-loss / 10.0)`` per point, yields go through the inverse as one
-BLAS product, and entropies use ``math.log2`` per element.
+``10.0 ** (-loss / 10.0)`` per point, trigonometry is ``math`` per device,
+each point's yields go through its device's inverse as one BLAS product,
+and entropies use ``math.log2`` per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -55,20 +60,22 @@ METHODS = ("lt", "lp")
 
 @dataclass(frozen=True)
 class PreparedDevice:
-    """Everything the estimators need that does not depend on the loss.
+    """Everything the estimators need that does not depend on the loss,
+    for m devices.
 
-    prefactor and alignment are the selection probabilities and Bloch
-    alignments of the five yield rows, tilt the device's term of the bit
-    error, lt the loss-tolerant device terms and coin the quantum-coin
-    imbalance Delta.
+    prefactor holds the selection probabilities of the five yield rows.
+    The rest has a leading axis of length m: alignment the Bloch
+    alignments of the rows, tilt the device's term of the bit error, lt
+    the loss-tolerant device terms and coin the quantum-coin imbalance
+    Delta.
     """
 
     probs: ProtocolProbabilities
     prefactor: np.ndarray
     alignment: np.ndarray
-    tilt: float
+    tilt: np.ndarray
     lt: LtTerms
-    coin: float
+    coin: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,16 +104,26 @@ class KeyRatePoint:
     rate: float
 
 
-def prepare(device: DeviceModel, probs: ProtocolProbabilities) -> PreparedDevice:
-    """Compute the device-only terms of both estimators once."""
+def prepare(
+    devices: DeviceModel | Sequence[DeviceModel], probs: ProtocolProbabilities
+) -> PreparedDevice:
+    """Compute the device-only terms of both estimators once per device;
+    one device gives a device axis of length 1."""
+    if isinstance(devices, DeviceModel):
+        devices = (devices,)
     return PreparedDevice(
         probs=probs,
         prefactor=yield_prefactors(probs),
-        alignment=yield_alignments(device.delta),
-        tilt=error_tilt(device.delta),
-        lt=lt_terms(device),
-        coin=coin_imbalance(device),
+        alignment=np.array([yield_alignments(d.delta) for d in devices]),
+        tilt=np.array([error_tilt(d.delta) for d in devices]),
+        lt=lt_terms(devices),
+        coin=np.array([coin_imbalance(d) for d in devices]),
     )
+
+
+def _per_point(failures: tuple, n: int) -> tuple:
+    # Each point's device failure: a single device's serves every point.
+    return failures * n if len(failures) == 1 else failures
 
 
 def _entropies(
@@ -146,12 +163,17 @@ def _lt_bounds(
         return lower, upper, unphysical(lower, upper).any(axis=1)
     # The vertex enumeration stays one point at a time: batching its
     # triples over the grid costs megabytes per point.
-    rows = halfspace_rows(terms)
-    systems = triple_systems(rows)
-    rhs = halfspace_rhs(ytil, terms)
+    rhs = halfspace_rhs(ytil, terms.lam_min[:, None], terms.lam_max[:, None])
     lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
     infeasible = np.zeros(todo.shape, dtype=bool)
+    polytopes = {}
     for i in np.flatnonzero(todo).tolist():
+        # The point's own device, or the only one.
+        k = i % len(terms.coef)
+        if k not in polytopes:
+            rows = halfspace_rows(terms.coef[k])
+            polytopes[k] = rows, triple_systems(rows)
+        rows, systems = polytopes[k]
         for s in (0, 1):
             box = vertex_box(rows, systems, rhs[i, s])
             if box is None:
@@ -177,8 +199,8 @@ def _lt_phase_errors(
     z_sum = z_yields[:, 0, 0] + z_yields[:, 1, 0] + z_yields[:, 0, 1] + z_yields[:, 1, 1]
     no_z = NoDetectionError("no Z-basis detections; e_X is undefined")
     errors = [no_z if e is None and z <= 0.0 else e for e, z in zip(errors, z_sum.tolist())]
-    if terms.singular is not None:
-        return np.zeros_like(eta), [terms.singular if e is None else e for e in errors]
+    n = len(errors)
+    errors = [s if e is None else e for e, s in zip(errors, _per_point(terms.singular, n))]
 
     ytil = yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS]
     todo = np.array([e is None for e in errors])
@@ -186,11 +208,11 @@ def _lt_phase_errors(
     infeasible_error = InfeasibleStatisticsError(INFEASIBLE)
     errors = [infeasible_error if e is None and bad else e
               for e, bad in zip(errors, infeasible.tolist())]
-    if terms.degenerate is not None:
-        return np.zeros_like(eta), [terms.degenerate if e is None else e for e in errors]
+    errors = [d if e is None else e for e, d in zip(errors, _per_point(terms.degenerate, n))]
 
     probs = prepared.probs
-    y = virtual_yields(lower, upper, terms.corner, *terms.virtual, probs.p_za * probs.p_zb)
+    virtual = terms.virtual.transpose(1, 0, 2)
+    y = virtual_yields(lower, upper, terms.corner, *virtual, probs.p_za * probs.p_zb)
     e_x = (y[:, 0] + y[:, 1]) / z_sum
     return np.minimum(np.where(0.0 > e_x, 0.0, e_x), 1.0), errors
 
@@ -205,14 +227,19 @@ def evaluate_grid(
 ) -> dict[str, GridRates]:
     """e_z, e_x and the unclamped rate of each method at each transmittance.
 
-    eta has shape (n,).  A failure at one point is kept in that point's
-    error slot and never stops the others.  Per point, a failure reports
-    in the order the chain meets it: no detections at all, no Z-basis
-    detections (lt), a singular yield system (lt), infeasible yields (lt),
-    a degenerate virtual state (lt).
+    eta has shape (n,); prepared holds one device, evaluated at every
+    point, or n devices, device i at point i.  A failure at one point is
+    kept in that point's error slot and never stops the others.  Per
+    point, a failure reports in the order the chain meets it: no
+    detections at all, no Z-basis detections (lt), a singular yield system
+    (lt), infeasible yields (lt), a degenerate virtual state (lt).
     """
     if solver not in SOLVER_MODES:
         raise ValueError(f"mode must be one of {SOLVER_MODES}, got {solver!r}")
+    if len(prepared.tilt) not in (1, len(eta)):
+        raise ValueError(
+            f"{len(prepared.tilt)} prepared devices do not match {len(eta)} transmittances"
+        )
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")

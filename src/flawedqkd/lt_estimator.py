@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -68,29 +69,31 @@ class TransmissionRateBounds:
 
 @dataclass(frozen=True)
 class LtTerms:
-    """What the loss-tolerant bound needs from the device alone.
+    """What the loss-tolerant bound needs from each device alone.
 
-    coef is the coefficient matrix, lam_min/lam_max the side-channel
-    intervals of the three sent states, and box_lower/box_upper what those
-    intervals add to the central solution through the inverse.  virtual
-    holds the qubit weight, lambda_max, px and pz of the virtual state
-    paired with each Bob outcome s (bit j = 1 - s), one column per s, and
-    corner which box corner maximizes that virtual yield, one row per s.
-    A singular system leaves inv and the box unset, a degenerate virtual
-    state leaves virtual and corner unset; either failure is kept rather
-    than raised, because a loss point reports its earlier failures first.
+    Every array has a leading axis over the devices.  coef is the
+    coefficient matrix, lam_min/lam_max the side-channel intervals of the
+    three sent states, and box_lower/box_upper what those intervals add to
+    the central solution through the inverse.  virtual holds the qubit
+    weight, lambda_max, px and pz of the virtual state paired with each Bob
+    outcome s (bit j = 1 - s), one column per s, and corner which box
+    corner maximizes that virtual yield, one row per s.  singular and
+    degenerate hold each device's failure or None.  A singular system's
+    inverse and box, and a degenerate virtual state's terms, are
+    placeholders; the failure is kept rather than raised, because a loss
+    point reports its earlier failures first.
     """
 
     coef: np.ndarray
-    inv: np.ndarray | None
+    inv: np.ndarray
     lam_min: np.ndarray
     lam_max: np.ndarray
-    box_lower: np.ndarray | None
-    box_upper: np.ndarray | None
-    virtual: np.ndarray | None
-    corner: np.ndarray | None
-    singular: SingularSystemError | None
-    degenerate: DegenerateStateError | None
+    box_lower: np.ndarray
+    box_upper: np.ndarray
+    virtual: np.ndarray
+    corner: np.ndarray
+    singular: tuple[SingularSystemError | None, ...]
+    degenerate: tuple[DegenerateStateError | None, ...]
 
 
 def _virtual_bound_terms(j: int, device: DeviceModel) -> tuple[float, float, float, float]:
@@ -99,35 +102,50 @@ def _virtual_bound_terms(j: int, device: DeviceModel) -> tuple[float, float, flo
     return weight, lam_max, px, pz
 
 
-def lt_terms(device: DeviceModel) -> LtTerms:
-    """Decompose the device once for every lt evaluation on it."""
-    sent = sent_terms(device)
-    coef = np.array([(w, w * px, w * pz) for w, _, _, _, _, px, pz in sent]).T
-    lam_min, lam_max = np.array([[t[4] for t in sent], [t[3] for t in sent]])
-    inv = box_lower = box_upper = singular = None
-    if abs(np.linalg.det(coef)) < _DET_TOL:
-        singular = SingularSystemError(
-            "the three encoding states are collinear; the yield system "
-            "cannot be inverted"
-        )
-    else:
-        # q_i = sum_k (ytil_k - lam_k) inv[k, i] with lam_k free in its
-        # interval; extremize each coordinate by picking the interval end
-        # matching the sign of inv[k, i].
-        inv = np.linalg.inv(coef)
-        low_end, high_end = -lam_min[:, None] * inv, -lam_max[:, None] * inv
-        lo, hi = np.minimum(low_end, high_end), np.maximum(low_end, high_end)
-        box_lower, box_upper = lo[0] + lo[1] + lo[2], hi[0] + hi[1] + hi[2]
-    virtual = corner = degenerate = None
-    try:
-        # Outcome s pairs with the virtual state of bit 1 - s.
-        terms = [_virtual_bound_terms(j, device) for j in (1, 0)]
-        virtual = np.array(terms).T
-        corner = np.array([upper_corner(px, pz) for _, _, px, pz in terms])
-    except DegenerateStateError as exc:
-        degenerate = exc
+# Stand-ins for a degenerate device's virtual terms and corners.
+_NO_VIRTUAL = ((0.0, 0.0),) * 4
+_NO_CORNER = ((True, True, True),) * 2
+
+
+def lt_terms(devices: Sequence[DeviceModel]) -> LtTerms:
+    """Decompose each device once for every lt evaluation on it."""
+    sent = [sent_terms(device) for device in devices]
+    coef = np.array(
+        [[(w, w * px, w * pz) for w, _, _, _, _, px, pz in terms] for terms in sent]
+    ).transpose(0, 2, 1)
+    lam_min = np.array([[t[4] for t in terms] for terms in sent])
+    lam_max = np.array([[t[3] for t in terms] for terms in sent])
+    collinear = np.abs(np.linalg.det(coef)) < _DET_TOL
+    singular = tuple(
+        SingularSystemError(
+            "the three encoding states are collinear; the yield system cannot be inverted"
+        ) if bad else None
+        for bad in collinear.tolist()
+    )
+    # q_i = sum_k (ytil_k - lam_k) inv[k, i] with lam_k free in its
+    # interval; extremize each coordinate by picking the interval end
+    # matching the sign of inv[k, i].  A singular system inverts the
+    # identity instead.
+    inv = np.linalg.inv(np.where(collinear[:, None, None], np.eye(3), coef))
+    low_end, high_end = -lam_min[:, :, None] * inv, -lam_max[:, :, None] * inv
+    lo, hi = np.minimum(low_end, high_end), np.maximum(low_end, high_end)
+    box_lower, box_upper = lo[:, 0] + lo[:, 1] + lo[:, 2], hi[:, 0] + hi[:, 1] + hi[:, 2]
+    virtual, corner, degenerate = [], [], []
+    for device in devices:
+        try:
+            # Outcome s pairs with the virtual state of bit 1 - s.
+            terms = [_virtual_bound_terms(j, device) for j in (1, 0)]
+        except DegenerateStateError as exc:
+            virtual.append(_NO_VIRTUAL)
+            corner.append(_NO_CORNER)
+            degenerate.append(exc)
+            continue
+        virtual.append(tuple(zip(*terms)))
+        corner.append(tuple(upper_corner(px, pz) for _, _, px, pz in terms))
+        degenerate.append(None)
     return LtTerms(
-        coef, inv, lam_min, lam_max, box_lower, box_upper, virtual, corner, singular, degenerate
+        coef, inv, lam_min, lam_max, box_lower, box_upper, np.array(virtual), np.array(corner),
+        singular, tuple(degenerate),
     )
 
 
@@ -139,10 +157,10 @@ def coefficient_matrix(device: DeviceModel) -> np.ndarray:
     singular exactly when the three states stop spanning a triangle on the
     Bloch sphere.
     """
-    terms = lt_terms(device)
-    if terms.singular is not None:
-        raise terms.singular
-    return terms.coef
+    terms = lt_terms([device])
+    if terms.singular[0] is not None:
+        raise terms.singular[0]
+    return terms.coef[0]
 
 
 def normalized_yields(
@@ -159,10 +177,12 @@ def normalized_yields(
 
 def interval_box(ytil: np.ndarray, terms: LtTerms) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper box corners for normalized yields ytil of shape
-    (..., 3), one box per leading index."""
-    # One (m, 3) @ (3, 3) product: its bits match a row-by-row product.
-    central = (ytil.reshape(-1, 3) @ terms.inv).reshape(ytil.shape)
-    return central + terms.box_lower, central + terms.box_upper
+    (n, r, 3), one box per row; point i takes device i of terms, or its
+    only device."""
+    # One stacked product: each point's rows go through their device's
+    # inverse as one BLAS product, whatever n and the number of devices.
+    central = np.matmul(ytil, terms.inv)
+    return central + terms.box_lower[:, None], central + terms.box_upper[:, None]
 
 
 def unphysical(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -174,18 +194,18 @@ def unphysical(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return reach < need - _FEAS_TOL
 
 
-def halfspace_rows(terms: LtTerms) -> np.ndarray:
-    """Rows a of the halfspaces a . q <= b: (+v_k, -v_k) for each sent
-    setting k, then the physical rows."""
-    coef = terms.coef
+def halfspace_rows(coef: np.ndarray) -> np.ndarray:
+    """Rows a of the halfspaces a . q <= b for one device's coefficient
+    matrix: (+v_k, -v_k) for each sent setting k, then the physical rows."""
     return np.vstack((np.stack((coef.T, -coef.T), axis=1).reshape(6, 3), _PHYSICAL_A))
 
 
-def halfspace_rhs(ytil: np.ndarray, terms: LtTerms) -> np.ndarray:
-    """Right-hand sides b of the halfspaces for ytil of shape (..., 3)."""
-    rhs = np.stack((ytil - terms.lam_min, terms.lam_max - ytil), axis=-1)
-    rhs = rhs.reshape(*ytil.shape[:-1], 6)
-    physical = np.broadcast_to(_PHYSICAL_B, (*ytil.shape[:-1], _PHYSICAL_B.size))
+def halfspace_rhs(ytil: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray) -> np.ndarray:
+    """Right-hand sides b of the halfspaces for ytil of shape (..., 3) and
+    side-channel intervals that broadcast against it."""
+    rhs = np.stack((ytil - lam_min, lam_max - ytil), axis=-1)
+    rhs = rhs.reshape(*rhs.shape[:-2], 6)
+    physical = np.broadcast_to(_PHYSICAL_B, (*rhs.shape[:-1], _PHYSICAL_B.size))
     return np.concatenate((rhs, physical), axis=-1)
 
 
@@ -228,19 +248,20 @@ def transmission_rate_bounds(
     """Bound (q_Id, q_x, q_z) for Bob outcome s from the observed yields."""
     if mode not in SOLVER_MODES:
         raise ValueError(f"mode must be one of {SOLVER_MODES}, got {mode!r}")
-    terms = lt_terms(device)
-    if terms.singular is not None:
-        raise terms.singular
+    terms = lt_terms([device])
+    if terms.singular[0] is not None:
+        raise terms.singular[0]
     ytil = normalized_yields(s, yields, probs)
 
     if mode == PAPER_FAITHFUL:
-        lower, upper = interval_box(ytil, terms)
+        lower, upper = (corner[0, 0] for corner in interval_box(ytil[None, None], terms))
         if unphysical(lower, upper):
             raise InfeasibleStatisticsError(INFEASIBLE)
         return TransmissionRateBounds(tuple(lower), tuple(upper))
 
-    rows = halfspace_rows(terms)
-    box = vertex_box(rows, triple_systems(rows), halfspace_rhs(ytil, terms))
+    rows = halfspace_rows(terms.coef[0])
+    rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
+    box = vertex_box(rows, triple_systems(rows), rhs)
     if box is None:
         raise InfeasibleStatisticsError(INFEASIBLE)
     lower, upper, wit_lo, wit_hi = box

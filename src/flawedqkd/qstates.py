@@ -22,7 +22,8 @@ All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DegenerateStateError
 
@@ -78,6 +79,7 @@ class DeviceModel:
     theta_hat: float = 0.0
     theta_mode: str = "dependent"
     mu: float = 0.0
+    _source: _Source = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < math.pi:
@@ -90,6 +92,19 @@ class DeviceModel:
             )
         if not self.mu >= 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        object.__setattr__(self, "_source", _source(self))
+
+
+class _Source(NamedTuple):
+    """The leakage amplitudes C_I and C_D, the cosine of each setting's
+    mode angle, the sine of the 0Z and 1Z ones, and each setting's ket, in
+    FOUR_SETTINGS order."""
+
+    c_i: float
+    c_d: float
+    cos: tuple[float, float, float, float]
+    sin: tuple[float, float]
+    kets: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -192,6 +207,17 @@ def tha_coefficients(mu: float) -> tuple[float, float]:
     return c_i, c_d
 
 
+def _source(device: DeviceModel) -> _Source:
+    # What every decomposition of the device shares, computed once with the
+    # operands of _ket, _mode_angle and tha_coefficients.
+    c_i, c_d = tha_coefficients(device.mu)
+    a0, a1, a2, a3 = [_mode_angle(i, device) for i in range(4)]
+    cos, delta = math.cos, device.delta
+    kets = (_ket(0, delta), _ket(1, delta), _ket(2, delta), _ket(3, delta))
+    return _Source(c_i, c_d, (cos(a0), cos(a1), cos(a2), cos(a3)), (math.sin(a0), math.sin(a1)),
+                   kets)
+
+
 def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
     # Extreme eigenvalues of [[side_weight, cross_mag], [cross_mag, 0]],
     # the worst-case detection contribution of the non-qubit part.
@@ -204,20 +230,20 @@ def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
 Terms = tuple[float, float, float, float, float, float, float]
 
 
-def _sent_terms(index: int, device: DeviceModel, c_i: float) -> Terms:
-    qubit_weight = (c_i * math.cos(_mode_angle(index, device))) ** 2
+def _sent_terms(index: int, source: _Source) -> Terms:
+    qubit_weight = (source.c_i * source.cos[index]) ** 2
     side_weight = 1.0 - qubit_weight
     cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
     lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
-    px, pz = _bloch(*_ket(index, device.delta))
+    px, pz = _bloch(*source.kets[index])
     return qubit_weight, side_weight, cross_mag, lam_max, lam_min, px, pz
 
 
 def sent_terms(device: DeviceModel) -> list[Terms]:
     """The decompositions of the three sent states, in THREE_SETTINGS
     order, as tuples in StateDecomposition's field order."""
-    c_i, _ = tha_coefficients(device.mu)
-    return [_sent_terms(index, device, c_i) for index in range(3)]
+    source = device._source
+    return [_sent_terms(index, source) for index in range(3)]
 
 
 def _decomposition(terms: Terms) -> StateDecomposition:
@@ -232,20 +258,17 @@ def actual_decomposition(setting: Setting, device: DeviceModel) -> StateDecompos
     theta; everything else (rotated polarization, leaked light) counts as
     side channel, with worst-case mutually orthogonal side states.
     """
-    c_i, _ = tha_coefficients(device.mu)
-    return _decomposition(_sent_terms(setting.index, device, c_i))
+    return _decomposition(_sent_terms(setting.index, device._source))
 
 
 def virtual_terms(j: int, device: DeviceModel) -> Terms:
     """virtual_decomposition(j, device) as a tuple in its field order."""
     if j not in (0, 1):
         raise ValueError(f"j must be 0 or 1, got {j}")
-    cos_t0, sin_t0 = math.cos(_mode_angle(0, device)), math.sin(_mode_angle(0, device))
-    cos_t1, sin_t1 = math.cos(_mode_angle(1, device)), math.sin(_mode_angle(1, device))
-    c_i, c_d = tha_coefficients(device.mu)
+    c_i, c_d, (cos_t0, cos_t1, _, _), (sin_t0, sin_t1), kets = device._source
     sgn = 1.0 if j == 0 else -1.0
-    s_half = math.sin(device.delta / 2)
-    c_half = math.cos(device.delta / 2)
+    # The 1Z ket is (-sin(delta/2), cos(delta/2)).
+    s_half, c_half = -kets[1][0], kets[1][1]
 
     a_j = 0.25 * c_i * c_i * (
         cos_t0 ** 2
@@ -294,12 +317,10 @@ def virtual_decomposition(j: int, device: DeviceModel) -> StateDecomposition:
     return _decomposition(virtual_terms(j, device))
 
 
-def _overlap(index1: int, index2: int, device: DeviceModel, c_i: float) -> float:
-    k1 = _ket(index1, device.delta)
-    k2 = _ket(index2, device.delta)
+def _overlap(index1: int, index2: int, source: _Source) -> float:
+    k1, k2 = source.kets[index1], source.kets[index2]
     qubit_ov = k1[0] * k2[0] + k1[1] * k2[1]
-    cos1 = math.cos(_mode_angle(index1, device))
-    return cos1 * math.cos(_mode_angle(index2, device)) * c_i * c_i * qubit_ov
+    return source.cos[index1] * source.cos[index2] * source.c_i * source.c_i * qubit_ov
 
 
 def full_overlap(s1: Setting, s2: Setting, device: DeviceModel) -> float:
@@ -309,11 +330,10 @@ def full_overlap(s1: Setting, s2: Setting, device: DeviceModel) -> float:
     contribute nothing, so only the co-polarized leakage-free component
     survives.
     """
-    c_i, _ = tha_coefficients(device.mu)
-    return _overlap(s1.index, s2.index, device, c_i)
+    return _overlap(s1.index, s2.index, device._source)
 
 
 def cross_basis_overlaps(device: DeviceModel) -> tuple[float, float, float, float]:
     """full_overlap of (0Z, 0X), (0Z, 1X), (1Z, 0X) and (1Z, 1X)."""
-    c_i, _ = tha_coefficients(device.mu)
-    return tuple(_overlap(z, x, device, c_i) for z in (0, 1) for x in (2, 3))
+    source = device._source
+    return tuple(_overlap(z, x, source) for z in (0, 1) for x in (2, 3))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,15 @@ VERTEX_RATE_JSON = """\
 """
 
 
+def _frontier_command(seed):
+    # The benchmark's crossover-frontier call: theta 1e-6 fixed, mu over 40
+    # log-uniform draws in [1e-9, 1e-7].
+    rng = random.Random(seed)
+    swept = sorted(10.0 ** rng.uniform(-9.0, -7.0) for _ in range(40))
+    return ("crossover --sweep-param mu --sweep-values " + ",".join(repr(v) for v in swept)
+            + " --theta 1e-06 --theta-mode dependent --compare-loss 20 --bisect-tol 1e-10")
+
+
 # sha256 of "<exit code>\n<stdout>" for CLI runs over both formats and
 # solvers, every estimator error the CLI reaches (collinear states, a
 # degenerate virtual state, no detections at eta = 0 and at a subnormal
@@ -210,6 +220,31 @@ GOLDEN_DIGESTS = [
     ("crossover-lt-failure-first", "crossover --sweep-param mu --sweep-values 1e-9 --compare-loss 3225.2 --pd 0",
      "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
      "numerical failure: no Z-basis detections; e_X is undefined\n"),
+    # Recorded before the crossover search evaluated its devices in batches.
+    ("crossover-frontier-seed-0", _frontier_command(0),
+     "84c0a6118926b085a66934e4a6d8dfeb7ea8d7df94b7c72224a097221bb2f89e",
+     None),
+    ("crossover-vertex-two-values", "crossover --sweep-param mu --sweep-values 1e-9,1e-7 --theta 1e-6 --solver vertex-lp",
+     "4a8743792716ceeeeee39189242da267b6f03ce4035f4cad7846cead187dcdea",
+     None),
+    ("crossover-theta-sweep", "crossover --sweep-param theta --sweep-values 1e-5,1e-4,1e-3 --mu 1e-9 --compare-loss 25",
+     "141a5a08b53919636f744bd2ad426c36fd0279c2db7a3d8faa31b91bff58c512",
+     None),
+    ("crossover-independent-no-crossover", "crossover --sweep-param mu --sweep-values 1e-9,1e-6,1e-3 --theta 1e-4 --theta-mode independent",
+     "a6b9713c5acf712a606a870016f1e2fcc8ec4be68a5fd0e88b0c326d239d5e05",
+     None),
+    ("crossover-collinear", "crossover --sweep-param theta --sweep-values 1.0,0.1",
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+     "numerical failure: the three encoding states are collinear; the yield system cannot be inverted\n"),
+    ("crossover-subnormal-no-crossover", "crossover --sweep-param mu --sweep-values 1e-9 --compare-loss 3200 --pd 0",
+     "368c8dfb1af5ad04e31e087e16f0376fca3e94575586368cf362911322c034f3",
+     None),
+    ("crossover-subnormal-entropy-abort", "crossover --sweep-param mu --sweep-values 1e-9,1e-3 --compare-loss 3203 --pd 0",
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+     "error: binary_entropy needs x in [0, 1], got -0.0009861932938856016\n"),
+    ("crossover-json", "crossover --sweep-param mu --sweep-values 1e-8,3e-8 --theta 1e-5 --format json",
+     "cb5d8efe4ba3d293bab36a0fc5e91b034cac35bf27ccf33b756c88a299875717",
+     None),
 ]
 
 def run_cli(capsys, *argv):
@@ -443,6 +478,32 @@ class TestRateCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["rate", "--loss", "20", "--method", "qq"])
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        from flawedqkd import cli
+
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        argv = ("rate", "--loss", "20", "--delta", "0.126")
+        first = run_cli(capsys, *argv)
+        # A rejected command line in between leaves the kept parser as it was.
+        with pytest.raises(SystemExit):
+            main(["rate", "--loss", "20", "--method", "qq"])
+        capsys.readouterr()
+        second = run_cli(capsys, *argv)
+        assert built == [1]
+        assert first == second
+        digest = hashlib.sha256(f"{first[0]}\n{first[1]}".encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[0][2]
 
 
 class TestSweepCommand:

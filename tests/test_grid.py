@@ -281,3 +281,89 @@ class TestErrorsPerPoint:
         prepared = prepare(DeviceModel(), ProtocolProbabilities())
         rates = evaluate_grid(prepared, np.array([1.0]), 1e-7, 1.16, ("lp",), PAPER_FAITHFUL)
         assert list(rates) == ["lp"]
+
+
+class TestDeviceAxis:
+    """A batch of devices gives each device exactly its own bits."""
+
+    DEVICES = [
+        DeviceModel(delta=0.05, theta_hat=1e-6, mu=1e-8),
+        DeviceModel(theta_hat=1.0),  # collinear: singular
+        DeviceModel(delta=0.2, theta_hat=2e-3, theta_mode="independent", mu=1e-5),
+        DeviceModel(delta=3.14159265),  # degenerate virtual state
+        DeviceModel(),
+    ]
+
+    @staticmethod
+    def arrays(prepared):
+        lt = prepared.lt
+        return {
+            "prefactor": prepared.prefactor, "alignment": prepared.alignment,
+            "tilt": prepared.tilt, "coin": prepared.coin, "coef": lt.coef, "inv": lt.inv,
+            "lam_min": lt.lam_min, "lam_max": lt.lam_max, "box_lower": lt.box_lower,
+            "box_upper": lt.box_upper, "virtual": lt.virtual, "corner": lt.corner,
+        }
+
+    @staticmethod
+    def failures(prepared):
+        return [(type(e), str(e)) if e is not None else None
+                for e in (*prepared.lt.singular, *prepared.lt.degenerate)]
+
+    @given(devices=st.lists(devices, min_size=1, max_size=6))
+    @settings(max_examples=40)
+    def test_prepare_rows_equal_single_devices(self, devices):
+        self.check_rows(devices)
+
+    def test_singular_and_degenerate_rows(self):
+        self.check_rows(self.DEVICES)
+
+    def check_rows(self, devices):
+        probs = ProtocolProbabilities(0.6, 0.7)
+        batch = prepare(devices, probs)
+        assert len(batch.tilt) == len(devices)
+        for i, device in enumerate(devices):
+            alone = prepare(device, probs)
+            for name, values in self.arrays(alone).items():
+                rows = self.arrays(batch)[name]
+                row = rows if name == "prefactor" else rows[i:i + 1]
+                assert row.shape == values.shape, name
+                assert row.tobytes() == values.tobytes(), name
+            both = batch.lt.singular[i], batch.lt.degenerate[i]
+            assert self.failures(alone) == [
+                (type(e), str(e)) if e is not None else None for e in both
+            ]
+
+    @given(
+        devices=st.lists(devices, min_size=1, max_size=8),
+        p_d=dark_counts,
+        solver=st.sampled_from(SOLVER_MODES),
+        data=st.data(),
+    )
+    @settings(max_examples=40)
+    def test_each_device_at_its_own_eta(self, devices, p_d, solver, data):
+        losses = data.draw(st.lists(st.floats(0.0, 120.0), min_size=len(devices),
+                                    max_size=len(devices)))
+        self.check_grid(devices, losses, p_d, solver)
+
+    @pytest.mark.parametrize("solver", SOLVER_MODES)
+    def test_failing_devices_fail_only_their_points(self, solver):
+        self.check_grid(self.DEVICES, [0.0, 20.0, 40.0, 10.0, 3000.0], 1e-7, solver)
+
+    def check_grid(self, devices, losses, p_d, solver):
+        probs = ProtocolProbabilities()
+        eta = np.array([system_efficiency(ChannelModel(loss)) for loss in losses])
+        batch = evaluate_grid(prepare(devices, probs), eta, p_d, 1.16, solver=solver)
+        for i, device in enumerate(devices):
+            alone = evaluate_grid(prepare(device, probs), eta[i:i + 1], p_d, 1.16, solver=solver)
+            for method, rates in batch.items():
+                error, single = rates.errors[i], alone[method].errors[0]
+                assert type(error) is type(single) and str(error) == str(single)
+                if error is None:
+                    assert rates.e_z[i] == alone[method].e_z[0]
+                    assert rates.e_x[i] == alone[method].e_x[0]
+                    assert rates.rate_raw[i] == alone[method].rate_raw[0]
+
+    def test_device_count_must_match_the_grid(self):
+        prepared = prepare(self.DEVICES[:2], ProtocolProbabilities())
+        with pytest.raises(ValueError, match="2 prepared devices do not match 3"):
+            evaluate_grid(prepared, np.array([1.0, 0.5, 0.1]), 1e-7, 1.16)
