@@ -4,17 +4,19 @@ dependencies, and Trojan-horse leakage.
 Two phase-error estimators share one device and channel model: a
 loss-tolerant analysis that inverts observed yields, and a quantum-coin
 analysis that compresses all flaws into a basis-dependence imbalance.
+
+Every number comes from one path: ``prepare`` computes what depends on the
+devices alone, and ``evaluate_grid`` carries an array of transmittances
+through both estimators.  ``key_rate_lt`` and ``key_rate_lp`` are one-point
+grids; ``run_sweep`` and ``find_crossover`` drive whole grids.  The stages
+the grid runs live in the ``channel``, ``lt_estimator`` and
+``lp_estimator`` modules.
 """
 
 from .channel import (
     ChannelModel,
     ProtocolProbabilities,
-    YieldTable,
-    actual_yields,
-    basis_detection_probability,
     binary_entropy,
-    bit_error_rate,
-    from_distance,
     system_efficiency,
     z_basis_yield,
 )
@@ -34,7 +36,6 @@ from .errors import (
     NoDetectionError,
     SingularSystemError,
 )
-from .finite_stats import AzumaBudget, azuma_deviation, count_interval
 from .grid import (
     GridRates,
     KeyRatePoint,
@@ -42,21 +43,10 @@ from .grid import (
     evaluate_grid,
     key_rate_lp,
     key_rate_lt,
-    phase_error_rate_lp,
-    phase_error_rate_lt,
     prepare,
 )
-from .lp_estimator import coin_imbalance, delta_prime, lp_phase_error_bound
-from .lt_estimator import (
-    PAPER_FAITHFUL,
-    SOLVER_MODES,
-    VERTEX_LP,
-    TransmissionRateBounds,
-    coefficient_matrix,
-    normalized_yields,
-    transmission_rate_bounds,
-    virtual_yield_upper,
-)
+from .lp_estimator import coin_imbalance
+from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES, VERTEX_LP
 from .qstates import (
     FOUR_SETTINGS,
     SETTING_0X,

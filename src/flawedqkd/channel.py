@@ -12,19 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
-
-from .errors import NoDetectionError
-from .qstates import (
-    SETTING_0X,
-    SETTING_0Z,
-    SETTING_1X,
-    SETTING_1Z,
-    DeviceModel,
-    Setting,
-)
 
 
 @dataclass(frozen=True)
@@ -44,21 +32,6 @@ class ChannelModel:
             raise ValueError(f"p_d must lie in [0, 1), got {self.p_d}")
         if not 1.0 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
-
-
-def from_distance(
-    distance_km: float,
-    alpha_db_per_km: float = 0.2,
-    receiver_loss_db: float = 0.0,
-    p_d: float = 1e-7,
-    f_ec: float = 1.16,
-) -> ChannelModel:
-    """Build a ChannelModel from fiber length, attenuation, and receiver loss."""
-    if distance_km < 0.0:
-        raise ValueError(f"distance_km must be nonnegative, got {distance_km}")
-    return ChannelModel(
-        loss_db=distance_km * alpha_db_per_km + receiver_loss_db, p_d=p_d, f_ec=f_ec
-    )
 
 
 @dataclass(frozen=True)
@@ -94,42 +67,6 @@ class ProtocolProbabilities:
     def p_xb(self) -> float:
         return 1.0 - self.p_zb
 
-    def sent_probability(self, setting: Setting) -> float:
-        """Probability that Alice prepares the given setting."""
-        if setting == SETTING_0Z:
-            return self.p_0z
-        if setting == SETTING_1Z:
-            return self.p_1z
-        if setting == SETTING_0X:
-            return self.p_0x
-        raise ValueError(f"setting {setting.label()} is never sent")
-
-
-@dataclass(frozen=True)
-class YieldTable:
-    """The ten observed joint probabilities Y[(outcome, sent)].
-
-    Keys pair Bob's declared outcome setting (bit and measurement basis)
-    with Alice's sent setting.
-    """
-
-    entries: dict[tuple[Setting, Setting], float]
-
-    def value(self, outcome: Setting, sent: Setting) -> float:
-        return self.entries[(outcome, sent)]
-
-    def items(self) -> Iterator[tuple[tuple[Setting, Setting], float]]:
-        return iter(self.entries.items())
-
-    def z_detection_sum(self) -> float:
-        """Total probability of a Z-basis detection on a Z-basis pulse."""
-        return (
-            self.entries[(SETTING_0Z, SETTING_0Z)]
-            + self.entries[(SETTING_1Z, SETTING_0Z)]
-            + self.entries[(SETTING_0Z, SETTING_1Z)]
-            + self.entries[(SETTING_1Z, SETTING_1Z)]
-        )
-
 
 def efficiency(loss_db: float) -> float:
     """Transmittance eta = 10^(-loss_db/10) of a loss in dB."""
@@ -141,16 +78,7 @@ def system_efficiency(channel: ChannelModel) -> float:
     return efficiency(channel.loss_db)
 
 
-# Each yield row: the sent pulse and Bob's two outcomes in the measured basis.
-_X_OUTCOMES = (SETTING_0X, SETTING_1X)
-_Z_OUTCOMES = (SETTING_0Z, SETTING_1Z)
-YIELD_ROWS = (
-    (SETTING_0Z, _X_OUTCOMES),
-    (SETTING_0Z, _Z_OUTCOMES),
-    (SETTING_1Z, _X_OUTCOMES),
-    (SETTING_1Z, _Z_OUTCOMES),
-    (SETTING_0X, _X_OUTCOMES),
-)
+# Yield rows, as (sent pulse, Bob's basis): 0Z X, 0Z Z, 1Z X, 1Z Z, 0X X.
 # The X-basis rows, one per sent setting in THREE_SETTINGS order, and the
 # Z-basis rows on the two Z pulses.
 X_ROWS = slice(0, 5, 2)
@@ -200,28 +128,6 @@ def detector_yields(prefactor: np.ndarray, c: np.ndarray, eta, p_d: float) -> np
     return prefactor * (dark + aligned + opposed)
 
 
-def actual_yields(
-    device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities
-) -> YieldTable:
-    """All ten yields observed in the three-state protocol.
-
-    Rows exist for both Bob bases on each Z pulse and for the X basis on
-    the 0X pulse.  Entries are joint probabilities including Alice's and
-    Bob's selection probabilities.
-    """
-    y_zero, y_one = detector_yields(
-        yield_prefactors(probs),
-        np.array([yield_alignments(device.delta)]),
-        system_efficiency(channel),
-        channel.p_d,
-    )[0].tolist()
-    entries: dict[tuple[Setting, Setting], float] = {}
-    for (sent, (zero, one)), y0, y1 in zip(YIELD_ROWS, y_zero, y_one):
-        entries[(zero, sent)] = y0
-        entries[(one, sent)] = y1
-    return YieldTable(entries)
-
-
 def detection_probability(eta, p_d):
     """Probability of a detection given any fixed basis pair, for a
     transmittance eta (a float or an array).
@@ -229,14 +135,6 @@ def detection_probability(eta, p_d):
     The symmetric channel makes this the same for both bases.
     """
     return 4.0 * (1.0 - eta / 2.0) * p_d + eta
-
-
-def basis_detection_probability(channel: ChannelModel) -> float:
-    """Probability of a detection given any fixed basis pair.
-
-    The symmetric channel makes this the same for both bases.
-    """
-    return detection_probability(system_efficiency(channel), channel.p_d)
 
 
 def error_tilt(delta: float) -> float:
@@ -251,21 +149,11 @@ def bit_errors(eta, p_d, tilt):
     return 2.0 * (1.0 - eta / 2.0) * p_d + eta / 2.0 + (eta / 4.0) * tilt * (p_d - 1.0)
 
 
-NO_DETECTIONS = "no detections: eta = 0 and p_d = 0"
-
-
-def bit_error_rate(device: DeviceModel, channel: ChannelModel) -> float:
-    """Z-basis bit error rate e_Z of the sifted key."""
-    eta = system_efficiency(channel)
-    denom = detection_probability(eta, channel.p_d)
-    if denom <= 0.0:
-        raise NoDetectionError(NO_DETECTIONS)
-    return bit_errors(eta, channel.p_d, error_tilt(device.delta)) / denom
-
-
 def z_basis_yield(channel: ChannelModel, probs: ProtocolProbabilities) -> float:
     """Probability that a pulse ends up in the sifted Z key."""
-    return probs.p_za * probs.p_zb * basis_detection_probability(channel)
+    return probs.p_za * probs.p_zb * detection_probability(
+        efficiency(channel.loss_db), channel.p_d
+    )
 
 
 def binary_entropy(x: float) -> float:

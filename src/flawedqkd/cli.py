@@ -1,5 +1,5 @@
-"""Command-line front end: single points, loss sweeps, crossover search,
-and concentration-bound arithmetic, with CSV or JSON output.
+"""Command-line front end: single points, loss sweeps and the crossover
+search, with CSV or JSON output.
 
 Output is deterministic: identical configuration produces byte-identical
 text, with numbers rendered at 10 significant digits and rows ordered by
@@ -28,7 +28,6 @@ from .engine import (
     run_sweep,
 )
 from .errors import EstimatorError
-from .finite_stats import AzumaBudget, azuma_deviation, count_interval
 from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
 from .qstates import DeviceModel
 
@@ -271,13 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     crossover.add_argument("--bisect-tol", type=float, default=None, help="delta tolerance")
     crossover.add_argument("--solver", choices=tuple(_SOLVER_FLAGS), default=None)
 
-    azuma = sub.add_parser("azuma", help="concentration interval for an observed count")
-    azuma.add_argument("--n-trials", type=int, required=True)
-    azuma.add_argument("--eps", type=float, required=True)
-    azuma.add_argument("--eps-hat", type=float, required=True)
-    azuma.add_argument("--observed", type=float, required=True)
-    azuma.add_argument("--format", choices=_FORMATS, default="csv")
-
     return parser
 
 
@@ -365,26 +357,6 @@ def _run_crossover(args: argparse.Namespace, cfg: dict[str, Any], fmt: str) -> s
     return crossover_json(records, config.compare_loss_db)
 
 
-def _run_azuma(args: argparse.Namespace) -> str:
-    budget = AzumaBudget(args.n_trials, args.eps, args.eps_hat)
-    low, high = count_interval(args.observed, budget)
-    values = {
-        "n_trials": budget.n_trials,
-        "observed": args.observed,
-        "epsilon": budget.epsilon,
-        "epsilon_hat": budget.epsilon_hat,
-        "f_eps": azuma_deviation(budget.n_trials, budget.epsilon),
-        "f_eps_hat": azuma_deviation(budget.n_trials, budget.epsilon_hat),
-        "low": low,
-        "high": high,
-    }
-    if args.format == "csv":
-        return ",".join(values) + "\n" + ",".join(_fmt(v) for v in values.values()) + "\n"
-    # The trial count stays an integer in JSON.
-    payload = {k: v if k == "n_trials" else _num(v) for k, v in values.items()}
-    return json.dumps(payload, indent=2) + "\n"
-
-
 _HANDLERS = {"rate": _run_rate, "sweep": _run_sweep, "crossover": _run_crossover}
 
 # Built by the first main call and kept for the rest of the process.
@@ -397,12 +369,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if args.command == "azuma":
-            output = _run_azuma(args)
-        else:
-            cfg = _load_config_file(args.config) if args.config else {}
-            fmt = _pick(args.format, _cfg(cfg, "format"), "csv")
-            output = _HANDLERS[args.command](args, cfg, fmt)
+        cfg = _load_config_file(args.config) if args.config else {}
+        fmt = _pick(args.format, _cfg(cfg, "format"), "csv")
+        output = _HANDLERS[args.command](args, cfg, fmt)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

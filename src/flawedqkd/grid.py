@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (
-    NO_DETECTIONS,
     X_ROWS,
     Z_ROWS,
     ChannelModel,
@@ -250,7 +249,7 @@ def evaluate_grid(
         y_det = detection_probability(eta, p_d)
         e_z = bit_errors(eta, p_d, prepared.tilt) / y_det
         undetected = y_det <= 0.0
-        no_detection = NoDetectionError(NO_DETECTIONS)
+        no_detection = NoDetectionError("no detections: eta = 0 and p_d = 0")
         errors = [no_detection if bad else None for bad in undetected.tolist()]
         # Each stage: e_x, the failure of each point, and the points whose
         # input the method rejects as out of range.
@@ -309,27 +308,8 @@ def key_rate_lt(
     return _point(prepare(device, probs), channel, "lt", mode)
 
 
-def phase_error_rate_lt(
-    device: DeviceModel,
-    channel: ChannelModel,
-    probs: ProtocolProbabilities,
-    mode: str = PAPER_FAITHFUL,
-) -> float:
-    """Worst-case phase error rate of the sifted Z key."""
-    return key_rate_lt(device, channel, probs, mode).e_x
-
-
 def key_rate_lp(
     device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities
 ) -> KeyRatePoint:
     """Secure key rate per emitted pulse under the quantum-coin analysis."""
     return _point(prepare(device, probs), channel, "lp", PAPER_FAITHFUL)
-
-
-def phase_error_rate_lp(device: DeviceModel, channel: ChannelModel) -> float:
-    """Worst-case phase error rate under the quantum-coin analysis.
-
-    An imbalance whose loss enhancement exceeds 1/2 gives Eve full control
-    of the coin, so the bound degenerates to 1.
-    """
-    return key_rate_lp(device, channel, ProtocolProbabilities()).e_x

@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from .channel import ChannelModel, basis_detection_probability
-from .errors import NoDetectionError
 from .qstates import DeviceModel, cross_basis_overlaps
 
 
@@ -35,17 +33,6 @@ def coin_imbalance(device: DeviceModel) -> float:
     return min(max(delta, 0.0), 0.5)
 
 
-def delta_prime(delta_coin: float, channel: ChannelModel) -> float:
-    """Loss-enhanced imbalance Delta' = Delta / detection probability,
-    capped at 1/2."""
-    if delta_coin < 0.0:
-        raise ValueError(f"delta_coin must be nonnegative, got {delta_coin}")
-    y_det = basis_detection_probability(channel)
-    if y_det <= 0.0:
-        raise NoDetectionError("no detections: Delta' is undefined")
-    return min(delta_coin / y_det, 0.5)
-
-
 def coin_phase_errors(e_z, enhanced):
     """Phase-error bounds for bit error rates e_z in [0, 1/2] and
     loss-enhanced imbalances (arrays of one shape).
@@ -63,13 +50,3 @@ def coin_phase_errors(e_z, enhanced):
         + 4.0 * (1.0 - 2.0 * d) * np.sqrt(d * d_rest * e_z * e_rest)
     )
     return np.where(runaway, 1.0, np.minimum(e_x, 1.0))
-
-
-def lp_phase_error_bound(e_z: float, d_prime: float) -> float:
-    """Phase-error bound from the bit error rate and the loss-enhanced
-    imbalance, capped at 1."""
-    if not 0.0 <= e_z <= 0.5:
-        raise ValueError(f"e_z must lie in [0, 1/2], got {e_z}")
-    if not 0.0 <= d_prime <= 0.5:
-        raise ValueError(f"delta_prime must lie in [0, 1/2], got {d_prime}")
-    return float(coin_phase_errors(e_z, d_prime))

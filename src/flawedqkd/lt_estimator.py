@@ -22,16 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import X_ROWS, ProtocolProbabilities, YieldTable, yield_prefactors
-from .errors import DegenerateStateError, InfeasibleStatisticsError, SingularSystemError
-from .qstates import (
-    SETTING_0X,
-    SETTING_1X,
-    THREE_SETTINGS,
-    DeviceModel,
-    sent_terms,
-    virtual_terms,
-)
+from .errors import DegenerateStateError, SingularSystemError
+from .qstates import DeviceModel, sent_terms, virtual_terms
 
 PAPER_FAITHFUL = "paper_faithful"
 VERTEX_LP = "vertex_lp"
@@ -50,21 +42,6 @@ _TRIPLES = np.array(list(itertools.combinations(range(16), 3)), dtype=np.intp)
 _PHYSICAL_A = np.array([(1, 0, 0), (-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0), (1, -1, 0),
                         (-1, 0, 1), (1, 0, 1), (-1, 0, -1), (1, 0, -1)], dtype=float)
 _PHYSICAL_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-
-
-@dataclass(frozen=True)
-class TransmissionRateBounds:
-    """Componentwise bounds on (q_Id, q_x, q_z) for one Bob outcome.
-
-    In vertex_lp mode the witness fields hold, for each coordinate, a
-    feasible vertex attaining the bound; paper_faithful mode leaves them
-    None because its box corners need not be feasible points.
-    """
-
-    lower: tuple[float, float, float]
-    upper: tuple[float, float, float]
-    witness_lower: tuple[tuple[float, float, float], ...] | None = None
-    witness_upper: tuple[tuple[float, float, float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -94,12 +71,6 @@ class LtTerms:
     corner: np.ndarray
     singular: tuple[SingularSystemError | None, ...]
     degenerate: tuple[DegenerateStateError | None, ...]
-
-
-def _virtual_bound_terms(j: int, device: DeviceModel) -> tuple[float, float, float, float]:
-    # qubit_weight, lambda_max, px and pz of bit j's virtual state.
-    weight, _, _, lam_max, _, px, pz = virtual_terms(j, device)
-    return weight, lam_max, px, pz
 
 
 # Stand-ins for a degenerate device's virtual terms and corners.
@@ -133,13 +104,15 @@ def lt_terms(devices: Sequence[DeviceModel]) -> LtTerms:
     virtual, corner, degenerate = [], [], []
     for device in devices:
         try:
-            # Outcome s pairs with the virtual state of bit 1 - s.
-            terms = [_virtual_bound_terms(j, device) for j in (1, 0)]
+            # Outcome s pairs with the virtual state of bit 1 - s; keep the
+            # qubit weight, lambda_max, px and pz of each.
+            terms = [virtual_terms(j, device) for j in (1, 0)]
         except DegenerateStateError as exc:
             virtual.append(_NO_VIRTUAL)
             corner.append(_NO_CORNER)
             degenerate.append(exc)
             continue
+        terms = [(weight, lam_max, px, pz) for weight, _, _, lam_max, _, px, pz in terms]
         virtual.append(tuple(zip(*terms)))
         corner.append(tuple(upper_corner(px, pz) for _, _, px, pz in terms))
         degenerate.append(None)
@@ -147,32 +120,6 @@ def lt_terms(devices: Sequence[DeviceModel]) -> LtTerms:
         coef, inv, lam_min, lam_max, box_lower, box_upper, np.array(virtual), np.array(corner),
         singular, tuple(degenerate),
     )
-
-
-def coefficient_matrix(device: DeviceModel) -> np.ndarray:
-    """3x3 matrix whose k-th column is E_k * (1, px_k, pz_k) for the three
-    sent settings.
-
-    Inverting it converts normalized yields into transmission rates; it is
-    singular exactly when the three states stop spanning a triangle on the
-    Bloch sphere.
-    """
-    terms = lt_terms([device])
-    if terms.singular[0] is not None:
-        raise terms.singular[0]
-    return terms.coef[0]
-
-
-def normalized_yields(
-    s: int, yields: YieldTable, probs: ProtocolProbabilities
-) -> np.ndarray:
-    """X-basis yields for outcome bit s, one per sent setting, divided by
-    the probability of preparing that setting and of Bob choosing X."""
-    if s not in (0, 1):
-        raise ValueError(f"s must be 0 or 1, got {s}")
-    outcome = (SETTING_0X, SETTING_1X)[s]
-    observed = np.array([yields.value(outcome, sent) for sent in THREE_SETTINGS])
-    return observed / yield_prefactors(probs)[X_ROWS]
 
 
 def interval_box(ytil: np.ndarray, terms: LtTerms) -> tuple[np.ndarray, np.ndarray]:
@@ -238,41 +185,6 @@ def vertex_box(
     return verts[lo_idx, np.arange(3)], verts[hi_idx, np.arange(3)], verts[lo_idx], verts[hi_idx]
 
 
-def transmission_rate_bounds(
-    s: int,
-    yields: YieldTable,
-    device: DeviceModel,
-    probs: ProtocolProbabilities,
-    mode: str = PAPER_FAITHFUL,
-) -> TransmissionRateBounds:
-    """Bound (q_Id, q_x, q_z) for Bob outcome s from the observed yields."""
-    if mode not in SOLVER_MODES:
-        raise ValueError(f"mode must be one of {SOLVER_MODES}, got {mode!r}")
-    terms = lt_terms([device])
-    if terms.singular[0] is not None:
-        raise terms.singular[0]
-    ytil = normalized_yields(s, yields, probs)
-
-    if mode == PAPER_FAITHFUL:
-        lower, upper = (corner[0, 0] for corner in interval_box(ytil[None, None], terms))
-        if unphysical(lower, upper):
-            raise InfeasibleStatisticsError(INFEASIBLE)
-        return TransmissionRateBounds(tuple(lower), tuple(upper))
-
-    rows = halfspace_rows(terms.coef[0])
-    rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-    box = vertex_box(rows, triple_systems(rows), rhs)
-    if box is None:
-        raise InfeasibleStatisticsError(INFEASIBLE)
-    lower, upper, wit_lo, wit_hi = box
-    return TransmissionRateBounds(
-        tuple(lower),
-        tuple(upper),
-        witness_lower=tuple(tuple(v) for v in wit_lo),
-        witness_upper=tuple(tuple(v) for v in wit_hi),
-    )
-
-
 def upper_corner(px: float, pz: float) -> tuple[bool, bool, bool]:
     """Which end of each box coordinate maximizes a virtual yield: the
     qubit weight is nonnegative, so q_Id takes its upper end and q_x, q_z
@@ -292,21 +204,3 @@ def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):
     val = best[..., 0] + px * best[..., 1] + pz * best[..., 2]
     y = p_zz * (weight * val + lam_max)
     return np.where(0.0 > y, 0.0, y)
-
-
-def virtual_yield_upper(
-    s: int,
-    j: int,
-    bounds: TransmissionRateBounds,
-    device: DeviceModel,
-    probs: ProtocolProbabilities,
-) -> float:
-    """Upper bound on the virtual yield: bit j's virtual state measured in
-    X, Bob declaring outcome s."""
-    if s not in (0, 1):
-        raise ValueError(f"s must be 0 or 1, got {s}")
-    weight, lam_max, px, pz = _virtual_bound_terms(j, device)
-    lower, upper = np.array(bounds.lower), np.array(bounds.upper)
-    corner = np.array(upper_corner(px, pz))
-    p_zz = probs.p_za * probs.p_zb
-    return float(virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz))

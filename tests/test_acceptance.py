@@ -24,27 +24,29 @@ from flawedqkd import (
     DeviceModel,
     ProtocolProbabilities,
     actual_decomposition,
-    actual_yields,
-    azuma_deviation,
     binary_entropy,
-    bit_error_rate,
-    coefficient_matrix,
-    count_interval,
-    AzumaBudget,
     CrossoverConfig,
-    Setting,
     SweepConfig,
     find_crossover,
     key_rate_lp,
     key_rate_lt,
-    lp_phase_error_bound,
-    normalized_yields,
-    phase_error_rate_lt,
+    prepare,
     run_sweep,
-    transmission_rate_bounds,
+    system_efficiency,
     virtual_decomposition,
     z_basis_yield,
 )
+from flawedqkd.channel import (
+    X_ROWS,
+    bit_errors,
+    detection_probability,
+    detector_yields,
+    error_tilt,
+    yield_alignments,
+    yield_prefactors,
+)
+from flawedqkd.lp_estimator import coin_phase_errors
+from flawedqkd.lt_estimator import halfspace_rhs, halfspace_rows, triple_systems, vertex_box
 from conftest import random_devices
 
 PROBS = ProtocolProbabilities()
@@ -234,16 +236,14 @@ def explicit_state_lt(device, loss_db):
     splits = [explicit_qubit_split(states[k]) for k in THREE_SETTINGS]
     weights = np.array([w for w, _, _ in splits])
     lam = np.array([[lo, hi] for _, lo, hi in splits])
-    yields = actual_yields(device, channel, PROBS)
+    eta = system_efficiency(channel)
+    prefactor = yield_prefactors(PROBS)
+    alignment = np.array([yield_alignments(device.delta)])
+    yields = detector_yields(prefactor, alignment, eta, channel.p_d)[0]
     corners = list(itertools.product((0, 1), repeat=3))
     num = 0.0
     for s, j in ((0, 1), (1, 0)):
-        ytil = np.array(
-            [
-                yields.value(Setting(s, "X"), k) / (PROBS.sent_probability(k) * PROBS.p_xb)
-                for k in THREE_SETTINGS
-            ]
-        )
+        ytil = yields[s, X_ROWS] / prefactor[X_ROWS]
         qs = np.array(
             [np.linalg.solve(weights, ytil - lam[np.arange(3), c]) for c in corners]
         )
@@ -252,8 +252,12 @@ def explicit_state_lt(device, loss_db):
         w_virtual, _, lam_max = explicit_qubit_split(virtual)
         best = max(w_virtual @ q_box[c, np.arange(3)] for c in corners)
         num += max(PROBS.p_za * PROBS.p_zb * (best + lam_max), 0.0)
-    e_x = min(num / yields.z_detection_sum(), 1.0)
-    e_z = bit_error_rate(device, channel)
+    # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
+    z_sum = yields[0, 1] + yields[1, 1] + yields[0, 3] + yields[1, 3]
+    e_x = min(num / z_sum, 1.0)
+    e_z = bit_errors(eta, channel.p_d, error_tilt(device.delta)) / detection_probability(
+        eta, channel.p_d
+    )
     rate_raw = z_basis_yield(channel, PROBS) * (
         1.0 - binary_entropy(min(e_x, 0.5)) - channel.f_ec * binary_entropy(min(e_z, 0.5))
     )
@@ -351,8 +355,8 @@ class TestSolverAgreement:
             for loss in np.linspace(0.0, 45.0, 10):
                 device = DeviceModel(delta=float(delta))
                 channel = ChannelModel(float(loss))
-                e_box = phase_error_rate_lt(device, channel, PROBS, PAPER_FAITHFUL)
-                e_lp = phase_error_rate_lt(device, channel, PROBS, VERTEX_LP)
+                e_box = key_rate_lt(device, channel, PROBS, PAPER_FAITHFUL).e_x
+                e_lp = key_rate_lt(device, channel, PROBS, VERTEX_LP).e_x
                 assert abs(e_box - e_lp) <= 1e-9
 
     def test_vertex_witnesses_satisfy_every_constraint(self):
@@ -361,15 +365,23 @@ class TestSolverAgreement:
         tol = 1e-9
         for device in devices:
             channel = ChannelModel(float(rng.uniform(0.0, 30.0)))
-            yields = actual_yields(device, channel, PROBS)
-            coef = coefficient_matrix(device)
+            prepared = prepare(device, PROBS)
+            yields = detector_yields(
+                prepared.prefactor, prepared.alignment, system_efficiency(channel), channel.p_d
+            )[0]
+            ytil = yields[:, X_ROWS] / prepared.prefactor[X_ROWS]
+            coef = prepared.lt.coef[0]
+            rows = halfspace_rows(coef)
+            systems = triple_systems(rows)
             decs = [actual_decomposition(s, device) for s in THREE_SETTINGS]
             for s in (0, 1):
-                bounds = transmission_rate_bounds(s, yields, device, PROBS, VERTEX_LP)
-                ytil = normalized_yields(s, yields, PROBS)
-                for q in bounds.witness_lower + bounds.witness_upper:
+                rhs = halfspace_rhs(ytil[s], prepared.lt.lam_min[0], prepared.lt.lam_max[0])
+                box = vertex_box(rows, systems, rhs)
+                assert box is not None
+                _, _, witness_lower, witness_upper = box
+                for q in (*witness_lower, *witness_upper):
                     for k in range(3):
-                        resid = ytil[k] - float(coef[:, k] @ np.asarray(q))
+                        resid = ytil[s, k] - float(coef[:, k] @ q)
                         assert decs[k].lambda_min - tol <= resid <= decs[k].lambda_max + tol
                     q_id, q_x, q_z = q
                     assert -tol <= q_id <= 1.0 + tol
@@ -400,7 +412,7 @@ class TestStructuralInvariants:
             for k in range(21):
                 e_z = 0.5 * i / 20
                 d_prime = 0.5 * k / 20
-                assert lp_phase_error_bound(e_z, d_prime) >= e_z - 1e-12
+                assert coin_phase_errors(e_z, d_prime) >= e_z - 1e-12
 
     def test_entropy_symmetry_and_concavity(self):
         xs = [i / 40 for i in range(41)]
@@ -410,22 +422,6 @@ class TestStructuralInvariants:
             for b in xs:
                 mid = binary_entropy((a + b) / 2)
                 assert mid >= (binary_entropy(a) + binary_entropy(b)) / 2 - 1e-12
-
-    def test_concentration_interval_covers_the_mean(self):
-        # 10^4 simulated experiments; the two-sided 1e-3 + 1e-3 budget must
-        # cover the true mean in essentially all of them
-        rng = np.random.default_rng(20260819)
-        n, p = 1000, 0.3
-        budget = AzumaBudget(n, 1e-3, 1e-3)
-        observations = rng.binomial(n, p, size=10_000)
-        covered = 0
-        for obs in observations:
-            low, high = count_interval(float(obs), budget)
-            covered += low <= n * p <= high
-        assert covered / 10_000 >= 0.998
-
-    def test_deviation_function_pinned(self):
-        assert azuma_deviation(1e6, 1e-10) == pytest.approx(6786.1404244151, abs=1e-7)
 
 
 class TestCrossoverFrontier:

@@ -1,25 +1,27 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flawedqkd import (
-    SETTING_0X,
-    SETTING_0Z,
-    SETTING_1X,
-    SETTING_1Z,
     ChannelModel,
     DeviceModel,
     NoDetectionError,
     ProtocolProbabilities,
-    actual_yields,
-    basis_detection_probability,
     binary_entropy,
-    bit_error_rate,
-    from_distance,
+    evaluate_grid,
+    prepare,
     system_efficiency,
     z_basis_yield,
+)
+from flawedqkd.channel import (
+    detection_probability,
+    detector_yields,
+    efficiency,
+    yield_alignments,
+    yield_prefactors,
 )
 
 channels = st.builds(
@@ -73,18 +75,22 @@ def reference_yields(delta, eta, p_d, probs):
     }
 
 
+# Where each (outcome, sent) yield sits in the (outcome, row) array of
+# detector_yields.
+ENTRIES = {
+    ("0X", "0Z"): (0, 0), ("1X", "0Z"): (1, 0),
+    ("0Z", "0Z"): (0, 1), ("1Z", "0Z"): (1, 1),
+    ("0X", "1Z"): (0, 2), ("1X", "1Z"): (1, 2),
+    ("0Z", "1Z"): (0, 3), ("1Z", "1Z"): (1, 3),
+    ("0X", "0X"): (0, 4), ("1X", "0X"): (1, 4),
+}
+
+
 class TestChannelModel:
     def test_efficiency(self):
         assert system_efficiency(ChannelModel(0.0)) == 1.0
         assert system_efficiency(ChannelModel(20.0)) == pytest.approx(0.01, rel=1e-12)
         assert system_efficiency(ChannelModel(3.0)) == pytest.approx(0.501187233627, rel=1e-10)
-
-    def test_from_distance(self):
-        assert from_distance(50.0).loss_db == pytest.approx(10.0)
-        assert from_distance(50.0, receiver_loss_db=3.0).loss_db == pytest.approx(13.0)
-        ch = from_distance(10.0, alpha_db_per_km=0.5, p_d=1e-6)
-        assert ch.loss_db == pytest.approx(5.0)
-        assert ch.p_d == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -98,10 +104,6 @@ class TestChannelModel:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ChannelModel(**kwargs)
-
-    def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            from_distance(-1.0)
 
 
 @pytest.mark.parametrize(
@@ -125,11 +127,6 @@ class TestProtocolProbabilities:
         assert probs.p_1z == 0.25
         assert probs.p_0x == 0.5
         assert probs.p_xb == 0.5
-        assert probs.sent_probability(SETTING_0X) == 0.5
-
-    def test_never_sends_1x(self, probs):
-        with pytest.raises(ValueError):
-            probs.sent_probability(SETTING_1X)
 
     @pytest.mark.parametrize("kwargs", [{"p_za": 0.0}, {"p_za": 1.0}, {"p_zb": -0.2}, {"p_zb": 1.3}])
     def test_rejects_degenerate_choices(self, kwargs):
@@ -140,65 +137,87 @@ class TestProtocolProbabilities:
 class TestActualYields:
     @given(deltas, channels, prob_choices)
     def test_matches_reference_transcription(self, delta, channel, probs):
-        table = actual_yields(DeviceModel(delta=delta), channel, probs)
-        ref = reference_yields(delta, system_efficiency(channel), channel.p_d, probs)
-        by_label = {SETTING_0Z: "0Z", SETTING_1Z: "1Z", SETTING_0X: "0X", SETTING_1X: "1X"}
-        for (outcome, sent), value in table.items():
-            expected = ref[(by_label[outcome], by_label[sent])]
-            assert value == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        eta = system_efficiency(channel)
+        y = detector_yields(
+            yield_prefactors(probs), np.array([yield_alignments(delta)]), eta, channel.p_d
+        )[0]
+        ref = reference_yields(delta, eta, channel.p_d, probs)
+        for key, index in ENTRIES.items():
+            assert y[index] == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
 
     def test_pinned_values(self, probs):
         # frozen at delta = 0.126, loss 20 dB, p_d = 1e-7
-        table = actual_yields(DeviceModel(delta=0.126), ChannelModel(20.0), probs)
+        y = detector_yields(
+            yield_prefactors(probs), np.array([yield_alignments(0.126)]), efficiency(20.0), 1e-7
+        )[0]
         expected = {
-            (SETTING_0X, SETTING_0X): 0.00124507012326,
-            (SETTING_0X, SETTING_0Z): 0.000332186914836,
-            (SETTING_0X, SETTING_1Z): 0.000253800944473,
-            (SETTING_0Z, SETTING_0Z): 0.000622535061628,
-            (SETTING_0Z, SETTING_1Z): 9.88256891992e-06,
-            (SETTING_1X, SETTING_0X): 4.97962674332e-06,
-            (SETTING_1X, SETTING_0Z): 0.000292837960164,
-            (SETTING_1X, SETTING_1Z): 0.000371223930527,
-            (SETTING_1Z, SETTING_0Z): 2.48981337166e-06,
-            (SETTING_1Z, SETTING_1Z): 0.00061514230608,
+            ("0X", "0X"): 0.00124507012326,
+            ("0X", "0Z"): 0.000332186914836,
+            ("0X", "1Z"): 0.000253800944473,
+            ("0Z", "0Z"): 0.000622535061628,
+            ("0Z", "1Z"): 9.88256891992e-06,
+            ("1X", "0X"): 4.97962674332e-06,
+            ("1X", "0Z"): 0.000292837960164,
+            ("1X", "1Z"): 0.000371223930527,
+            ("1Z", "0Z"): 2.48981337166e-06,
+            ("1Z", "1Z"): 0.00061514230608,
         }
         for key, value in expected.items():
-            assert table.value(*key) == pytest.approx(value, rel=1e-10)
+            assert y[ENTRIES[key]] == pytest.approx(value, rel=1e-10)
 
     def test_ideal_lossless_dark_free(self, probs):
-        table = actual_yields(DeviceModel(), ChannelModel(20.0, p_d=0.0), probs)
+        y = detector_yields(
+            yield_prefactors(probs), np.array([yield_alignments(0.0)]), efficiency(20.0), 0.0
+        )[0]
         eta = 0.01
-        assert table.value(SETTING_0Z, SETTING_0Z) == pytest.approx(eta / 16, rel=1e-12)
-        assert table.value(SETTING_1Z, SETTING_0Z) == 0.0
+        assert y[ENTRIES["0Z", "0Z"]] == pytest.approx(eta / 16, rel=1e-12)
+        assert y[ENTRIES["1Z", "0Z"]] == 0.0
 
     def test_untilted_x_outcomes_are_even(self, probs):
-        table = actual_yields(DeviceModel(), ChannelModel(7.0, p_d=1e-6), probs)
-        assert table.value(SETTING_0X, SETTING_0Z) == pytest.approx(
-            table.value(SETTING_1X, SETTING_0Z), rel=1e-14
-        )
+        y = detector_yields(
+            yield_prefactors(probs), np.array([yield_alignments(0.0)]), efficiency(7.0), 1e-6
+        )[0]
+        assert y[ENTRIES["0X", "0Z"]] == pytest.approx(y[ENTRIES["1X", "0Z"]], rel=1e-14)
 
     @given(deltas, channels, prob_choices)
     def test_yields_are_probabilities(self, delta, channel, probs):
-        table = actual_yields(DeviceModel(delta=delta), channel, probs)
-        for (outcome, sent), value in table.items():
-            assert value >= 0.0
-            cap = probs.sent_probability(sent) * (
-                probs.p_zb if outcome.basis == "Z" else probs.p_xb
-            )
-            assert value <= cap + 1e-15
+        y = detector_yields(
+            yield_prefactors(probs),
+            np.array([yield_alignments(delta)]),
+            system_efficiency(channel),
+            channel.p_d,
+        )[0]
+        # Alice's probability of the row's pulse times Bob's of its basis.
+        caps = (
+            probs.p_0z * probs.p_xb,
+            probs.p_0z * probs.p_zb,
+            probs.p_1z * probs.p_xb,
+            probs.p_1z * probs.p_zb,
+            probs.p_0x * probs.p_xb,
+        )
+        for outcome in (0, 1):
+            for row, cap in enumerate(caps):
+                assert y[outcome, row] >= 0.0
+                assert y[outcome, row] <= cap + 1e-15
 
     @given(deltas, channels, prob_choices)
     def test_z_detection_sum_is_half_the_sifted_yield(self, delta, channel, probs):
         # summing the four Z-basis entries loses one factor of two relative
         # to the closed form because each sent bit splits p_za
-        table = actual_yields(DeviceModel(delta=delta), channel, probs)
-        assert 2.0 * table.z_detection_sum() == pytest.approx(
-            z_basis_yield(channel, probs), rel=1e-12, abs=1e-300
-        )
+        y = detector_yields(
+            yield_prefactors(probs),
+            np.array([yield_alignments(delta)]),
+            system_efficiency(channel),
+            channel.p_d,
+        )[0]
+        z_sum = y[0, 1] + y[1, 1] + y[0, 3] + y[1, 3]
+        assert 2.0 * z_sum == pytest.approx(z_basis_yield(channel, probs), rel=1e-12, abs=1e-300)
 
     def test_z_detection_sum_pinned(self, probs):
-        table = actual_yields(DeviceModel(delta=0.126), ChannelModel(20.0), probs)
-        assert table.z_detection_sum() == pytest.approx(0.00125004975, rel=1e-10)
+        y = detector_yields(
+            yield_prefactors(probs), np.array([yield_alignments(0.126)]), efficiency(20.0), 1e-7
+        )[0]
+        assert y[0, 1] + y[1, 1] + y[0, 3] + y[1, 3] == pytest.approx(0.00125004975, rel=1e-10)
         assert z_basis_yield(ChannelModel(20.0), probs) == pytest.approx(
             0.0025000995, rel=1e-10
         )
@@ -207,78 +226,86 @@ class TestActualYields:
     def test_detection_probability_is_basis_and_tilt_blind(self, delta, channel, probs):
         # conditioned on any sent state and any Bob basis, the total
         # detection probability collapses to the same tilt-free number
-        table = actual_yields(DeviceModel(delta=delta), channel, probs)
         eta = system_efficiency(channel)
+        y = detector_yields(
+            yield_prefactors(probs), np.array([yield_alignments(delta)]), eta, channel.p_d
+        )[0]
         expected = 2.0 * (1.0 - eta / 2.0) * channel.p_d + eta / 2.0
-        for sent in (SETTING_0Z, SETTING_1Z):
-            x_sum = table.value(SETTING_0X, sent) + table.value(SETTING_1X, sent)
-            z_sum = table.value(SETTING_0Z, sent) + table.value(SETTING_1Z, sent)
-            p = probs.sent_probability(sent)
+        # The X and the Z row of each Z pulse, with Alice's probability of it.
+        for x_row, z_row, p in ((0, 1, probs.p_0z), (2, 3, probs.p_1z)):
+            x_sum = y[0, x_row] + y[1, x_row]
+            z_sum = y[0, z_row] + y[1, z_row]
             assert x_sum / (p * probs.p_xb) == pytest.approx(expected, rel=1e-11, abs=1e-300)
             assert z_sum / (p * probs.p_zb) == pytest.approx(expected, rel=1e-11, abs=1e-300)
 
     def test_detection_probability_pinned(self, probs):
-        channel = ChannelModel(13.0, p_d=3e-6)
+        eta = efficiency(13.0)
         for delta in (0.0, 0.126, 0.7):
-            table = actual_yields(DeviceModel(delta=delta), channel, probs)
-            x_sum = table.value(SETTING_0X, SETTING_0Z) + table.value(SETTING_1X, SETTING_0Z)
+            y = detector_yields(
+                yield_prefactors(probs), np.array([yield_alignments(delta)]), eta, 3e-6
+            )[0]
+            x_sum = y[ENTRIES["0X", "0Z"]] + y[ENTRIES["1X", "0Z"]]
             assert x_sum / (0.25 * 0.5) == pytest.approx(0.0250652113252, rel=1e-10)
 
 
 class TestBitErrorRate:
-    def test_pinned_values(self):
-        assert bit_error_rate(
-            DeviceModel(delta=0.126), ChannelModel(20.0, p_d=0.0)
-        ) == pytest.approx(0.0098779568210648, abs=1e-13)
-        assert bit_error_rate(DeviceModel(delta=0.126), ChannelModel(20.0)) == pytest.approx(
+    def test_pinned_values(self, probs):
+        tilted = prepare(DeviceModel(delta=0.126), probs)
+        plain = prepare(DeviceModel(), probs)
+        at_20db = np.array([efficiency(20.0)])
+        assert evaluate_grid(tilted, at_20db, 0.0, 1.16, ("lp",))["lp"].e_z[0] == pytest.approx(
+            0.0098779568210648, abs=1e-13
+        )
+        assert evaluate_grid(tilted, at_20db, 1e-7, 1.16, ("lp",))["lp"].e_z[0] == pytest.approx(
             0.00989751191229, rel=1e-10
         )
-        assert bit_error_rate(DeviceModel(), ChannelModel(20.0)) == pytest.approx(
-            1.99492060216e-05, rel=1e-10
-        )
-        assert bit_error_rate(DeviceModel(), ChannelModel(40.0)) == pytest.approx(
-            0.00199198246852, rel=1e-10
-        )
+        e_z = evaluate_grid(plain, np.array([efficiency(20.0), efficiency(40.0)]), 1e-7, 1.16,
+                            ("lp",))["lp"].e_z
+        assert e_z[0] == pytest.approx(1.99492060216e-05, rel=1e-10)
+        assert e_z[1] == pytest.approx(0.00199198246852, rel=1e-10)
 
-    def test_dark_count_dominated_limit(self):
+    def test_dark_count_dominated_limit(self, probs):
         # at extreme loss the dark counts randomize the key toward 1/2
-        e = bit_error_rate(DeviceModel(delta=0.126), ChannelModel(80.0))
+        prepared = prepare(DeviceModel(delta=0.126), probs)
+        e = evaluate_grid(prepared, np.array([efficiency(80.0)]), 1e-7, 1.16, ("lp",))["lp"].e_z[0]
         assert e == pytest.approx(0.488045804962, rel=1e-10)
         assert e < 0.5
 
-    def test_ideal_is_error_free(self):
-        assert bit_error_rate(DeviceModel(), ChannelModel(0.0, p_d=0.0)) == 0.0
+    def test_ideal_is_error_free(self, probs):
+        rates = evaluate_grid(prepare(DeviceModel(), probs), np.array([1.0]), 0.0, 1.16, ("lp",))
+        assert rates["lp"].e_z[0] == 0.0
 
-    def test_grows_with_loss(self):
-        device = DeviceModel(delta=0.126)
-        rates = [bit_error_rate(device, ChannelModel(l)) for l in range(0, 71, 5)]
+    def test_grows_with_loss(self, probs):
+        eta = np.array([efficiency(l) for l in range(0, 71, 5)])
+        prepared = prepare(DeviceModel(delta=0.126), probs)
+        rates = evaluate_grid(prepared, eta, 1e-7, 1.16, ("lp",))["lp"].e_z.tolist()
         assert all(a <= b + 1e-15 for a, b in zip(rates, rates[1:]))
 
-    def test_no_detections(self):
-        with pytest.raises(NoDetectionError):
-            bit_error_rate(DeviceModel(), ChannelModel(float("inf"), p_d=0.0))
+    def test_no_detections(self, probs):
+        eta = np.array([system_efficiency(ChannelModel(float("inf"), p_d=0.0))])
+        rates = evaluate_grid(prepare(DeviceModel(), probs), eta, 0.0, 1.16)
+        for method in ("lt", "lp"):
+            assert isinstance(rates[method].errors[0], NoDetectionError)
 
     def test_matches_yield_table_ratio(self, probs):
-        device = DeviceModel(delta=0.2)
-        channel = ChannelModel(15.0, p_d=1e-6)
-        table = actual_yields(device, channel, probs)
-        wrong = table.value(SETTING_1Z, SETTING_0Z) + table.value(SETTING_0Z, SETTING_1Z)
-        assert bit_error_rate(device, channel) == pytest.approx(
-            wrong / table.z_detection_sum(), rel=1e-11
-        )
+        prepared = prepare(DeviceModel(delta=0.2), probs)
+        eta = np.array([efficiency(15.0)])
+        y = detector_yields(prepared.prefactor, prepared.alignment, eta, 1e-6)[0]
+        # (1Z, 0Z) + (0Z, 1Z) over the four Z-basis detections.
+        wrong = y[1, 1] + y[0, 3]
+        e_z = evaluate_grid(prepared, eta, 1e-6, 1.16, ("lp",))["lp"].e_z[0]
+        assert e_z == pytest.approx(wrong / (y[0, 1] + y[1, 1] + y[0, 3] + y[1, 3]), rel=1e-11)
 
 
 class TestBasisDetectionProbability:
     def test_closed_form(self):
-        ch = ChannelModel(20.0, p_d=1e-7)
-        assert basis_detection_probability(ch) == pytest.approx(
+        assert detection_probability(efficiency(20.0), 1e-7) == pytest.approx(
             4 * (1 - 0.005) * 1e-7 + 0.01, rel=1e-12
         )
 
     def test_z_basis_yield(self, probs):
         ch = ChannelModel(20.0, p_d=0.0)
         assert z_basis_yield(ch, probs) == pytest.approx(0.0025, rel=1e-12)
-
 
 class TestBinaryEntropy:
     def test_pinned_values(self):

@@ -773,61 +773,6 @@ class TestCrossoverCommand:
         assert "bisection_tolerance" in err
 
 
-class TestAzumaCommand:
-    def test_pinned_row(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "azuma",
-            "--n-trials",
-            "1000000",
-            "--eps",
-            "1e-6",
-            "--eps-hat",
-            "1e-6",
-            "--observed",
-            "1000",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "n_trials,observed,epsilon,epsilon_hat,f_eps,f_eps_hat,low,high"
-        assert lines[1] == "1000000,1000,1e-06,1e-06,5256.52177,5256.52177,0,6256.52177"
-
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "azuma",
-            "--n-trials",
-            "1000",
-            "--eps",
-            "1e-3",
-            "--eps-hat",
-            "1e-3",
-            "--observed",
-            "500",
-            "--format",
-            "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["n_trials"] == 1000
-        assert payload["low"] == pytest.approx(500 - payload["f_eps_hat"], rel=1e-9)
-
-    def test_bad_budget(self, capsys):
-        code, _, _ = run_cli(
-            capsys,
-            "azuma",
-            "--n-trials",
-            "1000",
-            "--eps",
-            "0",
-            "--eps-hat",
-            "1e-3",
-            "--observed",
-            "500",
-        )
-        assert code == 2
-
-
 def test_package_import_leaves_cli_unloaded():
     src = str(Path(flawedqkd.__file__).resolve().parents[1])
     code = "import sys, flawedqkd; print('flawedqkd.cli' in sys.modules)"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,12 +7,15 @@ from flawedqkd import (
     ChannelModel,
     DeviceModel,
     NoDetectionError,
+    ProtocolProbabilities,
     coin_imbalance,
-    delta_prime,
+    evaluate_grid,
     key_rate_lp,
-    lp_phase_error_bound,
-    phase_error_rate_lp,
+    prepare,
+    system_efficiency,
 )
+from flawedqkd.channel import detection_probability, efficiency
+from flawedqkd.lp_estimator import coin_phase_errors
 
 devices = st.builds(
     DeviceModel,
@@ -54,46 +58,44 @@ class TestCoinImbalance:
 
 
 class TestDeltaPrime:
-    def test_loss_enhancement(self):
-        assert delta_prime(0.0007593770648606, ChannelModel(20.0)) == pytest.approx(
+    def test_loss_enhancement(self, probs):
+        coin = prepare(DeviceModel(delta=0.126), probs).coin
+        assert coin[0] / detection_probability(efficiency(20.0), 1e-7) == pytest.approx(
             0.0759346842856, rel=1e-9
         )
 
     def test_capped_at_half(self):
-        assert delta_prime(0.4, ChannelModel(60.0)) == 0.5
+        # the coin bound caps the enhanced imbalance at 1/2; beyond it the
+        # coin has run away and the bound is 1
+        enhanced = 0.4 / detection_probability(efficiency(60.0), 1e-7)
+        assert enhanced > 0.5
+        assert coin_phase_errors(0.3, enhanced) == 1.0
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            delta_prime(-0.1, ChannelModel(10.0))
-
-    def test_no_detections(self):
-        with pytest.raises(NoDetectionError):
-            delta_prime(0.01, ChannelModel(float("inf"), p_d=0.0))
+    def test_no_detections(self, probs):
+        eta = np.array([system_efficiency(ChannelModel(float("inf"), p_d=0.0))])
+        rates = evaluate_grid(prepare(DeviceModel(delta=0.126), probs), eta, 0.0, 1.16, ("lp",))
+        assert isinstance(rates["lp"].errors[0], NoDetectionError)
 
     def test_monotone_in_loss(self):
         coin = 0.001
-        values = [delta_prime(coin, ChannelModel(float(l))) for l in range(0, 61, 5)]
+        eta = np.array([efficiency(float(l)) for l in range(0, 61, 5)])
+        values = (coin / detection_probability(eta, 1e-7)).tolist()
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
 class TestPhaseErrorBound:
     def test_balanced_coin_adds_nothing(self):
-        assert lp_phase_error_bound(0.03, 0.0) == pytest.approx(0.03, abs=1e-15)
+        assert coin_phase_errors(0.03, 0.0) == pytest.approx(0.03, abs=1e-15)
 
     def test_pinned_value(self):
         # exact high-precision evaluation of the bound formula
-        assert lp_phase_error_bound(0.01, 0.001) == pytest.approx(
+        assert coin_phase_errors(0.01, 0.001) == pytest.approx(
             0.026470332927451, abs=1e-13
         )
 
     def test_coin_fully_random(self):
         # d' = 1/2 kills the square-root term and leaves 1 - e_z
-        assert lp_phase_error_bound(0.3, 0.5) == pytest.approx(0.7, abs=1e-12)
-
-    @pytest.mark.parametrize("e_z,d_prime", [(-0.01, 0.1), (0.6, 0.1), (0.1, -0.01), (0.1, 0.6)])
-    def test_rejects_out_of_range(self, e_z, d_prime):
-        with pytest.raises(ValueError):
-            lp_phase_error_bound(e_z, d_prime)
+        assert coin_phase_errors(0.3, 0.5) == pytest.approx(0.7, abs=1e-12)
 
     def test_dominates_bit_error_rate(self):
         # the phase error can never undercut the bit error it is built from
@@ -101,31 +103,30 @@ class TestPhaseErrorBound:
             for k in range(21):
                 e_z = 0.5 * i / 20
                 d_p = 0.5 * k / 20
-                assert lp_phase_error_bound(e_z, d_p) >= e_z - 1e-12
+                assert coin_phase_errors(e_z, d_p) >= e_z - 1e-12
 
     @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5))
     def test_capped_at_one(self, e_z, d_prime):
-        assert 0.0 <= lp_phase_error_bound(e_z, d_prime) <= 1.0
+        assert 0.0 <= coin_phase_errors(e_z, d_prime) <= 1.0
 
 
 class TestPhaseErrorRate:
     def test_tilted_device(self, probs):
-        assert phase_error_rate_lp(DeviceModel(delta=0.126), ChannelModel(20.0)) == pytest.approx(
-            0.373976496682, rel=1e-9
-        )
+        point = key_rate_lp(DeviceModel(delta=0.126), ChannelModel(20.0), probs)
+        assert point.e_x == pytest.approx(0.373976496682, rel=1e-9)
 
     def test_plain_device_tracks_bit_errors(self):
-        assert phase_error_rate_lp(DeviceModel(), ChannelModel(20.0)) == pytest.approx(
-            1.99505371109e-05, rel=1e-9
-        )
+        point = key_rate_lp(DeviceModel(), ChannelModel(20.0), ProtocolProbabilities())
+        assert point.e_x == pytest.approx(1.99505371109e-05, rel=1e-9)
 
     def test_runaway_enhancement_gives_total_loss(self):
         # Delta / detection probability > 1/2: the bound degenerates to 1
-        assert phase_error_rate_lp(DeviceModel(mu=3.0), ChannelModel(20.0)) == 1.0
+        point = key_rate_lp(DeviceModel(mu=3.0), ChannelModel(20.0), ProtocolProbabilities())
+        assert point.e_x == 1.0
 
     @given(devices, st.floats(0.0, 50.0))
     def test_stays_in_unit_interval(self, device, loss):
-        e = phase_error_rate_lp(device, ChannelModel(loss))
+        e = key_rate_lp(device, ChannelModel(loss), ProtocolProbabilities()).e_x
         assert 0.0 <= e <= 1.0
 
 
