@@ -185,64 +185,31 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     return rows
 
 
-def _evaluate(
-    config: CrossoverConfig, eta: float, points: list[tuple[float, float]], methods: tuple[str, ...]
-) -> dict:
-    # The methods on the device of each (delta, swept value) point, as one
-    # batch at the comparison transmittance.
+def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]]) -> list:
+    """Both clamped rates at each (delta, swept value) point, or the
+    failure that stops a search there, lt's before lp's; the points are one
+    batch at the comparison transmittance."""
+    if not points:
+        return []
     devices = []
     for delta, value in points:
         params = {config.fixed_param: config.fixed_value, config.swept_param: value}
         devices.append(DeviceModel(
             delta=delta, theta_hat=params["theta"], theta_mode=config.theta_mode, mu=params["mu"]
         ))
-    return evaluate_grid(
+    both = evaluate_grid(
         prepare(devices, config.probs),
         np.full(len(devices), eta),
         config.p_d,
         config.f_ec,
-        methods,
+        METHODS,
         config.solver,
     )
-
-
-def _clamped(both: dict) -> list[tuple[float, float]]:
     lt, lp = ([max(r, 0.0) for r in both[m].rate_raw.tolist()] for m in METHODS)
-    return list(zip(lt, lp))
-
-
-def _rates_alone(config: CrossoverConfig, eta: float, point: tuple[float, float]):
-    # Both clamped rates of one device, or the failure that stops a search
-    # there: lt's failure before lp's, and either before a range error.
-    try:
-        both = _evaluate(config, eta, [point], METHODS)
-    except ValueError as exc:
-        try:
-            lt_error = _evaluate(config, eta, [point], ("lt",))["lt"].errors[0]
-        except ValueError as again:
-            return again
-        return exc if lt_error is None else lt_error
-    failures = [r.errors[0] for r in both.values() if r.errors[0] is not None]
-    return failures[0] if failures else _clamped(both)[0]
-
-
-def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]]) -> list:
-    """Both clamped rates at each (delta, swept value) point, or the
-    failure that stops a search there.
-
-    The points are one batch.  If any of them fails, each is evaluated
-    again alone, in order, so that every point reports the failure its own
-    evaluation meets first.
-    """
-    if not points:
-        return []
-    try:
-        both = _evaluate(config, eta, points, METHODS)
-    except ValueError:
-        both = None
-    if both is not None and all(e is None for r in both.values() for e in r.errors):
-        return _clamped(both)
-    return [_rates_alone(config, eta, point) for point in points]
+    return [
+        lt_error or lp_error or rates
+        for lt_error, lp_error, rates in zip(both["lt"].errors, both["lp"].errors, zip(lt, lp))
+    ]
 
 
 def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
@@ -266,7 +233,12 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     # Per bracketed value: lo, hi and the gap at lo.
     brackets: dict[int, list[float]] = {}
     for k, value in enumerate(values):
-        scan = _rates(config, eta, [(d, value) for d in _DELTA_SCAN])
+        try:
+            scan = _rates(config, eta, [(d, value) for d in _DELTA_SCAN])
+        except ValueError as exc:
+            # The device model rejects the value itself, whatever the delta.
+            failures[k] = exc
+            continue
         failed = next((r for r in scan if isinstance(r, Exception)), None)
         if failed is not None:
             failures[k] = failed

@@ -126,24 +126,19 @@ def _per_point(failures: tuple, n: int) -> tuple:
 
 
 def _entropies(
-    e_z: np.ndarray, stages: dict[str, tuple[np.ndarray, list, dict[int, ValueError]]]
+    e_z: np.ndarray, stages: dict[str, tuple[np.ndarray, list]]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     # h(min(e, 1/2)) of e_z and of each method's e_x, at the points where
     # a method succeeded: error rates beyond 1/2 carry no extractable key.
-    # Points are visited in row order, method by method, so an input out of
-    # range raises where a point-by-point evaluation would; h(e_z) is
-    # computed once per point, where the first method needs it.
+    # h(e_z) is computed once per point, where the first method needs it.
     ez = e_z.tolist()
     h_z = [0.0] * len(ez)
     h_x = {m: [0.0] * len(ez) for m in stages}
-    columns = [(e_x.tolist(), errors, rejected, h_x[m])
-               for m, (e_x, errors, rejected) in stages.items()]
+    columns = [(e_x.tolist(), errors, h_x[m]) for m, (e_x, errors) in stages.items()]
     for i, z in enumerate(ez):
         pending = True
-        for e_x, errors, rejected, h in columns:
+        for e_x, errors, h in columns:
             if errors[i] is None:
-                if i in rejected:
-                    raise rejected[i]
                 h[i] = binary_entropy(min(e_x[i], 0.5))
                 if pending:
                     h_z[i] = binary_entropy(min(z, 0.5))
@@ -230,8 +225,9 @@ def evaluate_grid(
     point, or n devices, device i at point i.  A failure at one point is
     kept in that point's error slot and never stops the others.  Per
     point, a failure reports in the order the chain meets it: no
-    detections at all, no Z-basis detections (lt), a singular yield system
-    (lt), infeasible yields (lt), a degenerate virtual state (lt).
+    detections at all, a bit error rate e_z below 0, no Z-basis detections
+    (lt), a singular yield system (lt), infeasible yields (lt), a
+    degenerate virtual state (lt).
     """
     if solver not in SOLVER_MODES:
         raise ValueError(f"mode must be one of {SOLVER_MODES}, got {solver!r}")
@@ -248,33 +244,29 @@ def evaluate_grid(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y_det = detection_probability(eta, p_d)
         e_z = bit_errors(eta, p_d, prepared.tilt) / y_det
-        undetected = y_det <= 0.0
+        errors: list[EstimatorError | None] = [None] * len(eta)
+        # At a subnormal eta the terms of bit_errors round apart, and e_z
+        # can come out below 0; no detections at all outranks that.
+        for i in np.flatnonzero(e_z < 0.0).tolist():
+            errors[i] = InfeasibleStatisticsError(
+                f"e_z = {e_z[i].item()} < 0 at eta = {eta[i].item()}"
+            )
         no_detection = NoDetectionError("no detections: eta = 0 and p_d = 0")
-        errors = [no_detection if bad else None for bad in undetected.tolist()]
-        # Each stage: e_x, the failure of each point, and the points whose
-        # input the method rejects as out of range.
+        for i in np.flatnonzero(y_det <= 0.0).tolist():
+            errors[i] = no_detection
+        # Each stage: e_x and the failure of each point.
         stages = {}
         if "lt" in methods:
-            stages["lt"] = (*_lt_phase_errors(prepared, eta, p_d, errors, solver), {})
+            stages["lt"] = _lt_phase_errors(prepared, eta, p_d, errors, solver)
         if "lp" in methods:
-            e_zc = np.minimum(e_z, 0.5)
             enhanced = prepared.coin / y_det
-            rejected = {}
-            if (e_z < 0.0).any():
-                # The coin bound takes e_z in [0, 1/2] where the imbalance
-                # has not run away; a detected point below it stops the grid.
-                below = (e_z < 0.0) & ~(enhanced > 0.5)
-                rejected = {
-                    i: ValueError(f"e_z must lie in [0, 1/2], got {e_zc[i].item()}")
-                    for i in np.flatnonzero(below).tolist()
-                }
-            stages["lp"] = (coin_phase_errors(e_zc, enhanced), errors, rejected)
+            stages["lp"] = (coin_phase_errors(np.minimum(e_z, 0.5), enhanced), errors)
         h_z, h_x = _entropies(e_z, stages)
         y_z = probs.p_za * probs.p_zb * y_det
         ec_cost = f_ec * h_z
         return {
             m: GridRates(e_z, e_x, y_z * (1.0 - h_x[m] - ec_cost), method_errors)
-            for m, (e_x, method_errors, _) in stages.items()
+            for m, (e_x, method_errors) in stages.items()
         }
 
 

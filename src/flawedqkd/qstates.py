@@ -72,7 +72,8 @@ class DeviceModel:
     theta_hat: polarization-rotation magnitude in radians, in [0, pi/2).
     theta_mode: "dependent" scales the rotation with the encoded phase,
         "independent" applies the same rotation to every setting.
-    mu: mean photon number of the back-reflected probe light, >= 0.
+    mu: mean photon number of the back-reflected probe light, finite and
+        >= 0.
     """
 
     delta: float = 0.0
@@ -92,6 +93,8 @@ class DeviceModel:
             )
         if not self.mu >= 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if not self.mu < math.inf:
+            raise ValueError(f"mu must be finite, got {self.mu}")
         object.__setattr__(self, "_source", _source(self))
 
 
@@ -202,6 +205,8 @@ def tha_coefficients(mu: float) -> tuple[float, float]:
     """
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
+    if not mu < math.inf:
+        raise ValueError(f"mu must be finite, got {mu}")
     c_i = math.exp(-mu / 2)
     c_d = math.sqrt(max(1.0 - math.exp(-mu), 0.0))
     return c_i, c_d

@@ -133,14 +133,24 @@ def _frontier_command(seed):
             + " --theta 1e-06 --theta-mode dependent --compare-loss 20 --bisect-tol 1e-10")
 
 
+# The warnings of a 3225-3225.3 dB sweep at p_d = 0, where every point's
+# e_z is -1/6 at eta = 3e-323, the value of the scalar bit error in
+# tests/test_grid.py::per_point_reference.
+NEGATIVE_E_Z_WARNINGS = "".join(
+    f"warning: loss={loss} method={method}: e_z = -0.16666666666666666 < 0 at eta = 3e-323\n"
+    for loss in ("3225", "3225.1", "3225.2", "3225.3")
+    for method in ("lt", "lp")
+)
+
 # sha256 of "<exit code>\n<stdout>" for CLI runs over both formats and
 # solvers, every estimator error the CLI reaches (collinear states, a
 # degenerate virtual state, no detections at eta = 0 and at a subnormal
 # eta, and their precedence within one row), the underflow tail near
-# eta = 1e-250, and the subnormal eta where e_z turns negative: the range
-# checks stop a sweep there, while a crossover still fails on lt first.
-# Recorded before sweeps were evaluated on the loss grid as arrays; a
-# failing exit also pins its stderr.
+# eta = 1e-250, and the subnormal eta where e_z turns negative: each such
+# point reports it in its error slot, ahead of lt's own failures.
+# Recorded before sweeps were evaluated on the loss grid as arrays; the
+# four negative-e_z cases were re-pinned when that abort became an error
+# slot.  A stderr, where given, is pinned too.
 GOLDEN_DIGESTS = [
     ("rate-csv", "rate --loss 20 --delta 0.126",
      "d27ce9ab3005060cb2efa2a3658ec06f36a47a9934c42f9f4fc80ee80083258b",
@@ -212,14 +222,14 @@ GOLDEN_DIGESTS = [
      "733b11d8319bff13f251a6aa5983e1d2204e266ae49cdc4315cbd601643ca221",
      None),
     ("negative-e-z-lp-abort", "sweep --loss-range 3225:3225.3:0.1 --delta 1e-8 --pd 0",
-     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-     "error: e_z must lie in [0, 1/2], got -0.16666666666666666\n"),
+     "f5491902ac6044841418210280bd3dcccdedbb0d433dd66863ee5c2f53c7994e",
+     NEGATIVE_E_Z_WARNINGS),
     ("negative-e-z-entropy-abort", "sweep --loss-range 3225:3225.3:0.1 --pd 0",
-     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-     "error: binary_entropy needs x in [0, 1], got -0.16666666666666666\n"),
+     "f5491902ac6044841418210280bd3dcccdedbb0d433dd66863ee5c2f53c7994e",
+     NEGATIVE_E_Z_WARNINGS),
     ("crossover-lt-failure-first", "crossover --sweep-param mu --sweep-values 1e-9 --compare-loss 3225.2 --pd 0",
      "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
-     "numerical failure: no Z-basis detections; e_X is undefined\n"),
+     "numerical failure: e_z = -0.16666666666666666 < 0 at eta = 3e-323\n"),
     # Recorded before the crossover search evaluated its devices in batches.
     ("crossover-frontier-seed-0", _frontier_command(0),
      "84c0a6118926b085a66934e4a6d8dfeb7ea8d7df94b7c72224a097221bb2f89e",
@@ -240,8 +250,8 @@ GOLDEN_DIGESTS = [
      "368c8dfb1af5ad04e31e087e16f0376fca3e94575586368cf362911322c034f3",
      None),
     ("crossover-subnormal-entropy-abort", "crossover --sweep-param mu --sweep-values 1e-9,1e-3 --compare-loss 3203 --pd 0",
-     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-     "error: binary_entropy needs x in [0, 1], got -0.0009861932938856016\n"),
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+     "numerical failure: e_z = -0.0009861932938856016 < 0 at eta = 5.01e-321\n"),
     ("crossover-json", "crossover --sweep-param mu --sweep-values 1e-8,3e-8 --theta 1e-5 --format json",
      "cb5d8efe4ba3d293bab36a0fc5e91b034cac35bf27ccf33b756c88a299875717",
      None),
@@ -462,6 +472,11 @@ class TestRateCommand:
         code, _, err = run_cli(capsys, "rate", "--loss", "20", "--delta", "9")
         assert code == 2
         assert "delta" in err
+
+    def test_infinite_mu_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "rate", "--loss", "10", "--mu", "inf")
+        assert code == 2
+        assert "mu" in err
 
     def test_singular_device_is_numerical_failure(self, capsys):
         code, _, err = run_cli(

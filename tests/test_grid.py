@@ -130,6 +130,8 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
         + eta / 2.0
         + (eta / 4.0) * (math.cos(2 * delta) + math.cos(delta)) * (p_d - 1.0)
     ) / y_det
+    if e_z < 0.0:
+        return {m: f"e_z = {e_z} < 0 at eta = {eta}" for m in ("lt", "lp")}
     y_z = probs.p_za * probs.p_zb * y_det
 
     def h(x):
@@ -204,7 +206,10 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
         val += vd.bloch.px * (up[1] if vd.bloch.px >= 0.0 else low[1])
         val += vd.bloch.pz * (up[2] if vd.bloch.pz >= 0.0 else low[2])
         num += max(probs.p_za * probs.p_zb * (vd.qubit_weight * val + vd.lambda_max), 0.0)
-    out["lt"] = rate(float(min(max(num / z_sum, 0.0), 1.0)))
+    # Near a subnormal eta the Z sum is tiny and the ratio may overflow.
+    with np.errstate(over="ignore"):
+        e_x = num / z_sum
+    out["lt"] = rate(float(min(max(e_x, 0.0), 1.0)))
     return out
 
 
@@ -219,7 +224,7 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
     p_d=dark_counts,
     f_ec=st.floats(1.0, 1.5),
     probs=probabilities,
-    start=st.floats(0.0, 80.0),
+    start=st.one_of(st.floats(0.0, 80.0), st.floats(3150.0, 3300.0)),
     step=st.floats(0.01, 5.0),
     points=st.integers(1, 40),
 )
@@ -281,6 +286,57 @@ class TestErrorsPerPoint:
         prepared = prepare(DeviceModel(), ProtocolProbabilities())
         rates = evaluate_grid(prepared, np.array([1.0]), 1e-7, 1.16, ("lp",), PAPER_FAITHFUL)
         assert list(rates) == ["lp"]
+
+
+class TestNoGridWideAbort:
+    """Every failure stays in its point's error slot, down to the subnormal
+    transmittances where the terms of the bit error round apart."""
+
+    WIDE_DEVICES = st.builds(
+        DeviceModel,
+        delta=st.floats(0.0, 3.14),
+        theta_hat=st.floats(0.0, 1.57),
+        theta_mode=st.sampled_from(["independent", "dependent"]),
+        mu=st.floats(0.0, 1e3),
+    )
+    ETAS = st.one_of(st.floats(0.0, 1.0), st.integers(0, 2 ** 52).map(lambda k: k * 5e-324))
+
+    @given(
+        device=st.one_of(devices, WIDE_DEVICES),
+        eta=st.lists(ETAS, min_size=1, max_size=20),
+        p_d=dark_counts,
+        solver=st.sampled_from(SOLVER_MODES),
+    )
+    @settings(max_examples=150)
+    def test_each_point_fails_alone_or_stays_in_range(self, device, eta, p_d, solver):
+        prepared = prepare(device, ProtocolProbabilities())
+        rates = evaluate_grid(prepared, np.array(eta), p_d, 1.16, solver=solver)
+        for method in rates.values():
+            for i, error in enumerate(method.errors):
+                if error is not None:
+                    assert isinstance(error, EstimatorError)
+                    continue
+                assert 0.0 <= method.e_z[i] <= 1.0
+                assert 0.0 <= method.e_x[i] <= 1.0
+                assert math.isfinite(method.rate_raw[i])
+
+    @given(
+        device=devices,
+        p_d=dark_counts,
+        start=st.floats(3150.0, 3300.0),
+        step=st.floats(0.01, 5.0),
+        points=st.integers(1, 40),
+        solver=st.sampled_from(SOLVER_MODES),
+    )
+    @settings(max_examples=40)
+    def test_sweep_into_the_subnormal_range_keeps_its_rows(
+        self, device, p_d, start, step, points, solver
+    ):
+        stop = start + step * (points - 1)
+        config = SweepConfig(device, p_d, 1.16, ProtocolProbabilities(), start, stop, step,
+                             solver=solver)
+        rows = run_sweep(config)
+        assert len(rows) == 2 * len(loss_grid(start, stop, step))
 
 
 class TestDeviceAxis:

@@ -66,6 +66,7 @@ class TestDeviceModel:
             {"theta_hat": math.pi / 2},
             {"theta_mode": "sideways"},
             {"mu": -1e-9},
+            {"mu": math.inf},
         ],
     )
     def test_rejects_out_of_range_parameters(self, kwargs):
@@ -156,6 +157,10 @@ class TestThaCoefficients:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             tha_coefficients(-0.5)
+
+    def test_rejects_infinite(self):
+        with pytest.raises(ValueError, match="mu"):
+            tha_coefficients(math.inf)
 
     @given(st.floats(0.0, 50.0))
     def test_amplitudes_partition_unity(self, mu):
