@@ -47,25 +47,6 @@ from .grid import (
 )
 from .lp_estimator import coin_imbalance
 from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES, VERTEX_LP
-from .qstates import (
-    FOUR_SETTINGS,
-    SETTING_0X,
-    SETTING_0Z,
-    SETTING_1X,
-    SETTING_1Z,
-    THREE_SETTINGS,
-    BlochVector,
-    DeviceModel,
-    QubitKet,
-    Setting,
-    StateDecomposition,
-    actual_decomposition,
-    bloch_vector,
-    full_overlap,
-    mode_angles,
-    qubit_state,
-    tha_coefficients,
-    virtual_decomposition,
-)
+from .qstates import DeviceModel, tha_coefficients
 
 __version__ = "0.1.0"

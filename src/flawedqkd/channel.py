@@ -79,7 +79,7 @@ def system_efficiency(channel: ChannelModel) -> float:
 
 
 # Yield rows, as (sent pulse, Bob's basis): 0Z X, 0Z Z, 1Z X, 1Z Z, 0X X.
-# The X-basis rows, one per sent setting in THREE_SETTINGS order, and the
+# The X-basis rows, one per sent setting in the order 0Z, 1Z, 0X, and the
 # Z-basis rows on the two Z pulses.
 X_ROWS = slice(0, 5, 2)
 Z_ROWS = slice(1, 4, 2)

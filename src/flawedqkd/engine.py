@@ -217,8 +217,8 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
 
     For each swept value the gap g(delta) = rate_lt - rate_lp is scanned
     on a fixed delta grid; a strict sign change is bisected down to the
-    configured delta tolerance.  Grid values without a sign change yield a
-    no-crossover record.
+    configured delta tolerance, or until lo and hi are adjacent floats.
+    Grid values without a sign change yield a no-crossover record.
 
     Each value's scan is one batch of devices; then every bracket takes
     its bisection steps in lockstep with the others, one batch per step,
@@ -250,7 +250,14 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
                 break
 
     tol = config.bisection_tolerance
-    active = [k for k, (lo, hi, _) in brackets.items() if hi - lo > tol]
+
+    def splits(k: int) -> bool:
+        # Wider than tol, with its midpoint strictly inside: once lo and hi
+        # are adjacent floats, the midpoint is one of them.
+        lo, hi, _ = brackets[k]
+        return hi - lo > tol and lo < (lo + hi) / 2.0 < hi
+
+    active = [k for k in brackets if splits(k)]
     while active:
         mids = [(brackets[k][0] + brackets[k][1]) / 2.0 for k in active]
         results = _rates(config, eta, [(mid, values[k]) for k, mid in zip(active, mids)])
@@ -268,7 +275,7 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
                 bracket[0], bracket[2] = mid, g_mid
             else:
                 bracket[1] = mid
-            if bracket[1] - bracket[0] > tol:
+            if splits(k):
                 still.append(k)
         active = still
 

@@ -9,12 +9,11 @@ suffers three imperfections:
 * back-reflected probe light of intensity ``mu`` that tags each pulse with a
   setting-dependent side-channel state.
 
-Every emitted state is split into a qubit part plus an orthogonal rest.  The
-decomposition carries the weights of the two parts, the magnitude of their
-cross term, the eigenvalue bounds of the non-qubit contribution to any
-detection probability, and the Bloch vector of the qubit part.  The same
-container describes both the actually sent states and the virtual states
-that define phase errors.
+Every emitted state is split into a qubit part plus an orthogonal rest,
+given as a ``Terms`` tuple.  The settings are numbered 0Z, 1Z, 0X, 1X:
+``sent_terms`` covers the three sent states, ``virtual_terms`` the virtual
+states that define phase errors, and ``cross_basis_overlaps`` pairs each Z
+state with each X state for the quantum-coin analysis.
 
 All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 """
@@ -27,41 +26,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateStateError
 
-VALID_BASES = ("Z", "X")
 THETA_MODES = ("independent", "dependent")
-
-
-@dataclass(frozen=True)
-class Setting:
-    """One of Alice's encoding choices: a bit and a basis."""
-
-    bit: int
-    basis: str
-
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
-        if self.basis not in VALID_BASES:
-            raise ValueError(f"basis must be one of {VALID_BASES}, got {self.basis!r}")
-
-    def label(self) -> str:
-        return f"{self.bit}{self.basis}"
-
-    @property
-    def index(self) -> int:
-        """Position in FOUR_SETTINGS: 0Z, 1Z, 0X, 1X."""
-        return self.bit + (2 if self.basis == "X" else 0)
-
-
-SETTING_0Z = Setting(0, "Z")
-SETTING_1Z = Setting(1, "Z")
-SETTING_0X = Setting(0, "X")
-SETTING_1X = Setting(1, "X")
-
-# The key-generation protocol sends three states; the quantum-coin analysis
-# adds the fourth.
-THREE_SETTINGS = (SETTING_0Z, SETTING_1Z, SETTING_0X)
-FOUR_SETTINGS = (SETTING_0Z, SETTING_1Z, SETTING_0X, SETTING_1X)
 
 
 @dataclass(frozen=True)
@@ -101,7 +66,7 @@ class DeviceModel:
 class _Source(NamedTuple):
     """The leakage amplitudes C_I and C_D, the cosine of each setting's
     mode angle, the sine of the 0Z and 1Z ones, and each setting's ket, in
-    FOUR_SETTINGS order."""
+    the order 0Z, 1Z, 0X, 1X."""
 
     c_i: float
     c_d: float
@@ -110,46 +75,10 @@ class _Source(NamedTuple):
     kets: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class QubitKet:
-    """Real amplitudes of a pure qubit state in the Z eigenbasis."""
-
-    c0: float
-    c1: float
-
-    def norm_sq(self) -> float:
-        return self.c0 * self.c0 + self.c1 * self.c1
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """x and z Bloch components of a real-amplitude qubit state."""
-
-    px: float
-    pz: float
-
-
-@dataclass(frozen=True)
-class StateDecomposition:
-    """Qubit/side-channel split of one emitted or virtual state.
-
-    qubit_weight and side_weight are the squared amplitudes of the qubit
-    part and of everything orthogonal to it; cross_mag is the magnitude of
-    their interference term.  lambda_min and lambda_max bound the non-qubit
-    contribution to any detection probability, and bloch is the Bloch
-    vector of the normalized qubit part.
-    """
-
-    qubit_weight: float
-    side_weight: float
-    cross_mag: float
-    lambda_max: float
-    lambda_min: float
-    bloch: BlochVector
-
-
 def _ket(index: int, delta: float) -> tuple[float, float]:
-    # Amplitudes of the setting at FOUR_SETTINGS[index].
+    # Amplitudes of setting index (0Z, 1Z, 0X, 1X) in the Z eigenbasis.  The
+    # Z states sit near the poles, the X states near the equator; delta
+    # tilts every state except 0Z, the phase reference.
     if index == 0:
         return 1.0, 0.0
     if index == 1:
@@ -158,27 +87,11 @@ def _ket(index: int, delta: float) -> tuple[float, float]:
     return math.cos(a), math.sin(a)
 
 
-def qubit_state(setting: Setting, delta: float) -> QubitKet:
-    """Amplitudes of the intended-but-tilted qubit state for one setting.
-
-    The Z states sit near the poles, the X states near the equator; delta
-    tilts every state except 0Z, which is used as the phase reference.
-    """
-    return QubitKet(*_ket(setting.index, delta))
-
-
 def _bloch(c0: float, c1: float) -> tuple[float, float]:
     return 2.0 * c0 * c1, c0 * c0 - c1 * c1
 
 
-def bloch_vector(ket: QubitKet) -> BlochVector:
-    """Bloch components (px, pz) of a normalized real ket."""
-    if abs(ket.norm_sq() - 1.0) > 1e-9:
-        raise ValueError(f"ket is not normalized: |c|^2 = {ket.norm_sq()}")
-    return BlochVector(*_bloch(ket.c0, ket.c1))
-
-
-# Dependent-mode rotation per unit theta_hat, in FOUR_SETTINGS order.
+# Dependent-mode rotation per unit theta_hat of 0Z, 1Z, 0X and 1X.
 _DEPENDENT_ROTATION = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
 
 
@@ -186,16 +99,6 @@ def _mode_angle(index: int, device: DeviceModel) -> float:
     if device.theta_mode == "independent":
         return device.theta_hat
     return _DEPENDENT_ROTATION[index] * device.theta_hat
-
-
-def mode_angles(device: DeviceModel) -> dict[Setting, float]:
-    """Polarization rotation angle applied to each setting.
-
-    In dependent mode the rotation grows with the encoded phase (0 for 0Z,
-    pi*theta_hat for 1Z, pi/2*theta_hat for 0X, 3pi/2*theta_hat for 1X); in
-    independent mode every setting is rotated by theta_hat.
-    """
-    return {s: _mode_angle(i, device) for i, s in enumerate(FOUR_SETTINGS)}
 
 
 def tha_coefficients(mu: float) -> tuple[float, float]:
@@ -230,44 +133,34 @@ def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
     return (side_weight + root) / 2.0, (side_weight - root) / 2.0
 
 
-# A decomposition as a plain tuple: qubit_weight, side_weight, cross_mag,
-# lambda_max, lambda_min, then the Bloch components px, pz.
+# A qubit/side-channel split: the weights of the qubit part and of the rest,
+# the magnitude of their cross term, the bounds lambda_max and lambda_min on
+# the non-qubit contribution to any detection probability, and the Bloch
+# components px, pz of the normalized qubit part.
 Terms = tuple[float, float, float, float, float, float, float]
 
 
-def _sent_terms(index: int, source: _Source) -> Terms:
-    qubit_weight = (source.c_i * source.cos[index]) ** 2
-    side_weight = 1.0 - qubit_weight
-    cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
-    lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
-    px, pz = _bloch(*source.kets[index])
-    return qubit_weight, side_weight, cross_mag, lam_max, lam_min, px, pz
-
-
 def sent_terms(device: DeviceModel) -> list[Terms]:
-    """The decompositions of the three sent states, in THREE_SETTINGS
-    order, as tuples in StateDecomposition's field order."""
-    source = device._source
-    return [_sent_terms(index, source) for index in range(3)]
-
-
-def _decomposition(terms: Terms) -> StateDecomposition:
-    *split, px, pz = terms
-    return StateDecomposition(*split, bloch=BlochVector(px, pz))
-
-
-def actual_decomposition(setting: Setting, device: DeviceModel) -> StateDecomposition:
-    """Decompose one actually emitted state.
-
-    The qubit weight is C_I^2 cos^2(theta) for the setting's rotation angle
-    theta; everything else (rotated polarization, leaked light) counts as
-    side channel, with worst-case mutually orthogonal side states.
-    """
-    return _decomposition(_sent_terms(setting.index, device._source))
+    """Terms of the sent states 0Z, 1Z and 0X.  The qubit weight is
+    C_I^2 cos^2(theta) for the setting's rotation theta; the rest (rotated
+    polarization, leaked light) is side channel, with worst-case mutually
+    orthogonal side states."""
+    source, terms = device._source, []
+    for index in range(3):
+        qubit_weight = (source.c_i * source.cos[index]) ** 2
+        side_weight = 1.0 - qubit_weight
+        cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
+        lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
+        px, pz = _bloch(*source.kets[index])
+        terms.append((qubit_weight, side_weight, cross_mag, lam_max, lam_min, px, pz))
+    return terms
 
 
 def virtual_terms(j: int, device: DeviceModel) -> Terms:
-    """virtual_decomposition(j, device) as a tuple in its field order."""
+    """Terms of the unnormalized virtual state for phase-error bit j: the
+    component of the Z-basis source state after Alice measures her ancilla
+    along X.  The qubit weights A_0 + A_1 and side weights C_0 + C_1 sum
+    to 1."""
     if j not in (0, 1):
         raise ValueError(f"j must be 0 or 1, got {j}")
     c_i, c_d, (cos_t0, cos_t1, _, _), (sin_t0, sin_t1), kets = device._source
@@ -312,33 +205,14 @@ def virtual_terms(j: int, device: DeviceModel) -> Terms:
     return a_j, c_j, b_j, lam_max, lam_min, px, pz
 
 
-def virtual_decomposition(j: int, device: DeviceModel) -> StateDecomposition:
-    """Decompose the unnormalized virtual state for phase-error bit j.
-
-    The virtual states are the (un-normalized) components of the Z-basis
-    source state after Alice measures her ancilla along X.  Their qubit
-    weights A_0 + A_1 plus side weights C_0 + C_1 sum to 1.
-    """
-    return _decomposition(virtual_terms(j, device))
-
-
-def _overlap(index1: int, index2: int, source: _Source) -> float:
-    k1, k2 = source.kets[index1], source.kets[index2]
-    qubit_ov = k1[0] * k2[0] + k1[1] * k2[1]
-    return source.cos[index1] * source.cos[index2] * source.c_i * source.c_i * qubit_ov
-
-
-def full_overlap(s1: Setting, s2: Setting, device: DeviceModel) -> float:
-    """Inner product of two full emitted states (qubit plus side channels).
-
-    Cross-polarization terms and distinct worst-case leakage states
-    contribute nothing, so only the co-polarized leakage-free component
-    survives.
-    """
-    return _overlap(s1.index, s2.index, device._source)
-
-
 def cross_basis_overlaps(device: DeviceModel) -> tuple[float, float, float, float]:
-    """full_overlap of (0Z, 0X), (0Z, 1X), (1Z, 0X) and (1Z, 1X)."""
-    source = device._source
-    return tuple(_overlap(z, x, source) for z in (0, 1) for x in (2, 3))
+    """Inner products of the full emitted states (0Z, 0X), (0Z, 1X),
+    (1Z, 0X) and (1Z, 1X).  Cross-polarization terms and distinct
+    worst-case leakage states contribute nothing, so only the co-polarized
+    leakage-free component survives."""
+    c_i, _, cos, _, kets = device._source
+    return tuple(
+        cos[z] * cos[x] * c_i * c_i * (kets[z][0] * kets[x][0] + kets[z][1] * kets[x][1])
+        for z in (0, 1)
+        for x in (2, 3)
+    )

@@ -6,7 +6,6 @@ analysis, cutoffs under strong flaws, solver agreement, structural
 invariants, the crossover frontier, and runtime budgets.
 """
 
-import itertools
 import math
 import time
 
@@ -15,15 +14,10 @@ import pytest
 
 from flawedqkd import (
     PAPER_FAITHFUL,
-    SETTING_0X,
-    SETTING_0Z,
-    SETTING_1Z,
-    THREE_SETTINGS,
     VERTEX_LP,
     ChannelModel,
     DeviceModel,
     ProtocolProbabilities,
-    actual_decomposition,
     binary_entropy,
     CrossoverConfig,
     SweepConfig,
@@ -33,21 +27,14 @@ from flawedqkd import (
     prepare,
     run_sweep,
     system_efficiency,
-    virtual_decomposition,
     z_basis_yield,
 )
-from flawedqkd.channel import (
-    X_ROWS,
-    bit_errors,
-    detection_probability,
-    detector_yields,
-    error_tilt,
-    yield_alignments,
-    yield_prefactors,
-)
+from flawedqkd.channel import X_ROWS, detector_yields
 from flawedqkd.lp_estimator import coin_phase_errors
 from flawedqkd.lt_estimator import halfspace_rhs, halfspace_rows, triple_systems, vertex_box
+from flawedqkd.qstates import sent_terms, virtual_terms
 from conftest import random_devices
+from oracle import explicit_emitted_states, explicit_qubit_split, explicit_state_lt
 
 PROBS = ProtocolProbabilities()
 LOSS_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0)
@@ -174,99 +161,10 @@ class TestStrongFlawCutoffs:
             assert 0.75 < bisect_dead_loss(rate, 0.75, 0.80) < 0.80
 
 
-# Explicit-state model of the source, rebuilt from the device model's
-# definitions: the encoded phase of each setting is its ideal phase scaled by
-# (1 + delta/pi); a dependent rotation turns the polarization by theta_hat
-# times the ideal phase; the probe light leaves the leak mode in |lambda_I>
-# with amplitude exp(-mu/2) and otherwise in a state of its own, orthogonal
-# to every other setting's.
-IDEAL_PHASES = {SETTING_0Z: 0.0, SETTING_1Z: math.pi, SETTING_0X: math.pi / 2}
-PAULI_IXZ = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
-LEAK_DIM = 1 + len(IDEAL_PHASES)
-
-
-def explicit_emitted_states(device):
-    """Each sent state as a real vector in qubit (x) polarization (x) leak."""
-    c_i = math.exp(-device.mu / 2.0)
-    c_d = math.sqrt(1.0 - math.exp(-device.mu))
-    states = {}
-    for k, (setting, ideal) in enumerate(IDEAL_PHASES.items()):
-        phase = ideal * (1.0 + device.delta / math.pi)
-        if device.theta_mode == "dependent":
-            theta = device.theta_hat * ideal
-        else:
-            theta = device.theta_hat
-        qubit = np.array([math.cos(phase / 2.0), math.sin(phase / 2.0)])
-        polarization = np.array([math.cos(theta), math.sin(theta)])
-        leak = np.zeros(LEAK_DIM)
-        leak[0] = c_i
-        leak[1 + k] = c_d
-        states[setting] = np.kron(np.kron(qubit, polarization), leak)
-    return states
-
-
-def explicit_qubit_split(psi):
-    """Split psi into its component in span{|0>,|1>} (x) |H> (x) |lambda_I>
-    and the rest.
-
-    Returns Tr(|q><q| sigma) for sigma in (I, X, Z), which is
-    E * (1, px, pz) of the qubit part q, and the extreme eigenvalues of
-    |psi><psi| - |q><q|, which bound the part of any detection
-    probability that the qubit part does not carry.
-    """
-    q = psi.reshape(2, 2, LEAK_DIM)[:, 0, 0]
-    q_full = np.zeros_like(psi)
-    q_full.reshape(2, 2, LEAK_DIM)[:, 0, 0] = q
-    eigs = np.linalg.eigvalsh(np.outer(psi, psi) - np.outer(q_full, q_full))
-    return np.array([q @ sigma @ q for sigma in PAULI_IXZ]), eigs[0], eigs[-1]
-
-
-def explicit_state_lt(device, loss_db):
-    """Interval-box e_x and unclamped rate rebuilt from explicit states.
-
-    The channel statistics (yields, e_z, sifted yield) are the model's
-    observed data and come from the library; the source side is rebuilt
-    here.  The transmission rates q solve w_k . q = ytil_k - lambda_k with
-    each lambda_k free in its eigenvalue interval; q is affine in lambda,
-    so its box is spanned by the 8 corners of the lambda box, and the
-    virtual yield is maximized over the 8 corners of the q box.
-    """
-    channel = ChannelModel(loss_db)
-    states = explicit_emitted_states(device)
-    splits = [explicit_qubit_split(states[k]) for k in THREE_SETTINGS]
-    weights = np.array([w for w, _, _ in splits])
-    lam = np.array([[lo, hi] for _, lo, hi in splits])
-    eta = system_efficiency(channel)
-    prefactor = yield_prefactors(PROBS)
-    alignment = np.array([yield_alignments(device.delta)])
-    yields = detector_yields(prefactor, alignment, eta, channel.p_d)[0]
-    corners = list(itertools.product((0, 1), repeat=3))
-    num = 0.0
-    for s, j in ((0, 1), (1, 0)):
-        ytil = yields[s, X_ROWS] / prefactor[X_ROWS]
-        qs = np.array(
-            [np.linalg.solve(weights, ytil - lam[np.arange(3), c]) for c in corners]
-        )
-        q_box = np.array([qs.min(axis=0), qs.max(axis=0)])
-        virtual = (states[SETTING_0Z] + (-1) ** j * states[SETTING_1Z]) / 2.0
-        w_virtual, _, lam_max = explicit_qubit_split(virtual)
-        best = max(w_virtual @ q_box[c, np.arange(3)] for c in corners)
-        num += max(PROBS.p_za * PROBS.p_zb * (best + lam_max), 0.0)
-    # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
-    z_sum = yields[0, 1] + yields[1, 1] + yields[0, 3] + yields[1, 3]
-    e_x = min(num / z_sum, 1.0)
-    e_z = bit_errors(eta, channel.p_d, error_tilt(device.delta)) / detection_probability(
-        eta, channel.p_d
-    )
-    rate_raw = z_basis_yield(channel, PROBS) * (
-        1.0 - binary_entropy(min(e_x, 0.5)) - channel.f_ec * binary_entropy(min(e_z, 0.5))
-    )
-    return e_x, rate_raw
-
-
 class TestStrongFlawCutoffDerivation:
-    # The recomputation keeps the Bloch z component of each virtual qubit
-    # part as the ket gives it, while virtual_decomposition negates it.
+    # The recomputation (tests/oracle.py) keeps the Bloch z component of
+    # each virtual qubit part as the ket gives it, while virtual_terms
+    # negates it.
     # For the rotated device that moves e_x by 2e-5 to 3e-5 below 1 dB
     # (with the negation copied, the two agree to 1e-14); whether the
     # negation is sound is an open question in ROADMAP.md, so it is not
@@ -373,7 +271,9 @@ class TestSolverAgreement:
             coef = prepared.lt.coef[0]
             rows = halfspace_rows(coef)
             systems = triple_systems(rows)
-            decs = [actual_decomposition(s, device) for s in THREE_SETTINGS]
+            # The side-channel intervals from explicit states, not from the
+            # closed forms the solver was given.
+            lam = [explicit_qubit_split(psi)[1:] for psi in explicit_emitted_states(device)[:3]]
             for s in (0, 1):
                 rhs = halfspace_rhs(ytil[s], prepared.lt.lam_min[0], prepared.lt.lam_max[0])
                 box = vertex_box(rows, systems, rhs)
@@ -382,7 +282,7 @@ class TestSolverAgreement:
                 for q in (*witness_lower, *witness_upper):
                     for k in range(3):
                         resid = ytil[s, k] - float(coef[:, k] @ q)
-                        assert decs[k].lambda_min - tol <= resid <= decs[k].lambda_max + tol
+                        assert lam[k][0] - tol <= resid <= lam[k][1] + tol
                     q_id, q_x, q_z = q
                     assert -tol <= q_id <= 1.0 + tol
                     cap = min(q_id, 1.0 - q_id)
@@ -393,19 +293,18 @@ class TestSolverAgreement:
 class TestStructuralInvariants:
     def test_virtual_weights_always_close(self):
         for device in random_devices(seed=5, n=1000, delta_max=2.5, theta_max=1.4, mu_max=3.0):
-            v0 = virtual_decomposition(0, device)
-            v1 = virtual_decomposition(1, device)
-            total = v0.qubit_weight + v0.side_weight + v1.qubit_weight + v1.side_weight
+            v0 = virtual_terms(0, device)
+            v1 = virtual_terms(1, device)
+            total = v0[0] + v0[1] + v1[0] + v1[1]
             assert abs(total - 1.0) <= 1e-12
 
     def test_bloch_vectors_stay_unit(self):
         for device in random_devices(seed=6, n=1000, delta_max=2.5, theta_max=1.4, mu_max=3.0):
-            for setting in THREE_SETTINGS:
-                b = actual_decomposition(setting, device).bloch
-                assert abs(b.px**2 + b.pz**2 - 1.0) <= 1e-12
+            for *_, px, pz in sent_terms(device):
+                assert abs(px**2 + pz**2 - 1.0) <= 1e-12
             for j in (0, 1):
-                b = virtual_decomposition(j, device).bloch
-                assert abs(b.px**2 + b.pz**2 - 1.0) <= 1e-12
+                *_, px, pz = virtual_terms(j, device)
+                assert abs(px**2 + pz**2 - 1.0) <= 1e-12
 
     def test_coin_phase_error_dominates_bit_error(self):
         for i in range(21):

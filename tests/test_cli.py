@@ -758,6 +758,26 @@ class TestCrossoverCommand:
         assert record["status"] == "crossover"
         assert record["delta_star"] == pytest.approx(0.0310137056, rel=1e-7)
 
+    def test_tolerance_below_float_spacing_terminates(self):
+        # Below the spacing of floats near delta*, the bracket stops at
+        # adjacent floats.  A child process with a timeout turns a search
+        # that never ends into a failure instead of a hung suite.
+        src = str(Path(flawedqkd.__file__).resolve().parents[1])
+
+        def delta_star(tol):
+            result = subprocess.run(
+                [sys.executable, "-m", "flawedqkd", "crossover", "--sweep-param", "mu",
+                 "--sweep-values", "1e-8", "--theta", "1e-6", "--bisect-tol", tol],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            return float(result.stdout.splitlines()[2].split(",")[2])
+
+        assert abs(delta_star("1e-300") - delta_star("1e-17")) <= 1e-16
+
     def test_needs_sweep_values(self, capsys):
         code, _, err = run_cli(capsys, "crossover", "--sweep-param", "mu")
         assert code == 2

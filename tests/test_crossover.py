@@ -66,7 +66,7 @@ def serial_crossover(config, prepare=prepare):
             )
             continue
         lo, hi, g_lo = bracket
-        while hi - lo > config.bisection_tolerance:
+        while hi - lo > config.bisection_tolerance and lo < (lo + hi) / 2.0 < hi:
             mid = (lo + hi) / 2.0
             rate_lt, rate_lp = rates(mid, value)
             g_mid = rate_lt - rate_lp

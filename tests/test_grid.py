@@ -24,7 +24,6 @@ from flawedqkd import (
     ProtocolProbabilities,
     SingularSystemError,
     SweepConfig,
-    actual_decomposition,
     coin_imbalance,
     evaluate_grid,
     key_rate_lp,
@@ -33,9 +32,8 @@ from flawedqkd import (
     prepare,
     run_sweep,
     system_efficiency,
-    virtual_decomposition,
 )
-from flawedqkd.qstates import SETTING_0X, SETTING_0Z, SETTING_1X, SETTING_1Z, THREE_SETTINGS
+from flawedqkd.qstates import sent_terms, virtual_terms
 
 # Small flaws, plus the devices whose lt evaluation fails everywhere.
 devices = st.one_of(
@@ -151,15 +149,16 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
         )
         out["lp"] = rate(min(e_x, 1.0))
 
+    # Keyed by (outcome, sent) setting, numbered 0Z, 1Z, 0X, 1X.
     yields = {}
-    x_pair, z_pair = (SETTING_0X, SETTING_1X, probs.p_xb), (SETTING_0Z, SETTING_1Z, probs.p_zb)
-    sent_prob = {SETTING_0Z: probs.p_0z, SETTING_1Z: probs.p_1z, SETTING_0X: probs.p_0x}
+    x_pair, z_pair = (2, 3, probs.p_xb), (0, 1, probs.p_zb)
+    sent_prob = {0: probs.p_0z, 1: probs.p_1z, 2: probs.p_0x}
     for sent, (zero, one, p_basis), c in (
-        (SETTING_0Z, x_pair, math.sin(d / 2)),
-        (SETTING_0Z, z_pair, math.cos(d)),
-        (SETTING_1Z, x_pair, -math.sin(3 * d / 2)),
-        (SETTING_1Z, z_pair, -math.cos(2 * d)),
-        (SETTING_0X, x_pair, math.cos(d)),
+        (0, x_pair, math.sin(d / 2)),
+        (0, z_pair, math.cos(d)),
+        (1, x_pair, -math.sin(3 * d / 2)),
+        (1, z_pair, -math.cos(2 * d)),
+        (2, x_pair, math.cos(d)),
     ):
         pre = sent_prob[sent] * p_basis
         yields[zero, sent] = pre * (
@@ -172,28 +171,21 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
             + (eta / 8.0) * (1.0 + c) * p_d
             + (eta / 4.0) * (1.0 - c) * (1.0 - p_d / 2.0)
         )
-    z_sum = (
-        yields[SETTING_0Z, SETTING_0Z]
-        + yields[SETTING_1Z, SETTING_0Z]
-        + yields[SETTING_0Z, SETTING_1Z]
-        + yields[SETTING_1Z, SETTING_1Z]
-    )
+    z_sum = yields[0, 0] + yields[1, 0] + yields[0, 1] + yields[1, 1]
     if z_sum <= 0.0:
         out["lt"] = "no Z-basis detections; e_X is undefined"
         return out
-    decs = [actual_decomposition(k, device) for k in THREE_SETTINGS]
-    coef = np.array([(q.qubit_weight, q.qubit_weight * q.bloch.px, q.qubit_weight * q.bloch.pz)
-                     for q in decs]).T
+    decs = sent_terms(device)
+    coef = np.array([(w, w * px, w * pz) for w, *_, px, pz in decs]).T
     if abs(np.linalg.det(coef)) < 1e-12:
         out["lt"] = "the three encoding states are collinear; the yield system cannot be inverted"
         return out
     inv = np.linalg.inv(coef)
-    lam_min = np.array([q.lambda_min for q in decs])
-    lam_max = np.array([q.lambda_max for q in decs])
+    lam_min = np.array([q[4] for q in decs])
+    lam_max = np.array([q[3] for q in decs])
     num = 0.0
     for s, j in ((0, 1), (1, 0)):
-        outcome = (SETTING_0X, SETTING_1X)[s]
-        ytil = np.array([yields[outcome, k] / (sent_prob[k] * probs.p_xb) for k in THREE_SETTINGS])
+        ytil = np.array([yields[2 + s, k] / (sent_prob[k] * probs.p_xb) for k in range(3)])
         central = ytil @ inv
         low = central + np.minimum(-lam_min[:, None] * inv, -lam_max[:, None] * inv).sum(axis=0)
         up = central + np.maximum(-lam_min[:, None] * inv, -lam_max[:, None] * inv).sum(axis=0)
@@ -201,11 +193,11 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
         if reach < max(low[1], -up[1], low[2], -up[2], 0.0) - 1e-9:
             out["lt"] = "no physical transmission rates are consistent with the yields"
             return out
-        vd = virtual_decomposition(j, device)
+        a_j, _, _, lam_max_j, _, px, pz = virtual_terms(j, device)
         val = up[0]
-        val += vd.bloch.px * (up[1] if vd.bloch.px >= 0.0 else low[1])
-        val += vd.bloch.pz * (up[2] if vd.bloch.pz >= 0.0 else low[2])
-        num += max(probs.p_za * probs.p_zb * (vd.qubit_weight * val + vd.lambda_max), 0.0)
+        val += px * (up[1] if px >= 0.0 else low[1])
+        val += pz * (up[2] if pz >= 0.0 else low[2])
+        num += max(probs.p_za * probs.p_zb * (a_j * val + lam_max_j), 0.0)
     # Near a subnormal eta the Z sum is tiny and the ratio may overflow.
     with np.errstate(over="ignore"):
         e_x = num / z_sum

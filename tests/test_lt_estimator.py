@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from flawedqkd import (
     PAPER_FAITHFUL,
     SOLVER_MODES,
-    THREE_SETTINGS,
     VERTEX_LP,
     ChannelModel,
     DegenerateStateError,
@@ -16,7 +15,6 @@ from flawedqkd import (
     NoDetectionError,
     ProtocolProbabilities,
     SingularSystemError,
-    actual_decomposition,
     evaluate_grid,
     key_rate_lp,
     key_rate_lt,
@@ -34,7 +32,7 @@ from flawedqkd.lt_estimator import (
     vertex_box,
     virtual_yields,
 )
-from flawedqkd.qstates import virtual_terms
+from flawedqkd.qstates import sent_terms, virtual_terms
 
 # Device with every flaw switched on, pinned throughout this module.  Dead
 # at 20 dB, still producing key at 10 dB.
@@ -200,11 +198,12 @@ class TestTransmissionRateBounds:
             evaluate_grid(prepared, np.array([efficiency(10.0)]), 1e-7, 1.16, solver="simplex")
 
     def test_side_channel_widths_pinned(self):
-        decs = [actual_decomposition(s, COMPOSITE) for s in THREE_SETTINGS]
-        assert [d.lambda_max for d in decs] == _triples(
+        # Fields 3 and 4 of each sent state's terms: lambda_max, lambda_min.
+        decs = sent_terms(COMPOSITE)
+        assert [d[3] for d in decs] == _triples(
             (0.000316277745998, 0.00316243571858, 0.00160359261951)
         )
-        assert [d.lambda_min for d in decs] == _triples(
+        assert [d[4] for d in decs] == _triples(
             (-0.000316177746003, -0.00315246614764, -0.00160102522069)
         )
 

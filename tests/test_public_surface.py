@@ -1,4 +1,5 @@
-"""The package's public names, and every use of them outside the library.
+"""The package's public names, every use of them outside the library, and
+what the library itself imports.
 
 The benchmark and the scripts import the package by name; a name they use
 must keep resolving, with the keyword arguments they pass.
@@ -7,6 +8,7 @@ must keep resolving, with the keyword arguments they pass.
 import ast
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
@@ -16,19 +18,18 @@ import flawedqkd
 from flawedqkd.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "flawedqkd").glob("*.py"))
 CONSUMERS = sorted(
     [ROOT / "bench" / "check.py", ROOT / "bench" / "worker.py", *(ROOT / "scripts").glob("*.py")]
 )
 
 EXPORTED = {
-    "BlochVector",
     "ChannelModel",
     "CrossoverConfig",
     "CrossoverRecord",
     "DegenerateStateError",
     "DeviceModel",
     "EstimatorError",
-    "FOUR_SETTINGS",
     "GridRates",
     "InfeasibleStatisticsError",
     "KeyRatePoint",
@@ -36,36 +37,22 @@ EXPORTED = {
     "PAPER_FAITHFUL",
     "PreparedDevice",
     "ProtocolProbabilities",
-    "QubitKet",
-    "SETTING_0X",
-    "SETTING_0Z",
-    "SETTING_1X",
-    "SETTING_1Z",
     "SOLVER_MODES",
-    "Setting",
     "SingularSystemError",
-    "StateDecomposition",
     "SweepConfig",
     "SweepRow",
-    "THREE_SETTINGS",
     "VERTEX_LP",
-    "actual_decomposition",
     "binary_entropy",
-    "bloch_vector",
     "coin_imbalance",
     "evaluate_grid",
     "find_crossover",
-    "full_overlap",
     "key_rate_lp",
     "key_rate_lt",
     "loss_grid",
-    "mode_angles",
     "prepare",
-    "qubit_state",
     "run_sweep",
     "system_efficiency",
     "tha_coefficients",
-    "virtual_decomposition",
     "z_basis_yield",
 }
 
@@ -134,3 +121,15 @@ def test_cli_has_exactly_three_subcommands(capsys):
               "--observed", "500"])
     assert exc.value.code == 2
     assert "invalid choice: 'azuma'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library_and_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    for module in modules:
+        top = module.split(".")[0]
+        assert top in sys.stdlib_module_names or top == "numpy", f"{path.name}: {module}"
