@@ -15,7 +15,9 @@ from flawedqkd import (
     ChannelModel,
     DeviceModel,
     ProtocolProbabilities,
+    SweepConfig,
     key_rate_lt,
+    loss_grid,
 )
 
 
@@ -31,14 +33,20 @@ def main(argv=None):
     ap.add_argument("--loss-step", type=float, default=1.0)
     args = ap.parse_args(argv)
 
-    device = DeviceModel(
-        delta=args.delta, theta_hat=args.theta, theta_mode=args.theta_mode, mu=args.mu
-    )
     probs = ProtocolProbabilities()
+    start, stop, step = args.loss_start, args.loss_stop, args.loss_step
+    try:
+        device = DeviceModel(
+            delta=args.delta, theta_hat=args.theta, theta_mode=args.theta_mode, mu=args.mu
+        )
+        # The sweep's own rules for the range, and one channel for them all.
+        SweepConfig(device, args.pd, 1.16, probs, start, stop, step)
+        ChannelModel(start, p_d=args.pd)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print("loss_db,e_x_interval,e_x_vertex,rate_interval,rate_vertex,rate_gain")
-    loss = args.loss_start
-    while loss <= args.loss_stop + 1e-9:
+    for loss in loss_grid(start, stop, step):
         channel = ChannelModel(loss, p_d=args.pd)
         box = key_rate_lt(device, channel, probs, PAPER_FAITHFUL)
         vert = key_rate_lt(device, channel, probs, VERTEX_LP)
@@ -47,7 +55,6 @@ def main(argv=None):
             f"{loss:.10g},{box.e_x:.10g},{vert.e_x:.10g},"
             f"{box.rate:.10g},{vert.rate:.10g},{gain:.10g}"
         )
-        loss += args.loss_step
     return 0
 
 

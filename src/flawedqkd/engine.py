@@ -106,6 +106,8 @@ class CrossoverConfig:
             raise ValueError("fixed_param and swept_param must differ")
         if not self.swept_values:
             raise ValueError("swept grid must be nonempty")
+        if not 0.0 <= self.compare_loss_db < math.inf:
+            raise ValueError(f"compare_loss_db must be finite and >= 0, got {self.compare_loss_db}")
         tol = self.bisection_tolerance
         if not 0.0 < tol < math.inf:
             raise ValueError(f"bisection_tolerance must be finite and > 0, got {tol}")

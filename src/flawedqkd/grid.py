@@ -52,7 +52,7 @@ from .lt_estimator import (
     vertex_box,
     virtual_yields,
 )
-from .qstates import DeviceModel
+from .qstates import DeviceModel, source_terms
 
 METHODS = ("lt", "lp")
 
@@ -110,13 +110,14 @@ def prepare(
     one device gives a device axis of length 1."""
     if isinstance(devices, DeviceModel):
         devices = (devices,)
+    source = source_terms(devices)
     return PreparedDevice(
         probs=probs,
         prefactor=yield_prefactors(probs),
         alignment=np.array([yield_alignments(d.delta) for d in devices]),
         tilt=np.array([error_tilt(d.delta) for d in devices]),
-        lt=lt_terms(devices),
-        coin=np.array([coin_imbalance(d) for d in devices]),
+        lt=lt_terms(source),
+        coin=np.array([coin_imbalance(row) for row in source.overlaps.tolist()]),
     )
 
 
@@ -204,9 +205,8 @@ def _lt_phase_errors(
               for e, bad in zip(errors, infeasible.tolist())]
     errors = [d if e is None else e for e, d in zip(errors, _per_point(terms.degenerate, n))]
 
-    probs = prepared.probs
-    virtual = terms.virtual.transpose(1, 0, 2)
-    y = virtual_yields(lower, upper, terms.corner, *virtual, probs.p_za * probs.p_zb)
+    v, p_zz = terms.virtual, prepared.probs.p_za * prepared.probs.p_zb
+    y = virtual_yields(lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6], p_zz)
     e_x = (y[:, 0] + y[:, 1]) / z_sum
     return np.minimum(np.where(0.0 > e_x, 0.0, e_x), 1.0), errors
 

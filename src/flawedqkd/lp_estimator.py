@@ -10,14 +10,14 @@ a phase-error bound.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .qstates import DeviceModel, cross_basis_overlaps
 
-
-def coin_imbalance(device: DeviceModel) -> float:
-    """Imbalance Delta of the quantum coin, from the four-state overlaps.
+def coin_imbalance(overlaps: Sequence[float]) -> float:
+    """Imbalance Delta of the quantum coin, from one device's row of
+    cross-basis overlaps in ``source_terms(...).overlaps``.
 
     Delta = (1 - Re<Y_Z|Y_X>)/2 where the joint-state overlap combines the
     four cross-basis overlaps with a minus sign on the (1Z, 1X) term.  The
@@ -25,7 +25,7 @@ def coin_imbalance(device: DeviceModel) -> float:
     its two terms is chosen to maximize the overlap; the ideal device then
     gives exactly Delta = 0.
     """
-    ov_00, ov_01, ov_10, ov_11 = cross_basis_overlaps(device)
+    ov_00, ov_01, ov_10, ov_11 = overlaps
     fixed = (ov_00 + ov_10) / (2.0 * math.sqrt(2.0))
     phased = (ov_01 - ov_11) / (2.0 * math.sqrt(2.0))
     overlap = fixed + abs(phased)

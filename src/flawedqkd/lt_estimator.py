@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateStateError, SingularSystemError
-from .qstates import DeviceModel, sent_terms, virtual_terms
+from .qstates import SourceTerms
 
 PAPER_FAITHFUL = "paper_faithful"
 VERTEX_LP = "vertex_lp"
@@ -43,6 +42,9 @@ _PHYSICAL_A = np.array([(1, 0, 0), (-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0
                         (-1, 0, 1), (1, 0, 1), (-1, 0, -1), (1, 0, -1)], dtype=float)
 _PHYSICAL_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
+_EYE = np.eye(3)
+_MOMENTS = np.array([0, 5, 6])  # qubit weight, px, pz of a source split
+
 
 @dataclass(frozen=True)
 class LtTerms:
@@ -51,14 +53,13 @@ class LtTerms:
     Every array has a leading axis over the devices.  coef is the
     coefficient matrix, lam_min/lam_max the side-channel intervals of the
     three sent states, and box_lower/box_upper what those intervals add to
-    the central solution through the inverse.  virtual holds the qubit
-    weight, lambda_max, px and pz of the virtual state paired with each Bob
-    outcome s (bit j = 1 - s), one column per s, and corner which box
-    corner maximizes that virtual yield, one row per s.  singular and
-    degenerate hold each device's failure or None.  A singular system's
-    inverse and box, and a degenerate virtual state's terms, are
-    placeholders; the failure is kept rather than raised, because a loss
-    point reports its earlier failures first.
+    the central solution through the inverse.  virtual holds the split of
+    the virtual state paired with each Bob outcome s (bit j = 1 - s), and
+    corner which box corner maximizes that virtual yield, one row of each
+    per s.  singular and degenerate hold each device's failure or None.
+    A singular system's inverse and box, and a degenerate virtual state's
+    terms, are placeholders; the failure is kept rather than raised,
+    because a loss point reports its earlier failures first.
     """
 
     coef: np.ndarray
@@ -73,20 +74,17 @@ class LtTerms:
     degenerate: tuple[DegenerateStateError | None, ...]
 
 
-# Stand-ins for a degenerate device's virtual terms and corners.
-_NO_VIRTUAL = ((0.0, 0.0),) * 4
-_NO_CORNER = ((True, True, True),) * 2
-
-
-def lt_terms(devices: Sequence[DeviceModel]) -> LtTerms:
-    """Decompose each device once for every lt evaluation on it."""
-    sent = [sent_terms(device) for device in devices]
-    coef = np.array(
-        [[(w, w * px, w * pz) for w, _, _, _, _, px, pz in terms] for terms in sent]
-    ).transpose(0, 2, 1)
-    lam_min = np.array([[t[4] for t in terms] for terms in sent])
-    lam_max = np.array([[t[3] for t in terms] for terms in sent])
-    collinear = np.abs(np.linalg.det(coef)) < _DET_TOL
+def lt_terms(source: SourceTerms) -> LtTerms:
+    """Arrange the devices' source terms for every lt evaluation on them."""
+    sent = source.sent
+    # Column k of coef[i] is w, w px, w pz of sent state k.
+    coef = sent[:, :, _MOMENTS]
+    coef[:, :, 1:] *= coef[:, :, :1]
+    coef = coef.transpose(0, 2, 1)
+    lam_min, lam_max = sent[:, :, 4], sent[:, :, 3]
+    # Qubit weights that underflow (mu near 700) make det divide by zero.
+    with np.errstate(divide="ignore"):
+        collinear = np.abs(np.linalg.det(coef)) < _DET_TOL
     singular = tuple(
         SingularSystemError(
             "the three encoding states are collinear; the yield system cannot be inverted"
@@ -97,28 +95,17 @@ def lt_terms(devices: Sequence[DeviceModel]) -> LtTerms:
     # interval; extremize each coordinate by picking the interval end
     # matching the sign of inv[k, i].  A singular system inverts the
     # identity instead.
-    inv = np.linalg.inv(np.where(collinear[:, None, None], np.eye(3), coef))
+    inv = np.linalg.inv(np.where(collinear[:, None, None], _EYE, coef))
     low_end, high_end = -lam_min[:, :, None] * inv, -lam_max[:, :, None] * inv
     lo, hi = np.minimum(low_end, high_end), np.maximum(low_end, high_end)
     box_lower, box_upper = lo[:, 0] + lo[:, 1] + lo[:, 2], hi[:, 0] + hi[:, 1] + hi[:, 2]
-    virtual, corner, degenerate = [], [], []
-    for device in devices:
-        try:
-            # Outcome s pairs with the virtual state of bit 1 - s; keep the
-            # qubit weight, lambda_max, px and pz of each.
-            terms = [virtual_terms(j, device) for j in (1, 0)]
-        except DegenerateStateError as exc:
-            virtual.append(_NO_VIRTUAL)
-            corner.append(_NO_CORNER)
-            degenerate.append(exc)
-            continue
-        terms = [(weight, lam_max, px, pz) for weight, _, _, lam_max, _, px, pz in terms]
-        virtual.append(tuple(zip(*terms)))
-        corner.append(tuple(upper_corner(px, pz) for _, _, px, pz in terms))
-        degenerate.append(None)
+    # Outcome s pairs with the virtual state of bit 1 - s.  Its qubit
+    # weight is nonnegative, so q_Id takes its upper end, and q_x and q_z
+    # the end matching the sign of their Bloch coefficient.
+    virtual = source.virtual[:, ::-1]
     return LtTerms(
-        coef, inv, lam_min, lam_max, box_lower, box_upper, np.array(virtual), np.array(corner),
-        singular, tuple(degenerate),
+        coef, inv, lam_min, lam_max, box_lower, box_upper, virtual, virtual[:, :, _MOMENTS] >= 0.0,
+        singular, source.degenerate,
     )
 
 
@@ -185,17 +172,10 @@ def vertex_box(
     return verts[lo_idx, np.arange(3)], verts[hi_idx, np.arange(3)], verts[lo_idx], verts[hi_idx]
 
 
-def upper_corner(px: float, pz: float) -> tuple[bool, bool, bool]:
-    """Which end of each box coordinate maximizes a virtual yield: the
-    qubit weight is nonnegative, so q_Id takes its upper end and q_x, q_z
-    the end matching the sign of their Bloch coefficient."""
-    return True, px >= 0.0, pz >= 0.0
-
-
 def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):
     """Upper bounds on virtual yields from transmission-rate boxes.
 
-    Maximizes the qubit term over the box, at the corner upper_corner
+    Maximizes the qubit term over the box, at the corner LtTerms.corner
     picks, and adds the worst-case non-qubit eigenvalue; p_zz is the
     probability that both parties choose Z.  The virtual-state terms
     broadcast against the boxes' leading axes.

@@ -9,11 +9,11 @@ suffers three imperfections:
 * back-reflected probe light of intensity ``mu`` that tags each pulse with a
   setting-dependent side-channel state.
 
-Every emitted state is split into a qubit part plus an orthogonal rest,
-given as a ``Terms`` tuple.  The settings are numbered 0Z, 1Z, 0X, 1X:
-``sent_terms`` covers the three sent states, ``virtual_terms`` the virtual
-states that define phase errors, and ``cross_basis_overlaps`` pairs each Z
-state with each X state for the quantum-coin analysis.
+``DeviceModel`` holds one transmitter's validated parameters, and
+``source_terms`` splits the states of many in one pass, each into a qubit
+part plus an orthogonal rest.  The settings are numbered 0Z, 1Z, 0X, 1X: it
+splits the three sent states and the virtual states that define phase
+errors, and pairs each Z state with each X state for the quantum coin.
 
 All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 """
@@ -21,8 +21,10 @@ All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateStateError
 
@@ -45,7 +47,6 @@ class DeviceModel:
     theta_hat: float = 0.0
     theta_mode: str = "dependent"
     mu: float = 0.0
-    _source: _Source = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < math.pi:
@@ -60,19 +61,6 @@ class DeviceModel:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if not self.mu < math.inf:
             raise ValueError(f"mu must be finite, got {self.mu}")
-        object.__setattr__(self, "_source", _source(self))
-
-
-class _Source(NamedTuple):
-    """The leakage amplitudes C_I and C_D, the cosine of each setting's
-    mode angle, the sine of the 0Z and 1Z ones, and each setting's ket, in
-    the order 0Z, 1Z, 0X, 1X."""
-
-    c_i: float
-    c_d: float
-    cos: tuple[float, float, float, float]
-    sin: tuple[float, float]
-    kets: tuple[tuple[float, float], ...]
 
 
 def _ket(index: int, delta: float) -> tuple[float, float]:
@@ -115,17 +103,6 @@ def tha_coefficients(mu: float) -> tuple[float, float]:
     return c_i, c_d
 
 
-def _source(device: DeviceModel) -> _Source:
-    # What every decomposition of the device shares, computed once with the
-    # operands of _ket, _mode_angle and tha_coefficients.
-    c_i, c_d = tha_coefficients(device.mu)
-    a0, a1, a2, a3 = [_mode_angle(i, device) for i in range(4)]
-    cos, delta = math.cos, device.delta
-    kets = (_ket(0, delta), _ket(1, delta), _ket(2, delta), _ket(3, delta))
-    return _Source(c_i, c_d, (cos(a0), cos(a1), cos(a2), cos(a3)), (math.sin(a0), math.sin(a1)),
-                   kets)
-
-
 def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
     # Extreme eigenvalues of [[side_weight, cross_mag], [cross_mag, 0]],
     # the worst-case detection contribution of the non-qubit part.
@@ -133,86 +110,97 @@ def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
     return (side_weight + root) / 2.0, (side_weight - root) / 2.0
 
 
-# A qubit/side-channel split: the weights of the qubit part and of the rest,
-# the magnitude of their cross term, the bounds lambda_max and lambda_min on
-# the non-qubit contribution to any detection probability, and the Bloch
-# components px, pz of the normalized qubit part.
-Terms = tuple[float, float, float, float, float, float, float]
+class SourceTerms(NamedTuple):
+    """The splits and overlaps of m devices' states, with a leading device
+    axis: sent (m, 3, 7) for the sent states 0Z, 1Z and 0X, virtual
+    (m, 2, 7) for the virtual states of bits j = 0 and 1, and overlaps
+    (m, 4).  A split holds the weights of the qubit part and of the rest,
+    the magnitude of their cross term, the bounds lambda_max and lambda_min
+    on the non-qubit contribution to any detection probability, and the
+    Bloch components px, pz of the normalized qubit part.  degenerate holds
+    each device's DegenerateStateError or None; a degenerate device's
+    virtual splits are zeros."""
+
+    sent: np.ndarray
+    virtual: np.ndarray
+    overlaps: np.ndarray
+    degenerate: tuple[DegenerateStateError | None, ...]
 
 
-def sent_terms(device: DeviceModel) -> list[Terms]:
-    """Terms of the sent states 0Z, 1Z and 0X.  The qubit weight is
-    C_I^2 cos^2(theta) for the setting's rotation theta; the rest (rotated
-    polarization, leaked light) is side channel, with worst-case mutually
-    orthogonal side states."""
-    source, terms = device._source, []
-    for index in range(3):
-        qubit_weight = (source.c_i * source.cos[index]) ** 2
-        side_weight = 1.0 - qubit_weight
-        cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
-        lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
-        px, pz = _bloch(*source.kets[index])
-        terms.append((qubit_weight, side_weight, cross_mag, lam_max, lam_min, px, pz))
-    return terms
+def source_terms(devices: Sequence[DeviceModel]) -> SourceTerms:
+    """Split every device's states in one pass.
 
-
-def virtual_terms(j: int, device: DeviceModel) -> Terms:
-    """Terms of the unnormalized virtual state for phase-error bit j: the
-    component of the Z-basis source state after Alice measures her ancilla
-    along X.  The qubit weights A_0 + A_1 and side weights C_0 + C_1 sum
-    to 1."""
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
-    c_i, c_d, (cos_t0, cos_t1, _, _), (sin_t0, sin_t1), kets = device._source
-    sgn = 1.0 if j == 0 else -1.0
-    # The 1Z ket is (-sin(delta/2), cos(delta/2)).
-    s_half, c_half = -kets[1][0], kets[1][1]
-
-    a_j = 0.25 * c_i * c_i * (
-        cos_t0 ** 2
-        - sgn * 2.0 * cos_t0 * cos_t1 * s_half
-        + cos_t1 ** 2
-    )
-    c_j = 0.25 * (
-        c_i * c_i * (
-            sin_t0 ** 2
-            - sgn * 2.0 * sin_t0 * sin_t1 * s_half
-            + sin_t1 ** 2
-        )
-        + 2.0 * c_d * c_d
-    )
-    if a_j <= 1e-300:
-        raise DegenerateStateError(
-            f"virtual state j={j} has no qubit component (A_j = {a_j})"
-        )
-    b_j = math.sqrt(a_j * c_j)
-    lam_max, lam_min = _lambda_bounds(c_j, b_j)
-
-    # Bloch vector of the normalized qubit part.  The z component is negated
-    # relative to the raw ket so the virtual states are expressed on the
-    # measurement axis realized by the receiver model; without the flip the
-    # phase error keeps a spurious O(delta^2) floor on a lossless channel.
-    denom = 4.0 * a_j / (c_i * c_i)
-    px = (
-        sgn * 2.0 * cos_t0 * cos_t1 * c_half
-        - 2.0 * cos_t1 ** 2 * c_half * s_half
-    ) / denom
-    pz = (
-        cos_t1 ** 2 * math.cos(device.delta)
-        + sgn * 2.0 * cos_t0 * cos_t1 * s_half
-        - cos_t0 ** 2
-    ) / denom
-    return a_j, c_j, b_j, lam_max, lam_min, px, pz
-
-
-def cross_basis_overlaps(device: DeviceModel) -> tuple[float, float, float, float]:
-    """Inner products of the full emitted states (0Z, 0X), (0Z, 1X),
-    (1Z, 0X) and (1Z, 1X).  Cross-polarization terms and distinct
-    worst-case leakage states contribute nothing, so only the co-polarized
+    A sent state's qubit weight is C_I^2 cos^2(theta) for the setting's
+    rotation theta; the rest (rotated polarization, leaked light) is side
+    channel, with worst-case mutually orthogonal side states.  The virtual
+    state of bit j is the component of the Z-basis source state after
+    Alice measures her ancilla along X; the qubit weights A_0 + A_1 and
+    side weights C_0 + C_1 sum to 1.  The overlaps pair (0Z, 0X), (0Z, 1X),
+    (1Z, 0X) and (1Z, 1X); cross-polarization terms and distinct worst-case
+    leakage states contribute nothing to them, so only the co-polarized
     leakage-free component survives."""
-    c_i, _, cos, _, kets = device._source
-    return tuple(
-        cos[z] * cos[x] * c_i * c_i * (kets[z][0] * kets[x][0] + kets[z][1] * kets[x][1])
-        for z in (0, 1)
-        for x in (2, 3)
-    )
+    sent, virtual, overlaps, degenerate = [], [], [], []
+    for device in devices:
+        c_i, c_d = tha_coefficients(device.mu)
+        a0, a1, a2, a3 = [_mode_angle(i, device) for i in range(4)]
+        cos, delta = (math.cos(a0), math.cos(a1), math.cos(a2), math.cos(a3)), device.delta
+        kets = (_ket(0, delta), _ket(1, delta), _ket(2, delta), _ket(3, delta))
+        rows = []
+        for index in range(3):
+            qubit_weight = (c_i * cos[index]) ** 2
+            side_weight = 1.0 - qubit_weight
+            cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
+            lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
+            px, pz = _bloch(*kets[index])
+            rows.append((qubit_weight, side_weight, cross_mag, lam_max, lam_min, px, pz))
+        sent.append(rows)
+        overlaps.append([
+            cos[z] * cos[x] * c_i * c_i * (kets[z][0] * kets[x][0] + kets[z][1] * kets[x][1])
+            for z in (0, 1) for x in (2, 3)
+        ])
+
+        cos_t0, cos_t1, sin_t0, sin_t1 = cos[0], cos[1], math.sin(a0), math.sin(a1)
+        s_half, c_half = math.sin(delta / 2), math.cos(delta / 2)
+        error, bits = None, [None, None]
+        # j = 1 first: when both virtual states vanish, its failure is reported.
+        for j in (1, 0):
+            sgn = 1.0 if j == 0 else -1.0
+            a_j = 0.25 * c_i * c_i * (
+                cos_t0 ** 2
+                - sgn * 2.0 * cos_t0 * cos_t1 * s_half
+                + cos_t1 ** 2
+            )
+            c_j = 0.25 * (
+                c_i * c_i * (
+                    sin_t0 ** 2
+                    - sgn * 2.0 * sin_t0 * sin_t1 * s_half
+                    + sin_t1 ** 2
+                )
+                + 2.0 * c_d * c_d
+            )
+            if a_j <= 1e-300:
+                error = DegenerateStateError(
+                    f"virtual state j={j} has no qubit component (A_j = {a_j})"
+                )
+                break
+            b_j = math.sqrt(a_j * c_j)
+            lam_max, lam_min = _lambda_bounds(c_j, b_j)
+            # Bloch vector of the normalized qubit part.  The z component
+            # is negated relative to the raw ket so the virtual states are
+            # expressed on the measurement axis realized by the receiver
+            # model; without the flip the phase error keeps a spurious
+            # O(delta^2) floor on a lossless channel.
+            denom = 4.0 * a_j / (c_i * c_i)
+            px = (
+                sgn * 2.0 * cos_t0 * cos_t1 * c_half
+                - 2.0 * cos_t1 ** 2 * c_half * s_half
+            ) / denom
+            pz = (
+                cos_t1 ** 2 * math.cos(delta)
+                + sgn * 2.0 * cos_t0 * cos_t1 * s_half
+                - cos_t0 ** 2
+            ) / denom
+            bits[j] = (a_j, c_j, b_j, lam_max, lam_min, px, pz)
+        virtual.append(bits if error is None else ((0.0,) * 7,) * 2)
+        degenerate.append(error)
+    return SourceTerms(np.array(sent), np.array(virtual), np.array(overlaps), tuple(degenerate))

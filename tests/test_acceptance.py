@@ -32,7 +32,7 @@ from flawedqkd import (
 from flawedqkd.channel import X_ROWS, detector_yields
 from flawedqkd.lp_estimator import coin_phase_errors
 from flawedqkd.lt_estimator import halfspace_rhs, halfspace_rows, triple_systems, vertex_box
-from flawedqkd.qstates import sent_terms, virtual_terms
+from flawedqkd.qstates import source_terms
 from conftest import random_devices
 from oracle import explicit_emitted_states, explicit_qubit_split, explicit_state_lt
 
@@ -163,7 +163,7 @@ class TestStrongFlawCutoffs:
 
 class TestStrongFlawCutoffDerivation:
     # The recomputation (tests/oracle.py) keeps the Bloch z component of
-    # each virtual qubit part as the ket gives it, while virtual_terms
+    # each virtual qubit part as the ket gives it, while source_terms
     # negates it.
     # For the rotated device that moves e_x by 2e-5 to 3e-5 below 1 dB
     # (with the negation copied, the two agree to 1e-14); whether the
@@ -292,18 +292,20 @@ class TestSolverAgreement:
 
 class TestStructuralInvariants:
     def test_virtual_weights_always_close(self):
-        for device in random_devices(seed=5, n=1000, delta_max=2.5, theta_max=1.4, mu_max=3.0):
-            v0 = virtual_terms(0, device)
-            v1 = virtual_terms(1, device)
+        devices = random_devices(seed=5, n=1000, delta_max=2.5, theta_max=1.4, mu_max=3.0)
+        for v0, v1 in source_terms(devices).virtual:
             total = v0[0] + v0[1] + v1[0] + v1[1]
             assert abs(total - 1.0) <= 1e-12
 
     def test_bloch_vectors_stay_unit(self):
-        for device in random_devices(seed=6, n=1000, delta_max=2.5, theta_max=1.4, mu_max=3.0):
-            for *_, px, pz in sent_terms(device):
+        terms = source_terms(
+            random_devices(seed=6, n=1000, delta_max=2.5, theta_max=1.4, mu_max=3.0)
+        )
+        for sent, virtual in zip(terms.sent, terms.virtual):
+            for *_, px, pz in sent:
                 assert abs(px**2 + pz**2 - 1.0) <= 1e-12
             for j in (0, 1):
-                *_, px, pz = virtual_terms(j, device)
+                *_, px, pz = virtual[j]
                 assert abs(px**2 + pz**2 - 1.0) <= 1e-12
 
     def test_coin_phase_error_dominates_bit_error(self):

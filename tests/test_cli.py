@@ -334,6 +334,11 @@ class TestCrossoverConfig:
         with pytest.raises(ValueError, match="bisection_tolerance"):
             CrossoverConfig("theta", 1e-6, "mu", (1e-9,), bisection_tolerance=tol)
 
+    @pytest.mark.parametrize("loss", [math.nan, math.inf, -1.0])
+    def test_rejects_unusable_compare_loss(self, loss):
+        with pytest.raises(ValueError, match="compare_loss_db"):
+            CrossoverConfig("theta", 1e-6, "mu", (1e-9,), compare_loss_db=loss)
+
 
 class TestRunSweep:
     def test_worker_count_does_not_change_rows(self, probs):
@@ -806,6 +811,28 @@ class TestCrossoverCommand:
         assert code == 2
         assert out == ""
         assert "bisection_tolerance" in err
+
+    @pytest.mark.parametrize("loss", ["nan", "inf", "-1"])
+    def test_unusable_compare_loss_is_usage_error(self, capsys, loss):
+        # An infinite loss once printed "compare_loss_db": Infinity, which
+        # is not JSON, and a no-crossover record for every value.
+        code, out, err = run_cli(
+            capsys,
+            "crossover",
+            "--sweep-param",
+            "mu",
+            "--sweep-values",
+            "1e-9",
+            "--theta",
+            "1e-6",
+            "--compare-loss",
+            loss,
+            "--format",
+            "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "compare_loss_db" in err
 
 
 def test_package_import_leaves_cli_unloaded():

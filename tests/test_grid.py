@@ -33,7 +33,7 @@ from flawedqkd import (
     run_sweep,
     system_efficiency,
 )
-from flawedqkd.qstates import sent_terms, virtual_terms
+from flawedqkd.qstates import source_terms
 
 # Small flaws, plus the devices whose lt evaluation fails everywhere.
 devices = st.one_of(
@@ -139,7 +139,9 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
         return e_z, e_x, y_z * (1.0 - h(min(e_x, 0.5)) - f_ec * h(min(e_z, 0.5)))
 
     out = {}
-    enhanced = coin_imbalance(device) / y_det
+    source = source_terms([device])
+    # Python floats, as prepare passes them.
+    enhanced = coin_imbalance(source.overlaps[0].tolist()) / y_det
     if enhanced > 0.5:
         out["lp"] = rate(1.0)
     else:
@@ -175,7 +177,7 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
     if z_sum <= 0.0:
         out["lt"] = "no Z-basis detections; e_X is undefined"
         return out
-    decs = sent_terms(device)
+    decs = source.sent[0]
     coef = np.array([(w, w * px, w * pz) for w, *_, px, pz in decs]).T
     if abs(np.linalg.det(coef)) < 1e-12:
         out["lt"] = "the three encoding states are collinear; the yield system cannot be inverted"
@@ -193,7 +195,9 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
         if reach < max(low[1], -up[1], low[2], -up[2], 0.0) - 1e-9:
             out["lt"] = "no physical transmission rates are consistent with the yields"
             return out
-        a_j, _, _, lam_max_j, _, px, pz = virtual_terms(j, device)
+        if source.degenerate[0] is not None:
+            raise source.degenerate[0]
+        a_j, _, _, lam_max_j, _, px, pz = source.virtual[0, j]
         val = up[0]
         val += px * (up[1] if px >= 0.0 else low[1])
         val += pz * (up[2] if pz >= 0.0 else low[2])
@@ -255,6 +259,12 @@ class TestErrorsPerPoint:
         kinds = [type(e) for e in rates["lt"].errors]
         assert kinds == [SingularSystemError, SingularSystemError, NoDetectionError]
         assert [e is None for e in rates["lp"].errors] == [True, True, False]
+
+    def test_underflowing_qubit_weights_are_singular(self):
+        # At mu = 709 the qubit weights are subnormal and the determinant
+        # underflows; numpy's det used to warn, which aborted the call.
+        prepared = prepare(DeviceModel(mu=709.0, theta_mode="independent"), ProtocolProbabilities())
+        assert isinstance(prepared.lt.singular[0], SingularSystemError)
 
     def test_degenerate_virtual_state_fails_only_lt(self):
         prepared = prepare(DeviceModel(delta=3.14159265), ProtocolProbabilities())

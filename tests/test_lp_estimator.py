@@ -16,6 +16,7 @@ from flawedqkd import (
 )
 from flawedqkd.channel import detection_probability, efficiency
 from flawedqkd.lp_estimator import coin_phase_errors
+from flawedqkd.qstates import source_terms
 
 devices = st.builds(
     DeviceModel,
@@ -26,35 +27,39 @@ devices = st.builds(
 )
 
 
+def imbalance(device):
+    return coin_imbalance(source_terms([device]).overlaps[0])
+
+
 class TestCoinImbalance:
     def test_ideal_coin_is_balanced(self):
-        assert coin_imbalance(DeviceModel()) < 1e-12
+        assert imbalance(DeviceModel()) < 1e-12
 
     def test_tilt_only(self):
         # exact high-precision values for the pure encoding-phase flaw
-        assert coin_imbalance(DeviceModel(delta=0.126)) == pytest.approx(
+        assert imbalance(DeviceModel(delta=0.126)) == pytest.approx(
             0.0007593770648606, abs=1e-14
         )
-        assert coin_imbalance(DeviceModel(delta=0.063)) == pytest.approx(
+        assert imbalance(DeviceModel(delta=0.063)) == pytest.approx(
             0.000187973205282, rel=1e-9
         )
 
     def test_all_flaws(self):
         d = DeviceModel(delta=0.126, theta_hat=1e-3, theta_mode="dependent", mu=1e-6)
-        assert coin_imbalance(d) == pytest.approx(0.00076422527468, rel=1e-9)
+        assert imbalance(d) == pytest.approx(0.00076422527468, rel=1e-9)
 
     def test_heavy_leak_approaches_half(self):
-        assert coin_imbalance(DeviceModel(mu=3.0)) == pytest.approx(
+        assert imbalance(DeviceModel(mu=3.0)) == pytest.approx(
             0.475106465816, rel=1e-9
         )
 
     @given(devices)
     def test_stays_in_range(self, device):
-        assert 0.0 <= coin_imbalance(device) <= 0.5
+        assert 0.0 <= imbalance(device) <= 0.5
 
     @given(st.floats(0.0, 3.0))
     def test_grows_with_tilt(self, delta):
-        assert coin_imbalance(DeviceModel(delta=min(delta, 3.0))) >= 0.0
+        assert imbalance(DeviceModel(delta=min(delta, 3.0))) >= 0.0
 
 
 class TestDeltaPrime:

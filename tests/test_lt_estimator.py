@@ -28,11 +28,10 @@ from flawedqkd.lt_estimator import (
     interval_box,
     triple_systems,
     unphysical,
-    upper_corner,
     vertex_box,
     virtual_yields,
 )
-from flawedqkd.qstates import sent_terms, virtual_terms
+from flawedqkd.qstates import source_terms
 
 # Device with every flaw switched on, pinned throughout this module.  Dead
 # at 20 dB, still producing key at 10 dB.
@@ -199,7 +198,7 @@ class TestTransmissionRateBounds:
 
     def test_side_channel_widths_pinned(self):
         # Fields 3 and 4 of each sent state's terms: lambda_max, lambda_min.
-        decs = sent_terms(COMPOSITE)
+        decs = source_terms([COMPOSITE]).sent[0]
         assert [d[3] for d in decs] == _triples(
             (0.000316277745998, 0.00316243571858, 0.00160359261951)
         )
@@ -280,8 +279,10 @@ class TestVirtualYieldUpper:
         yields = detector_yields(prepared.prefactor, prepared.alignment, 1.0, 0.0)
         lower, upper = interval_box(yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS], terms)
         # Outcome s against the virtual state of bit 1 - s, s = 0 then 1.
+        v = terms.virtual
         y = virtual_yields(
-            lower, upper, terms.corner, *terms.virtual.transpose(1, 0, 2), probs.p_za * probs.p_zb
+            lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6],
+            probs.p_za * probs.p_zb,
         )
         assert y[0, 0] == 0.0
         assert y[0, 1] == 0.0
@@ -292,9 +293,9 @@ class TestVirtualYieldUpper:
         lower, upper = interval_box(yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS], prepared.lt)
         for s in (0, 1):
             for j in (0, 1):
-                weight, _, _, lam_max, _, px, pz = virtual_terms(j, COMPOSITE)
+                weight, _, _, lam_max, _, px, pz = source_terms([COMPOSITE]).virtual[0, j]
                 y = virtual_yields(
-                    lower[0, s], upper[0, s], np.array(upper_corner(px, pz)),
+                    lower[0, s], upper[0, s], prepared.lt.corner[0, 1 - j],
                     weight, lam_max, px, pz, probs.p_za * probs.p_zb,
                 )
                 assert 0.0 <= y <= 1.0

@@ -1,18 +1,12 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flawedqkd import DegenerateStateError, DeviceModel, tha_coefficients
-from flawedqkd.qstates import (
-    _bloch,
-    _ket,
-    _mode_angle,
-    cross_basis_overlaps,
-    sent_terms,
-    virtual_terms,
-)
+from flawedqkd.qstates import _bloch, _ket, _mode_angle, source_terms
 
 # Strategy kept away from the delta -> pi corner where the virtual states
 # legitimately degenerate.
@@ -30,6 +24,10 @@ class TestDeviceModel:
         d = DeviceModel()
         assert d.delta == 0.0 and d.theta_hat == 0.0 and d.mu == 0.0
         assert d.theta_mode == "dependent"
+
+    def test_holds_only_its_parameters(self):
+        names = [f.name for f in fields(DeviceModel)]
+        assert names == ["delta", "theta_hat", "theta_mode", "mu"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -50,7 +48,7 @@ class TestDeviceModel:
 
 
 # Settings are numbered 0Z, 1Z, 0X, 1X; _ket, _bloch and _mode_angle are
-# what DeviceModel caches for the closed forms.
+# what source_terms builds the closed forms from.
 class TestQubitStates:
     def test_reference_state_is_pole(self):
         assert _ket(0, 0.7) == (1.0, 0.0)
@@ -88,7 +86,7 @@ class TestBlochVector:
         assert pz == pytest.approx(0.0, abs=1e-12)
 
     def test_tilted_values(self):
-        _, z1, x0 = sent_terms(DeviceModel(delta=0.126))
+        _, z1, x0 = source_terms([DeviceModel(delta=0.126)]).sent[0]
         assert z1[5] == pytest.approx(-0.12566686855, abs=1e-12)
         assert z1[6] == pytest.approx(-0.992072496418, abs=1e-12)
         assert x0[5] == pytest.approx(0.998016156287, abs=1e-12)
@@ -96,7 +94,7 @@ class TestBlochVector:
 
     @given(devices)
     def test_unit_norm(self, device):
-        for *_, px, pz in sent_terms(device):
+        for *_, px, pz in source_terms([device]).sent[0]:
             assert px * px + pz * pz == pytest.approx(1.0, abs=1e-12)
 
 
@@ -137,17 +135,17 @@ class TestThaCoefficients:
 
 
 # A state's terms: qubit weight, side weight, cross magnitude, lambda_max,
-# lambda_min, px, pz.
+# lambda_min, px, pz; source_terms(...).sent[i, k] and .virtual[i, j].
 class TestActualDecomposition:
     def test_ideal_is_pure_qubit(self):
-        for w, side, cross, lam_max, lam_min, _, _ in sent_terms(DeviceModel()):
+        for w, side, cross, lam_max, lam_min, _, _ in source_terms([DeviceModel()]).sent[0]:
             assert w == 1.0
             assert side == 0.0
             assert cross == 0.0
             assert lam_max == 0.0 and lam_min == 0.0
 
     def test_leak_only(self):
-        w, side, cross, lam_max, lam_min, _, _ = sent_terms(DeviceModel(mu=1e-3))[0]
+        w, side, cross, lam_max, lam_min, _, _ = source_terms([DeviceModel(mu=1e-3)]).sent[0, 0]
         assert w == pytest.approx(0.999000499833, abs=1e-12)
         assert side == pytest.approx(0.000999500166625, rel=1e-10)
         assert cross == pytest.approx(0.0315990690692, rel=1e-10)
@@ -155,60 +153,57 @@ class TestActualDecomposition:
         assert lam_min == pytest.approx(-0.0311032705981, rel=1e-10)
 
     def test_rotation_only(self):
-        w, _, _, lam_max, _, _, _ = sent_terms(
-            DeviceModel(theta_hat=1e-3, theta_mode="dependent")
-        )[1]
+        w, _, _, lam_max, _, _, _ = source_terms(
+            [DeviceModel(theta_hat=1e-3, theta_mode="dependent")]
+        ).sent[0, 1]
         assert w == pytest.approx(0.999990130428, abs=1e-12)
         assert lam_max == pytest.approx(0.00314651064452, rel=1e-10)
 
     @given(devices)
     def test_weights_partition_unity(self, device):
-        for w, side, *_ in sent_terms(device):
+        for w, side, *_ in source_terms([device]).sent[0]:
             assert w + side == pytest.approx(1.0, abs=1e-12)
 
     @given(devices)
     def test_lambda_eigenvalue_identities(self, device):
         # lambda_max/min are the eigenvalues of [[side, cross], [cross, 0]]
-        for _, side, cross, lam_max, lam_min, _, _ in sent_terms(device):
+        for _, side, cross, lam_max, lam_min, _, _ in source_terms([device]).sent[0]:
             assert lam_max + lam_min == pytest.approx(side, abs=1e-12)
             assert lam_max * lam_min == pytest.approx(-cross**2, abs=1e-12)
             assert lam_min <= 0.0 <= lam_max
 
 
 class TestVirtualDecomposition:
-    def test_rejects_bad_bit(self):
-        with pytest.raises(ValueError):
-            virtual_terms(2, DeviceModel())
-
     def test_tilt_only_weights(self):
         # exact high-precision value for the j=0 qubit weight at delta = 0.126
-        d = DeviceModel(delta=0.126)
-        w0, side0, cross0, lam_max0, _, _, _ = virtual_terms(0, d)
+        virtual = source_terms([DeviceModel(delta=0.126)]).virtual
+        w0, side0, cross0, lam_max0, _, _, _ = virtual[0, 0]
         assert w0 == pytest.approx(0.46852083311524, abs=1e-13)
         assert side0 == 0.0
         assert cross0 == 0.0
         assert lam_max0 == 0.0
-        assert virtual_terms(1, d)[0] == pytest.approx(0.531479166885, abs=1e-12)
+        assert virtual[0, 1, 0] == pytest.approx(0.531479166885, abs=1e-12)
 
     def test_tilt_only_bloch(self):
-        d = DeviceModel(delta=0.126)
-        *_, px0, pz0 = virtual_terms(0, d)
+        virtual = source_terms([DeviceModel(delta=0.126)]).virtual
+        *_, px0, pz0 = virtual[0, 0]
         assert px0 == pytest.approx(math.cos(0.063), abs=1e-12)
         assert pz0 == pytest.approx(math.sin(0.063), abs=1e-12)
-        *_, px1, pz1 = virtual_terms(1, d)
+        *_, px1, pz1 = virtual[0, 1]
         assert px1 == pytest.approx(-math.cos(0.063), abs=1e-12)
         assert pz1 == pytest.approx(-math.sin(0.063), abs=1e-12)
 
     def test_all_flaws_together(self):
         d = DeviceModel(delta=0.126, theta_hat=1e-3, theta_mode="dependent", mu=1e-6)
-        w0, side0, cross0, lam_max0, _, px0, pz0 = virtual_terms(0, d)
+        virtual = source_terms([d]).virtual
+        w0, side0, cross0, lam_max0, _, px0, pz0 = virtual[0, 0]
         assert w0 == pytest.approx(0.468518052547, rel=1e-10)
         assert side0 == pytest.approx(2.96739026546e-06, rel=1e-9)
         assert cross0 == pytest.approx(0.00117909961764, rel=1e-9)
         assert lam_max0 == pytest.approx(0.00118058424626, rel=1e-9)
         assert px0 == pytest.approx(0.998016487177, rel=1e-10)
         assert pz0 == pytest.approx(0.0629530882709, rel=1e-10)
-        w1, _, cross1, lam_max1, _, px1, pz1 = virtual_terms(1, d)
+        w1, _, cross1, lam_max1, _, px1, pz1 = virtual[0, 1]
         assert w1 == pytest.approx(0.531476012672, rel=1e-10)
         assert cross1 == pytest.approx(0.0012558251257, rel=1e-9)
         assert lam_max1 == pytest.approx(0.00125730969728, rel=1e-9)
@@ -217,37 +212,44 @@ class TestVirtualDecomposition:
 
     def test_degenerate_near_pi(self):
         # sin(delta/2) rounds to 1 here and the j=0 qubit weight underflows
-        with pytest.raises(DegenerateStateError):
-            virtual_terms(0, DeviceModel(delta=3.14159265))
+        terms = source_terms([DeviceModel(delta=3.14159265), DeviceModel()])
+        assert isinstance(terms.degenerate[0], DegenerateStateError)
+        assert str(terms.degenerate[0]).startswith("virtual state j=0 ")
+        assert terms.degenerate[1] is None
+        assert not terms.virtual[0].any()
+
+    def test_bit_one_fails_first(self):
+        # Both virtual states vanish; bit 1 is split first and reports.
+        error = source_terms([DeviceModel(mu=2000)]).degenerate[0]
+        assert str(error).startswith("virtual state j=1 ")
 
     @given(devices)
     @settings(max_examples=300)
     def test_weights_close(self, device):
-        w0, side0, *_ = virtual_terms(0, device)
-        w1, side1, *_ = virtual_terms(1, device)
+        (w0, side0, *_), (w1, side1, *_) = source_terms([device]).virtual[0]
         total = w0 + w1 + side0 + side1
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @given(devices, st.sampled_from([0, 1]))
     def test_bloch_unit_norm(self, device, j):
-        *_, px, pz = virtual_terms(j, device)
+        *_, px, pz = source_terms([device]).virtual[0, j]
         assert px * px + pz * pz == pytest.approx(1.0, abs=1e-12)
 
     @given(devices, st.sampled_from([0, 1]))
     def test_lambda_eigenvalue_identities(self, device, j):
-        _, side, cross, lam_max, lam_min, _, _ = virtual_terms(j, device)
+        _, side, cross, lam_max, lam_min, _, _ = source_terms([device]).virtual[0, j]
         assert lam_max + lam_min == pytest.approx(side, abs=1e-12)
         assert lam_max * lam_min == pytest.approx(-cross**2, abs=1e-12)
 
 
-# cross_basis_overlaps gives (0Z, 0X), (0Z, 1X), (1Z, 0X), (1Z, 1X).
+# source_terms(...).overlaps[i] gives (0Z, 0X), (0Z, 1X), (1Z, 0X), (1Z, 1X).
 class TestFullOverlap:
     def test_ideal_overlaps(self):
-        assert cross_basis_overlaps(DeviceModel())[0] == pytest.approx(
+        assert source_terms([DeviceModel()]).overlaps[0][0] == pytest.approx(
             math.sqrt(0.5), abs=1e-12
         )
 
     @given(devices)
     def test_symmetric_and_bounded(self, device):
-        for ov in cross_basis_overlaps(device):
+        for ov in source_terms([device]).overlaps[0]:
             assert abs(ov) <= 1.0 + 1e-12

@@ -44,3 +44,14 @@ def test_script_prints_its_csv(capsys, name, argv, header, n_rows):
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert lines[0] == header
     assert len(lines) == 1 + n_rows
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_solver_comparison_rejects_a_non_positive_step(capsys, step):
+    # A zero step once printed rows until killed.
+    with pytest.raises(SystemExit) as excinfo:
+        load_script("solver_comparison").main(["--loss-step", step])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "loss_step must be positive" in captured.err
