@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from flawedqkd import DeviceModel, ProtocolProbabilities, SweepConfig, run_sweep
+from flawedqkd import ChannelModel, DeviceModel, SweepConfig, run_sweep
 from flawedqkd.cli import sweep_csv
 
 DEVICE_FAMILY = {
@@ -26,7 +26,10 @@ DEVICE_FAMILY = {
 
 
 def parse_range(text):
-    start, stop, step = (float(p) for p in text.split(":"))
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--loss-range needs start:stop:step, got {text!r}")
+    start, stop, step = (float(p) for p in parts)
     return start, stop, step
 
 
@@ -44,24 +47,25 @@ def main(argv=None):
     ap.add_argument("--out-dir", default=None, help="write one CSV per device here")
     args = ap.parse_args(argv)
 
-    start, stop, step = parse_range(args.loss_range)
     names = [n for n in args.devices.split(",") if n]
     unknown = [n for n in names if n not in DEVICE_FAMILY]
     if unknown:
         ap.error(f"unknown device names: {unknown}")
 
-    probs = ProtocolProbabilities()
-    for name in names:
-        config = SweepConfig(
-            device=DEVICE_FAMILY[name],
-            p_d=args.pd,
-            f_ec=args.f_ec,
-            probs=probs,
-            loss_start=start,
-            loss_stop=stop,
-            loss_step=step,
-            solver=args.solver,
-        )
+    try:
+        start, stop, step = parse_range(args.loss_range)
+        configs = {
+            name: SweepConfig(
+                DEVICE_FAMILY[name], start, stop, step, args.pd, args.f_ec, solver=args.solver
+            )
+            for name in names
+        }
+        # The sweep's own rules for the range, and one channel for them all.
+        ChannelModel(start, args.pd, args.f_ec)
+    except ValueError as exc:
+        ap.error(str(exc))
+
+    for name, config in configs.items():
         text = sweep_csv(run_sweep(config))
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)

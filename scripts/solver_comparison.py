@@ -40,7 +40,7 @@ def main(argv=None):
             delta=args.delta, theta_hat=args.theta, theta_mode=args.theta_mode, mu=args.mu
         )
         # The sweep's own rules for the range, and one channel for them all.
-        SweepConfig(device, args.pd, 1.16, probs, start, stop, step)
+        SweepConfig(device, start, stop, step, args.pd, probs=probs)
         ChannelModel(start, p_d=args.pd)
     except ValueError as exc:
         ap.error(str(exc))

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .channel import ProtocolProbabilities
 from .engine import (
@@ -28,10 +28,10 @@ from .engine import (
     run_sweep,
 )
 from .errors import EstimatorError
-from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
-from .qstates import DeviceModel
+from .lt_estimator import PAPER_FAITHFUL, VERTEX_LP
+from .qstates import THETA_MODES, DeviceModel
 
-_SOLVER_FLAGS = {"paper": PAPER_FAITHFUL, "vertex-lp": "vertex_lp"}
+_SOLVER_FLAGS = {"paper": PAPER_FAITHFUL, "vertex-lp": VERTEX_LP}
 _FORMATS = ("csv", "json")
 
 
@@ -99,116 +99,75 @@ def crossover_json(records: Sequence[CrossoverRecord], compare_loss_db: float) -
     return json.dumps(payload, indent=2) + "\n"
 
 
-# Every key a config file may hold, for any subcommand: a section maps to
-# the keys inside it, a plain key to None.
-_CONFIG_KEYS: dict[str, tuple[str, ...] | None] = {
-    "device": ("delta", "theta_hat", "theta_mode", "mu"),
-    "probs": ("p_za", "p_zb"),
-    "channel": ("p_d", "f_ec"),
-    **dict.fromkeys(
-        (
-            "format", "loss", "loss_start", "loss_stop", "loss_step", "jobs", "methods",
-            "solver", "swept_param", "swept_values", "fixed_value", "compare_loss_db",
-            "bisection_tolerance",
-        )
-    ),
-}
-
-
-def _load_config_file(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    # A misspelled key would otherwise be ignored and run the defaults.
-    for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        section = _CONFIG_KEYS[key]
-        if section is None:
-            continue
-        if not isinstance(value, dict):
-            raise ValueError(f"config key {key!r} must be an object, got {value!r}")
-        for inner in value:
-            if inner not in section:
-                raise ValueError(f"unknown config key '{key}.{inner}'")
-    return data
-
-
 def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-# What a config-file value must be, by its last key; every other key holds
-# a number.
+_NUMBER = (_is_number, "a number")
 _STRING = (lambda x: isinstance(x, str), "a string")
-_FILE_KINDS = {
-    **dict.fromkeys(("solver", "theta_mode", "swept_param"), _STRING),
-    "format": (lambda x: x in _FORMATS, "'csv' or 'json'"),
-    "methods": (lambda x: isinstance(x, (str, list)), "a string or a list"),
-    "swept_values": (lambda x: isinstance(x, list) and all(map(_is_number, x)), "a list of numbers"),
+
+# Every setting: the dest of its flag, its config-file key (a dotted key is
+# an entry of a section) and the JSON kind that key must hold.  The key's
+# last part names the setting; it is the field of the library config that
+# takes the setting and holds its default.  --loss-range gives loss_start,
+# loss_stop and loss_step together, so no flag has those three dests.
+_SETTINGS = {
+    "delta": ("device.delta", _NUMBER),
+    "theta": ("device.theta_hat", _NUMBER),
+    "theta_mode": ("device.theta_mode", _STRING),
+    "mu": ("device.mu", _NUMBER),
+    "pza": ("probs.p_za", _NUMBER),
+    "pzb": ("probs.p_zb", _NUMBER),
+    "pd": ("channel.p_d", _NUMBER),
+    "f_ec": ("channel.f_ec", _NUMBER),
+    "format": ("format", (lambda x: x in _FORMATS, "'csv' or 'json'")),
+    "loss": ("loss", _NUMBER),
+    "loss_start": ("loss_start", _NUMBER),
+    "loss_stop": ("loss_stop", _NUMBER),
+    "loss_step": ("loss_step", _NUMBER),
+    "jobs": ("jobs", _NUMBER),
+    "method": ("methods", (lambda x: isinstance(x, (str, list)), "a string or a list")),
+    "solver": ("solver", _STRING),
+    "sweep_param": ("swept_param", _STRING),
+    "sweep_values": (
+        "swept_values",
+        (lambda x: isinstance(x, list) and all(map(_is_number, x)), "a list of numbers"),
+    ),
+    "compare_loss": ("compare_loss_db", _NUMBER),
+    "bisect_tol": ("bisection_tolerance", _NUMBER),
 }
+_KINDS = {tuple(key.split(".")): kind for key, kind in _SETTINGS.values()}
+_SECTIONS = {path[0] for path in _KINDS if len(path) > 1}
 
 
-def _cfg(cfg: dict[str, Any], *path: str) -> Any:
-    node: Any = cfg
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    valid, kind = _FILE_KINDS.get(path[-1], (_is_number, "a number"))
-    if node is not None and not valid(node):
-        raise ValueError(f"config key {'.'.join(path)!r} must be {kind}, got {node!r}")
-    return node
+def _file_entries(data: dict[str, Any]) -> Iterator[tuple[tuple[str, ...], Any]]:
+    # Each key path of the file and its value, in file order.
+    for key, value in data.items():
+        if key not in _SECTIONS:
+            yield (key,), value
+        elif isinstance(value, dict):
+            yield from (((key, inner), v) for inner, v in value.items())
+        else:
+            raise ValueError(f"config key {key!r} must be an object, got {value!r}")
 
 
-def _pick(flag: Any, file_value: Any, default: Any) -> Any:
-    if flag is not None:
-        return flag
-    if file_value is not None:
-        return file_value
-    return default
-
-
-def _solver_from(name: str | None, cfg: dict[str, Any]) -> str:
-    raw = _pick(
-        None if name is None else _SOLVER_FLAGS[name], _cfg(cfg, "solver"), PAPER_FAITHFUL
-    )
-    resolved = _SOLVER_FLAGS.get(raw, raw)
-    if resolved not in SOLVER_MODES:
-        raise ValueError(f"unknown solver {raw!r}")
-    return resolved
-
-
-def _device_from(args: argparse.Namespace, cfg: dict[str, Any]) -> DeviceModel:
-    return DeviceModel(
-        delta=_pick(args.delta, _cfg(cfg, "device", "delta"), 0.0),
-        theta_hat=_pick(args.theta, _cfg(cfg, "device", "theta_hat"), 0.0),
-        theta_mode=_pick(args.theta_mode, _cfg(cfg, "device", "theta_mode"), "dependent"),
-        mu=_pick(args.mu, _cfg(cfg, "device", "mu"), 0.0),
-    )
-
-
-def _probs_from(args: argparse.Namespace, cfg: dict[str, Any]) -> ProtocolProbabilities:
-    return ProtocolProbabilities(
-        p_za=_pick(args.pza, _cfg(cfg, "probs", "p_za"), 0.5),
-        p_zb=_pick(args.pzb, _cfg(cfg, "probs", "p_zb"), 0.5),
-    )
-
-
-def _channel_template(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[float, float]:
-    p_d = _pick(args.pd, _cfg(cfg, "channel", "p_d"), 1e-7)
-    f_ec = _pick(args.f_ec, _cfg(cfg, "channel", "f_ec"), 1.16)
-    return p_d, f_ec
-
-
-def _methods_from(flag: str | None, cfg: dict[str, Any]) -> tuple[str, ...]:
-    raw = _pick(flag, _cfg(cfg, "methods"), "both")
-    if isinstance(raw, (list, tuple)):
-        return tuple(raw)
-    if raw == "both":
-        return METHODS
-    return (raw,)
+def _load_config_file(path: str) -> dict[str, Any]:
+    """The settings a config file gives, by name; a null value gives none."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    settings = {}
+    for keys, value in _file_entries(data):
+        # A misspelled key would otherwise be ignored and run the defaults.
+        if keys not in _KINDS:
+            raise ValueError(f"unknown config key {'.'.join(keys)!r}")
+        valid, kind = _KINDS[keys]
+        if value is not None and not valid(value):
+            raise ValueError(f"config key {'.'.join(keys)!r} must be {kind}, got {value!r}")
+        if value is not None:
+            settings[keys[-1]] = value
+    return settings
 
 
 def _parse_loss_range(text: str) -> tuple[float, float, float]:
@@ -229,6 +188,31 @@ def _parse_values(text: str) -> tuple[float, ...]:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _settings(given: dict[str, Any]) -> dict[str, Any]:
+    """The config file's settings with the flags given laid over them."""
+    path = given.pop("config", None)
+    settings = _load_config_file(path) if path else {}
+    for dest, value in given.items():
+        if dest == "loss_range":
+            settings.update(zip(("loss_start", "loss_stop", "loss_step"), _parse_loss_range(value)))
+        else:
+            name = _SETTINGS[dest][0].rpartition(".")[2]
+            settings[name] = _parse_values(value) if dest == "sweep_values" else value
+    if "solver" in settings:
+        settings["solver"] = _SOLVER_FLAGS.get(settings["solver"], settings["solver"])
+    if "methods" in settings:
+        m = settings["methods"]
+        settings["methods"] = tuple(m) if isinstance(m, list) else METHODS if m == "both" else (m,)
+    return settings
+
+
+def _build(cls: Any, settings: dict[str, Any], **values: Any) -> Any:
+    # cls from the settings named like its fields and the values given;
+    # its own defaults fill in the rest.
+    named = {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
+    return cls(**{**named, **values})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flawedqkd",
@@ -236,125 +220,97 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--delta", type=float, default=None, help="encoding phase deviation, radians")
-    shared.add_argument("--theta", type=float, default=None, help="polarization rotation magnitude, radians")
-    shared.add_argument("--theta-mode", choices=("independent", "dependent"), default=None)
-    shared.add_argument("--mu", type=float, default=None, help="back-reflected probe intensity")
-    shared.add_argument("--pd", type=float, default=None, help="dark count probability per detector per gate")
-    shared.add_argument("--f-ec", type=float, default=None, help="error correction inefficiency")
-    shared.add_argument("--pza", type=float, default=None, help="Alice Z-basis probability")
-    shared.add_argument("--pzb", type=float, default=None, help="Bob Z-basis probability")
-    shared.add_argument("--format", choices=_FORMATS, default=None)
-    shared.add_argument("--config", default=None, help="JSON config file; flags override file values")
+    # A flag left out stays out of the namespace: the config file, then the
+    # library configs' defaults, fill its setting in.
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--delta", type=float, help="encoding phase deviation, radians")
+    shared.add_argument("--theta", type=float, help="polarization rotation magnitude, radians")
+    shared.add_argument("--theta-mode", choices=THETA_MODES)
+    shared.add_argument("--mu", type=float, help="back-reflected probe intensity")
+    shared.add_argument("--pd", type=float, help="dark count probability per detector per gate")
+    shared.add_argument("--f-ec", type=float, help="error correction inefficiency")
+    shared.add_argument("--pza", type=float, help="Alice Z-basis probability")
+    shared.add_argument("--pzb", type=float, help="Bob Z-basis probability")
+    shared.add_argument("--format", choices=_FORMATS)
+    shared.add_argument("--solver", choices=tuple(_SOLVER_FLAGS))
+    shared.add_argument("--config", help="JSON config file; flags override file values")
 
-    rate = sub.add_parser("rate", parents=[shared], help="single key-rate point")
-    rate.add_argument("--loss", type=float, default=None, help="overall system loss, dB")
-    rate.add_argument("--method", choices=("lt", "lp", "both"), default=None)
-    rate.add_argument("--solver", choices=tuple(_SOLVER_FLAGS), default=None)
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[shared], help=text, argument_default=argparse.SUPPRESS)
 
-    sweep = sub.add_parser("sweep", parents=[shared], help="key rate versus loss")
-    sweep.add_argument("--loss-range", default=None, help="start:stop:step in dB")
-    sweep.add_argument("--method", choices=("lt", "lp", "both"), default=None)
-    sweep.add_argument("--solver", choices=tuple(_SOLVER_FLAGS), default=None)
-    sweep.add_argument(
-        "--jobs", type=int, default=None, help="accepted and ignored; sweeps run serially"
-    )
+    rate = command("rate", "single key-rate point")
+    rate.add_argument("--loss", type=float, help="overall system loss, dB")
+    rate.add_argument("--method", choices=(*METHODS, "both"))
 
-    crossover = sub.add_parser(
-        "crossover", parents=[shared], help="delta where both methods tie"
-    )
-    crossover.add_argument("--sweep-param", choices=CROSSOVER_PARAMS, default=None)
-    crossover.add_argument("--sweep-values", default=None, help="comma-separated grid")
-    crossover.add_argument("--compare-loss", type=float, default=None, help="comparison loss, dB")
-    crossover.add_argument("--bisect-tol", type=float, default=None, help="delta tolerance")
-    crossover.add_argument("--solver", choices=tuple(_SOLVER_FLAGS), default=None)
+    sweep = command("sweep", "key rate versus loss")
+    sweep.add_argument("--loss-range", help="start:stop:step in dB")
+    sweep.add_argument("--method", choices=(*METHODS, "both"))
+    sweep.add_argument("--jobs", type=int, help="accepted and ignored; sweeps run serially")
+
+    crossover = command("crossover", "delta where both methods tie")
+    crossover.add_argument("--sweep-param", choices=CROSSOVER_PARAMS)
+    crossover.add_argument("--sweep-values", help="comma-separated grid")
+    crossover.add_argument("--compare-loss", type=float, help="comparison loss, dB")
+    crossover.add_argument("--bisect-tol", type=float, help="delta tolerance")
 
     return parser
 
 
-def _sweep_config(
-    args: argparse.Namespace, cfg: dict[str, Any], start: float, stop: float, step: float, jobs: int = 1
-) -> SweepConfig:
-    p_d, f_ec = _channel_template(args, cfg)
-    return SweepConfig(
-        device=_device_from(args, cfg),
-        p_d=p_d,
-        f_ec=f_ec,
-        probs=_probs_from(args, cfg),
-        loss_start=start,
-        loss_stop=stop,
-        loss_step=step,
-        methods=_methods_from(args.method, cfg),
-        solver=_solver_from(args.solver, cfg),
-        jobs=jobs,
-    )
+def _sweep_rows(settings: dict[str, Any]) -> list[SweepRow]:
+    device = _build(DeviceModel, settings)
+    probs = _build(ProtocolProbabilities, settings)
+    return run_sweep(_build(SweepConfig, settings, device=device, probs=probs))
 
 
-def _run_rate(args: argparse.Namespace, cfg: dict[str, Any], fmt: str) -> str:
-    loss = _pick(args.loss, _cfg(cfg, "loss"), None)
-    if loss is None:
+def _run_rate(settings: dict[str, Any]) -> str:
+    if "loss" not in settings:
         raise ValueError("rate needs --loss (or 'loss' in the config file)")
-    rows = run_sweep(_sweep_config(args, cfg, loss, loss, 1.0))
+    loss = settings["loss"]
+    # One point: the sweep's range and jobs, if the file holds them, are not read.
+    settings.update(loss_start=loss, loss_stop=loss, loss_step=1.0)
+    settings.pop("jobs", None)
+    rows = _sweep_rows(settings)
     # A single point has nothing to salvage: its first failure fails the command.
     for r in rows:
         if r.error is not None:
             raise EstimatorError(r.error)
-    return sweep_csv(rows) if fmt == "csv" else sweep_json(rows)
+    return sweep_json(rows) if settings.get("format") == "json" else sweep_csv(rows)
 
 
-def _run_sweep(args: argparse.Namespace, cfg: dict[str, Any], fmt: str) -> str:
-    if args.loss_range is not None:
-        start, stop, step = _parse_loss_range(args.loss_range)
-    else:
-        start, stop, step = (_cfg(cfg, k) for k in ("loss_start", "loss_stop", "loss_step"))
-        if start is None or stop is None or step is None:
-            raise ValueError(
-                "sweep needs --loss-range (or loss_start/loss_stop/loss_step in the config file)"
-            )
-    jobs = _pick(args.jobs, _cfg(cfg, "jobs"), 1)
-    rows = run_sweep(_sweep_config(args, cfg, start, stop, step, jobs))
+def _run_sweep(settings: dict[str, Any]) -> str:
+    if not {"loss_start", "loss_stop", "loss_step"} <= settings.keys():
+        raise ValueError(
+            "sweep needs --loss-range (or loss_start/loss_stop/loss_step in the config file)"
+        )
+    rows = _sweep_rows(settings)
     for r in rows:
         if r.error is not None:
             print(
                 f"warning: loss={_fmt(r.loss_db)} method={r.method}: {r.error}",
                 file=sys.stderr,
             )
-    return sweep_csv(rows) if fmt == "csv" else sweep_json(rows)
+    return sweep_json(rows) if settings.get("format") == "json" else sweep_csv(rows)
 
 
-def _run_crossover(args: argparse.Namespace, cfg: dict[str, Any], fmt: str) -> str:
-    swept_param = _pick(args.sweep_param, _cfg(cfg, "swept_param"), None)
-    if swept_param is None:
+def _run_crossover(settings: dict[str, Any]) -> str:
+    if "swept_param" not in settings:
         raise ValueError("crossover needs --sweep-param")
-    raw_values = _pick(
-        None if args.sweep_values is None else _parse_values(args.sweep_values),
-        _cfg(cfg, "swept_values"),
-        None,
-    )
-    if raw_values is None:
+    if "swept_values" not in settings:
         raise ValueError("crossover needs --sweep-values")
-    fixed_param = "mu" if swept_param == "theta" else "theta"
-    fixed_flag = {"mu": args.mu, "theta": args.theta}[fixed_param]
-    fixed_value = _pick(fixed_flag, _cfg(cfg, "fixed_value"), 0.0)
-    p_d, f_ec = _channel_template(args, cfg)
-    config = CrossoverConfig(
-        fixed_param=fixed_param,
-        fixed_value=fixed_value,
-        swept_param=swept_param,
-        swept_values=tuple(raw_values),
-        compare_loss_db=_pick(args.compare_loss, _cfg(cfg, "compare_loss_db"), 20.0),
-        bisection_tolerance=_pick(args.bisect_tol, _cfg(cfg, "bisection_tolerance"), 1e-10),
-        theta_mode=_pick(args.theta_mode, _cfg(cfg, "device", "theta_mode"), "dependent"),
-        p_d=p_d,
-        f_ec=f_ec,
-        probs=_probs_from(args, cfg),
-        solver=_solver_from(args.solver, cfg),
+    # The flaw not swept is held at the device's own value.
+    fixed = "mu" if settings["swept_param"] == "theta" else "theta_hat"
+    if fixed in settings:
+        settings["fixed_value"] = settings[fixed]
+    config = _build(
+        CrossoverConfig,
+        settings,
+        swept_values=tuple(settings["swept_values"]),
+        probs=_build(ProtocolProbabilities, settings),
     )
     records = find_crossover(config)
-    if fmt == "csv":
-        return crossover_csv(records, config.compare_loss_db)
-    return crossover_json(records, config.compare_loss_db)
+    if settings.get("format") == "json":
+        return crossover_json(records, config.compare_loss_db)
+    return crossover_csv(records, config.compare_loss_db)
 
 
 _HANDLERS = {"rate": _run_rate, "sweep": _run_sweep, "crossover": _run_crossover}
@@ -367,11 +323,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    given = vars(_parser.parse_args(argv))
+    command = given.pop("command")
     try:
-        cfg = _load_config_file(args.config) if args.config else {}
-        fmt = _pick(args.format, _cfg(cfg, "format"), "csv")
-        output = _HANDLERS[args.command](args, cfg, fmt)
+        output = _HANDLERS[command](_settings(given))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

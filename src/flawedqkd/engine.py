@@ -40,12 +40,12 @@ class SweepConfig:
     """
 
     device: DeviceModel
-    p_d: float
-    f_ec: float
-    probs: ProtocolProbabilities
     loss_start: float
     loss_stop: float
     loss_step: float
+    p_d: float = ChannelModel.p_d
+    f_ec: float = ChannelModel.f_ec
+    probs: ProtocolProbabilities = ProtocolProbabilities()
     methods: tuple[str, ...] = METHODS
     solver: str = PAPER_FAITHFUL
     jobs: int = 1
@@ -80,30 +80,25 @@ class SweepConfig:
 class CrossoverConfig:
     """Search for the delta where both methods give the same rate.
 
-    One of theta/mu is held fixed, the other takes each value of the swept
-    grid; for each grid value the gap rate_lt - rate_lp is bisected in
-    delta at the comparison loss.
+    The swept flaw, theta or mu, takes each value of the grid, and the
+    other flaw is held at fixed_value; for each grid value the gap
+    rate_lt - rate_lp is bisected in delta at the comparison loss.
     """
 
-    fixed_param: str
-    fixed_value: float
     swept_param: str
     swept_values: tuple[float, ...]
+    fixed_value: float = 0.0
     compare_loss_db: float = 20.0
     bisection_tolerance: float = 1e-10
-    theta_mode: str = "dependent"
-    p_d: float = 1e-7
-    f_ec: float = 1.16
+    theta_mode: str = DeviceModel.theta_mode
+    p_d: float = ChannelModel.p_d
+    f_ec: float = ChannelModel.f_ec
     probs: ProtocolProbabilities = ProtocolProbabilities()
     solver: str = PAPER_FAITHFUL
 
     def __post_init__(self) -> None:
-        if self.fixed_param not in CROSSOVER_PARAMS:
-            raise ValueError(f"fixed_param must be one of {CROSSOVER_PARAMS}")
         if self.swept_param not in CROSSOVER_PARAMS:
             raise ValueError(f"swept_param must be one of {CROSSOVER_PARAMS}")
-        if self.fixed_param == self.swept_param:
-            raise ValueError("fixed_param and swept_param must differ")
         if not self.swept_values:
             raise ValueError("swept grid must be nonempty")
         if not 0.0 <= self.compare_loss_db < math.inf:
@@ -193,11 +188,12 @@ def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]
     batch at the comparison transmittance."""
     if not points:
         return []
+    swept_theta = config.swept_param == "theta"
     devices = []
     for delta, value in points:
-        params = {config.fixed_param: config.fixed_value, config.swept_param: value}
+        theta_hat, mu = (value, config.fixed_value) if swept_theta else (config.fixed_value, value)
         devices.append(DeviceModel(
-            delta=delta, theta_hat=params["theta"], theta_mode=config.theta_mode, mu=params["mu"]
+            delta=delta, theta_hat=theta_hat, theta_mode=config.theta_mode, mu=mu
         ))
     both = evaluate_grid(
         prepare(devices, config.probs),

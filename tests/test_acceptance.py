@@ -328,10 +328,9 @@ class TestStructuralInvariants:
 class TestCrossoverFrontier:
     def test_frontier_is_monotone_and_tight(self):
         config = CrossoverConfig(
-            fixed_param="theta",
-            fixed_value=1e-6,
             swept_param="mu",
             swept_values=(1e-9, 1e-8, 1e-7, 1e-6, 1e-5),
+            fixed_value=1e-6,
             compare_loss_db=20.0,
             bisection_tolerance=1e-10,
         )

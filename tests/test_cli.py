@@ -13,13 +13,12 @@ import flawedqkd
 from flawedqkd import (
     CrossoverConfig,
     DeviceModel,
-    ProtocolProbabilities,
     SweepConfig,
     SweepRow,
     loss_grid,
     run_sweep,
 )
-from flawedqkd.cli import crossover_csv, main, sweep_csv, sweep_json
+from flawedqkd.cli import _SETTINGS, crossover_csv, main, sweep_csv, sweep_json
 
 IDEAL = DeviceModel()
 
@@ -255,6 +254,12 @@ GOLDEN_DIGESTS = [
     ("crossover-json", "crossover --sweep-param mu --sweep-values 1e-8,3e-8 --theta 1e-5 --format json",
      "cb5d8efe4ba3d293bab36a0fc5e91b034cac35bf27ccf33b756c88a299875717",
      None),
+    # The lt/lp frontier over the leak; recorded from the default run of
+    # scripts/crossover_frontier.py, the separate front end this command
+    # replaced.
+    ("crossover-frontier-default", "crossover --sweep-param mu --sweep-values 1e-9,3e-9,1e-8,3e-8,1e-7,3e-7,1e-6,3e-6,1e-5 --theta 1e-6",
+     "a892f05597613fefda60e5f302abecf78658a17a925915a307c836d886baf7be",
+     None),
 ]
 
 def run_cli(capsys, *argv):
@@ -282,17 +287,16 @@ class TestLossGrid:
 
 class TestSweepConfig:
     def test_rejects_bad_ranges(self):
-        probs = ProtocolProbabilities()
         with pytest.raises(ValueError):
-            SweepConfig(IDEAL, 1e-7, 1.16, probs, 10.0, 0.0, 1.0)
+            SweepConfig(IDEAL, 10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            SweepConfig(IDEAL, 1e-7, 1.16, probs, 0.0, 10.0, 0.0)
+            SweepConfig(IDEAL, 0.0, 10.0, 0.0)
         with pytest.raises(ValueError):
-            SweepConfig(IDEAL, 1e-7, 1.16, probs, 0.0, 10.0, 1.0, methods=("qq",))
+            SweepConfig(IDEAL, 0.0, 10.0, 1.0, methods=("qq",))
         with pytest.raises(ValueError):
-            SweepConfig(IDEAL, 1e-7, 1.16, probs, 0.0, 10.0, 1.0, solver="other")
+            SweepConfig(IDEAL, 0.0, 10.0, 1.0, solver="other")
         with pytest.raises(ValueError):
-            SweepConfig(IDEAL, 1e-7, 1.16, probs, 0.0, 10.0, 1.0, jobs=0)
+            SweepConfig(IDEAL, 0.0, 10.0, 1.0, jobs=0)
 
     @pytest.mark.parametrize(
         "start, stop, step, field",
@@ -311,33 +315,29 @@ class TestSweepConfig:
     def test_rejects_non_finite_or_oversized_grids(self, start, stop, step, field):
         # Only the config is built: an oversized grid must never be evaluated.
         with pytest.raises(ValueError, match=field):
-            SweepConfig(IDEAL, 1e-7, 1.16, ProtocolProbabilities(), start, stop, step)
+            SweepConfig(IDEAL, start, stop, step)
 
     def test_largest_allowed_grid(self):
-        config = SweepConfig(IDEAL, 1e-7, 1.16, ProtocolProbabilities(), 0.0, 999999.0, 1.0)
+        config = SweepConfig(IDEAL, 0.0, 999999.0, 1.0)
         assert config.loss_stop == 999999.0
 
 
 class TestCrossoverConfig:
     def test_rejects_bad_setups(self):
         with pytest.raises(ValueError):
-            CrossoverConfig("mu", 1e-6, "mu", (1e-9,))
+            CrossoverConfig("mu", (), 1e-6)
         with pytest.raises(ValueError):
-            CrossoverConfig("gamma", 1e-6, "mu", (1e-9,))
-        with pytest.raises(ValueError):
-            CrossoverConfig("theta", 1e-6, "mu", ())
-        with pytest.raises(ValueError):
-            CrossoverConfig("theta", 1e-6, "mu", (1e-9,), bisection_tolerance=0.0)
+            CrossoverConfig("mu", (1e-9,), 1e-6, bisection_tolerance=0.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_rejects_non_finite_tolerance(self, tol):
         with pytest.raises(ValueError, match="bisection_tolerance"):
-            CrossoverConfig("theta", 1e-6, "mu", (1e-9,), bisection_tolerance=tol)
+            CrossoverConfig("mu", (1e-9,), 1e-6, bisection_tolerance=tol)
 
     @pytest.mark.parametrize("loss", [math.nan, math.inf, -1.0])
     def test_rejects_unusable_compare_loss(self, loss):
         with pytest.raises(ValueError, match="compare_loss_db"):
-            CrossoverConfig("theta", 1e-6, "mu", (1e-9,), compare_loss_db=loss)
+            CrossoverConfig("mu", (1e-9,), 1e-6, compare_loss_db=loss)
 
 
 class TestRunSweep:
@@ -357,7 +357,7 @@ class TestRunSweep:
 
     def test_row_order_is_loss_major(self, probs):
         rows = run_sweep(
-            SweepConfig(IDEAL, 1e-7, 1.16, probs, 0.0, 10.0, 10.0, methods=("lt", "lp"))
+            SweepConfig(IDEAL, 0.0, 10.0, 10.0, probs=probs, methods=("lt", "lp"))
         )
         assert [(r.loss_db, r.method) for r in rows] == [
             (0.0, "lt"),
@@ -370,7 +370,7 @@ class TestRunSweep:
         # a fully rotated X state breaks the LT inversion; LP never inverts
         device = DeviceModel(theta_hat=1.0, theta_mode="dependent")
         rows = run_sweep(
-            SweepConfig(device, 1e-7, 1.16, probs, 0.0, 5.0, 5.0, methods=("lt", "lp"))
+            SweepConfig(device, 0.0, 5.0, 5.0, probs=probs, methods=("lt", "lp"))
         )
         lt_rows = [r for r in rows if r.method == "lt"]
         lp_rows = [r for r in rows if r.method == "lp"]
@@ -629,11 +629,15 @@ WRONG_TYPE_CONFIGS = [
     ("swept_values", {"swept_values": "1e-9"}, ["crossover", "--sweep-param", "mu"]),
     ("solver", {"solver": ["x"]}, ["rate", "--loss", "10"]),
     ("device.delta", {"device": {"delta": "0.1"}}, ["rate", "--loss", "10"]),
+    # Every key is checked at load, also one the command does not read.
+    pytest.param("swept_values", {"swept_values": "1e-9"}, ["rate", "--loss", "10"],
+                 id="swept_values-unread"),
 ]
 
 # A config file the CLI must refuse, and the key its error must name: a
 # misspelled key, a section that is not an object, a key unknown inside a
-# section, and an output format other than csv or json.
+# section, an output format other than csv or json, and the crossover's
+# old fixed_value, which the device's mu or theta_hat gives.
 REFUSED_CONFIGS = [
     ("device.detla", {"device": {"detla": 0.1}, "loss": 10}),
     ("lost", {"lost": 10, "loss": 10}),
@@ -641,7 +645,48 @@ REFUSED_CONFIGS = [
     ("channel", {"channel": [1e-7], "loss": 10}),
     ("probs.p_z", {"probs": {"p_z": 0.5}, "loss": 10}),
     ("format", {"format": "xml", "loss": 10}),
+    ("fixed_value", {"fixed_value": 1e-6, "loss": 10}),
 ]
+
+# Per command, a config file giving every setting the command reads, and
+# the same settings as flags; together they give every config-file key.
+EQUIVALENT_CONFIGS = {
+    "rate": (
+        {
+            "device": {"delta": 0.05, "theta_hat": 1e-4, "theta_mode": "independent", "mu": 1e-7},
+            "probs": {"p_za": 0.6, "p_zb": 0.7},
+            "channel": {"p_d": 2e-7, "f_ec": 1.1},
+            "format": "json", "loss": 12.5, "methods": "lp", "solver": "vertex-lp",
+        },
+        "--delta 0.05 --theta 1e-4 --theta-mode independent --mu 1e-7 --pza 0.6 --pzb 0.7"
+        " --pd 2e-7 --f-ec 1.1 --format json --loss 12.5 --method lp --solver vertex-lp",
+    ),
+    "sweep": (
+        {
+            "device": {"delta": 0.063, "theta_hat": 1e-3, "theta_mode": "dependent", "mu": 1e-7},
+            "probs": {"p_za": 0.55, "p_zb": 0.5},
+            "channel": {"p_d": 1e-7, "f_ec": 1.2},
+            "format": "csv", "loss_start": 0, "loss_stop": 10, "loss_step": 2.5, "jobs": 2,
+            "methods": ["lt"], "solver": "vertex_lp",
+        },
+        "--delta 0.063 --theta 1e-3 --theta-mode dependent --mu 1e-7 --pza 0.55 --pzb 0.5"
+        " --pd 1e-7 --f-ec 1.2 --format csv --loss-range 0:10:2.5 --jobs 2 --method lt"
+        " --solver vertex-lp",
+    ),
+    "crossover": (
+        {
+            "swept_param": "theta", "swept_values": [1e-4, 1e-3],
+            "device": {"theta_mode": "dependent", "mu": 1e-8},
+            "probs": {"p_za": 0.55, "p_zb": 0.45},
+            "channel": {"p_d": 5e-8, "f_ec": 1.15},
+            "compare_loss_db": 15, "bisection_tolerance": 1e-6, "format": "json",
+            "solver": "paper",
+        },
+        "--sweep-param theta --sweep-values 1e-4,1e-3 --theta-mode dependent --mu 1e-8"
+        " --pza 0.55 --pzb 0.45 --pd 5e-8 --f-ec 1.15 --compare-loss 15 --bisect-tol 1e-6"
+        " --format json --solver paper",
+    ),
+}
 
 
 class TestConfigFile:
@@ -686,7 +731,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "key, content, argv",
         WRONG_TYPE_CONFIGS,
-        ids=[case[0] for case in WRONG_TYPE_CONFIGS],
+        ids=[getattr(case, "id", None) or case[0] for case in WRONG_TYPE_CONFIGS],
     )
     def test_wrong_json_type_is_usage_error(self, capsys, tmp_path, key, content, argv):
         cfg = tmp_path / "run.json"
@@ -707,6 +752,23 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("command", list(EQUIVALENT_CONFIGS))
+    def test_file_and_flags_print_the_same_bytes(self, capsys, tmp_path, command):
+        given = {
+            f"{key}.{inner}" if isinstance(value, dict) else key
+            for content, _ in EQUIVALENT_CONFIGS.values()
+            for key, value in content.items()
+            for inner in (value if isinstance(value, dict) else [None])
+        }
+        assert given == {key for key, _ in _SETTINGS.values()}
+        content, flags = EQUIVALENT_CONFIGS[command]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(content))
+        from_file = run_cli(capsys, command, "--config", str(cfg))
+        from_flags = run_cli(capsys, command, *flags.split())
+        assert from_file[0] == 0
+        assert from_file == from_flags
 
     def test_keys_of_other_commands_are_accepted(self, capsys, tmp_path):
         # one file can serve every subcommand: rate ignores the sweep range

@@ -37,13 +37,10 @@ def serial_crossover(config, prepare=prepare):
     eta = np.array([system_efficiency(channel)])
 
     def rates(delta, swept_value):
-        params = {config.fixed_param: config.fixed_value, config.swept_param: swept_value}
-        device = DeviceModel(
-            delta=delta,
-            theta_hat=params["theta"],
-            theta_mode=config.theta_mode,
-            mu=params["mu"],
-        )
+        theta_hat, mu = config.fixed_value, swept_value
+        if config.swept_param == "theta":
+            theta_hat, mu = mu, theta_hat
+        device = DeviceModel(delta=delta, theta_hat=theta_hat, theta_mode=config.theta_mode, mu=mu)
         prepared = prepare(device, config.probs)
         both = evaluate_grid(prepared, eta, channel.p_d, channel.f_ec, METHODS, config.solver)
         for result in both.values():
@@ -117,10 +114,9 @@ def configs(draw, solver, max_values):
     swept_values = draw(st.lists(thetas if swept == "theta" else mus, min_size=1,
                                  max_size=max_values))
     return CrossoverConfig(
-        fixed_param="mu" if swept == "theta" else "theta",
-        fixed_value=draw(mus if swept == "theta" else thetas),
         swept_param=swept,
         swept_values=tuple(swept_values),
+        fixed_value=draw(mus if swept == "theta" else thetas),
         compare_loss_db=draw(compare_losses),
         bisection_tolerance=10.0 ** draw(st.floats(-10.0, -3.0)),
         theta_mode=draw(st.sampled_from(["independent", "dependent"])),
@@ -130,11 +126,11 @@ def configs(draw, solver, max_values):
 
 
 @given(config=configs(PAPER_FAITHFUL, 4))
-@example(config=CrossoverConfig("mu", 1e-9, "theta", (1e-5, 1.0, 0.1)))
-@example(config=CrossoverConfig("theta", 1e-6, "mu", (1e-9, 1e-3), compare_loss_db=3203.0, p_d=0.0))
-@example(config=CrossoverConfig("theta", 1e-6, "mu", (1e-9,), compare_loss_db=3225.2, p_d=0.0))
-@example(config=CrossoverConfig("theta", 1e-3, "mu", (1e-9, 800.0), theta_mode="independent"))
-@example(config=CrossoverConfig("mu", 1e-9, "theta", (1e-5, 2.0)))
+@example(config=CrossoverConfig("theta", (1e-5, 1.0, 0.1), 1e-9))
+@example(config=CrossoverConfig("mu", (1e-9, 1e-3), 1e-6, compare_loss_db=3203.0, p_d=0.0))
+@example(config=CrossoverConfig("mu", (1e-9,), 1e-6, compare_loss_db=3225.2, p_d=0.0))
+@example(config=CrossoverConfig("mu", (1e-9, 800.0), 1e-3, theta_mode="independent"))
+@example(config=CrossoverConfig("theta", (1e-5, 2.0), 1e-9))
 @settings(max_examples=40)
 def test_batched_search_equals_the_serial_search(config):
     assert outcome(find_crossover, config) == outcome(serial_crossover, config)
@@ -150,7 +146,7 @@ def test_earlier_record_fails_first(monkeypatch):
     # Record 1 fails in its scan; record 0 fails later, at its third
     # bisection step.  A value-by-value search meets record 0's failure
     # first, so that is the one raised.
-    config = CrossoverConfig("theta", 1e-6, "mu", (1e-9, 1e-8), bisection_tolerance=1e-6)
+    config = CrossoverConfig("mu", (1e-9, 1e-8), 1e-6, bisection_tolerance=1e-6)
     visited = []
 
     def logging_prepare(devices, probs):

@@ -83,7 +83,7 @@ def test_sweep_rows_equal_single_points(device, p_d, f_ec, probs, start, step, p
     if solver == VERTEX_LP:
         points = min(points, 8)
     stop = start + step * (points - 1)
-    rows = run_sweep(SweepConfig(device, p_d, f_ec, probs, start, stop, step, solver=solver))
+    rows = run_sweep(SweepConfig(device, start, stop, step, p_d, f_ec, probs, solver=solver))
     assert len(rows) == 2 * len(loss_grid(start, stop, step))
     for row in rows:
         assert_row_matches_point(row, device, p_d, f_ec, probs, solver)
@@ -227,7 +227,7 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
 @settings(max_examples=60)
 def test_sweep_rows_equal_the_per_point_arithmetic(device, p_d, f_ec, probs, start, step, points):
     stop = start + step * (points - 1)
-    rows = run_sweep(SweepConfig(device, p_d, f_ec, probs, start, stop, step))
+    rows = run_sweep(SweepConfig(device, start, stop, step, p_d, f_ec, probs))
     for row in rows:
         expected = per_point_reference(device, row.loss_db, p_d, f_ec, probs)[row.method]
         if isinstance(expected, str):
@@ -242,7 +242,7 @@ def test_pinned_point_at_a_fifth_of_a_db():
     device = DeviceModel(delta=0.063, theta_hat=1e-3, mu=1e-7)
     probs = ProtocolProbabilities()
     for solver in SOLVER_MODES:
-        rows = run_sweep(SweepConfig(device, 1e-7, 1.16, probs, 0.0, 0.4, 0.2, solver=solver))
+        rows = run_sweep(SweepConfig(device, 0.0, 0.4, 0.2, probs=probs, solver=solver))
         at_fifth = [row for row in rows if row.loss_db == 0.2]
         assert [row.method for row in at_fifth] == ["lt", "lp"]
         for row in at_fifth:
@@ -335,8 +335,7 @@ class TestNoGridWideAbort:
         self, device, p_d, start, step, points, solver
     ):
         stop = start + step * (points - 1)
-        config = SweepConfig(device, p_d, 1.16, ProtocolProbabilities(), start, stop, step,
-                             solver=solver)
+        config = SweepConfig(device, start, stop, step, p_d, solver=solver)
         rows = run_sweep(config)
         assert len(rows) == 2 * len(loss_grid(start, stop, step))
 

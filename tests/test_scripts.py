@@ -18,12 +18,6 @@ def load_script(name):
 # Script, its arguments, the CSV header it must print, and its data rows.
 CASES = [
     (
-        "crossover_frontier",
-        ["--sweep-values", "1e-9"],
-        "swept_param,swept_value,delta_star,rate_lt,rate_lp,status",
-        1,
-    ),
-    (
         "loss_sweep",
         ["--loss-range", "0:10:5", "--devices", "clean,leaky"],
         "device,loss_db,eta,method,e_z,e_x,rate_raw,rate",
@@ -46,12 +40,25 @@ def test_script_prints_its_csv(capsys, name, argv, header, n_rows):
     assert len(lines) == 1 + n_rows
 
 
-@pytest.mark.parametrize("step", ["0", "-1"])
-def test_solver_comparison_rejects_a_non_positive_step(capsys, step):
+# Script, an argument it must refuse, and what the usage error must say.
+REFUSED = [
     # A zero step once printed rows until killed.
+    ("solver_comparison", "--loss-step=0", "loss_step must be positive"),
+    ("solver_comparison", "--loss-step=-1", "loss_step must be positive"),
+    # Each of these once ended in a traceback and exit 1.
+    ("loss_sweep", "--loss-range=0:10:0", "loss_step must be positive"),
+    ("loss_sweep", "--loss-range=0:10:-1", "loss_step must be positive"),
+    ("loss_sweep", "--loss-range=0:10", "start:stop:step"),
+    ("loss_sweep", "--solver=bogus", "unknown solver 'bogus'"),
+    ("loss_sweep", "--pd=2", "p_d must lie in [0, 1)"),
+]
+
+
+@pytest.mark.parametrize("name, arg, message", REFUSED, ids=[f"{c[0]}{c[1]}" for c in REFUSED])
+def test_script_rejects_a_bad_argument(capsys, name, arg, message):
     with pytest.raises(SystemExit) as excinfo:
-        load_script("solver_comparison").main(["--loss-step", step])
+        load_script(name).main([arg])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "loss_step must be positive" in captured.err
+    assert message in captured.err
