@@ -8,16 +8,15 @@ error bound from each solver and the key rate it leads to.
 """
 
 import argparse
+import sys
 
 from flawedqkd import (
     PAPER_FAITHFUL,
     VERTEX_LP,
     ChannelModel,
     DeviceModel,
-    ProtocolProbabilities,
     SweepConfig,
-    key_rate_lt,
-    loss_grid,
+    run_sweep,
 )
 
 
@@ -27,33 +26,34 @@ def main(argv=None):
     ap.add_argument("--theta", type=float, default=1e-3)
     ap.add_argument("--theta-mode", choices=("independent", "dependent"), default="dependent")
     ap.add_argument("--mu", type=float, default=1e-7)
-    ap.add_argument("--pd", type=float, default=1e-7)
+    ap.add_argument("--pd", type=float, default=ChannelModel.p_d)
     ap.add_argument("--loss-start", type=float, default=0.0)
     ap.add_argument("--loss-stop", type=float, default=20.0)
     ap.add_argument("--loss-step", type=float, default=1.0)
     args = ap.parse_args(argv)
 
-    probs = ProtocolProbabilities()
-    start, stop, step = args.loss_start, args.loss_stop, args.loss_step
     try:
         device = DeviceModel(
             delta=args.delta, theta_hat=args.theta, theta_mode=args.theta_mode, mu=args.mu
         )
-        # The sweep's own rules for the range, and one channel for them all.
-        SweepConfig(device, start, stop, step, args.pd, probs=probs)
-        ChannelModel(start, p_d=args.pd)
+        box, vert = (
+            run_sweep(SweepConfig(device, args.loss_start, args.loss_stop, args.loss_step,
+                                  args.pd, methods=("lt",), solver=solver))
+            for solver in (PAPER_FAITHFUL, VERTEX_LP)
+        )
     except ValueError as exc:
         ap.error(str(exc))
+    failed = next((r.error for pair in zip(box, vert) for r in pair if r.error is not None), None)
+    if failed is not None:
+        print(f"numerical failure: {failed}", file=sys.stderr)
+        return 3
 
     print("loss_db,e_x_interval,e_x_vertex,rate_interval,rate_vertex,rate_gain")
-    for loss in loss_grid(start, stop, step):
-        channel = ChannelModel(loss, p_d=args.pd)
-        box = key_rate_lt(device, channel, probs, PAPER_FAITHFUL)
-        vert = key_rate_lt(device, channel, probs, VERTEX_LP)
-        gain = vert.rate - box.rate
+    for b, v in zip(box, vert):
+        gain = v.rate - b.rate
         print(
-            f"{loss:.10g},{box.e_x:.10g},{vert.e_x:.10g},"
-            f"{box.rate:.10g},{vert.rate:.10g},{gain:.10g}"
+            f"{b.loss_db:.10g},{b.e_x:.10g},{v.e_x:.10g},"
+            f"{b.rate:.10g},{v.rate:.10g},{gain:.10g}"
         )
     return 0
 

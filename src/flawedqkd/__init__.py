@@ -8,9 +8,9 @@ analysis that compresses all flaws into a basis-dependence imbalance.
 Every number comes from one path: ``prepare`` computes what depends on the
 devices alone, and ``evaluate_grid`` carries an array of transmittances
 through both estimators.  ``key_rate_lt`` and ``key_rate_lp`` are one-point
-grids; ``run_sweep`` and ``find_crossover`` drive whole grids.  The stages
-the grid runs live in the ``channel``, ``lt_estimator`` and
-``lp_estimator`` modules.
+grids that return the row a sweep prints there; ``run_sweep`` and
+``find_crossover`` drive whole grids.  The stages the grid runs live in the
+``channel``, ``lt_estimator`` and ``lp_estimator`` modules.
 """
 
 from .channel import (
@@ -26,6 +26,8 @@ from .engine import (
     SweepConfig,
     SweepRow,
     find_crossover,
+    key_rate_lp,
+    key_rate_lt,
     loss_grid,
     run_sweep,
 )
@@ -36,15 +38,7 @@ from .errors import (
     NoDetectionError,
     SingularSystemError,
 )
-from .grid import (
-    GridRates,
-    KeyRatePoint,
-    PreparedDevice,
-    evaluate_grid,
-    key_rate_lp,
-    key_rate_lt,
-    prepare,
-)
+from .grid import GridRates, PreparedDevice, evaluate_grid, prepare
 from .lp_estimator import coin_imbalance
 from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES, VERTEX_LP
 from .qstates import DeviceModel, tha_coefficients

@@ -297,14 +297,11 @@ def _run_crossover(settings: dict[str, Any]) -> str:
         raise ValueError("crossover needs --sweep-param")
     if "swept_values" not in settings:
         raise ValueError("crossover needs --sweep-values")
-    # The flaw not swept is held at the device's own value.
-    fixed = "mu" if settings["swept_param"] == "theta" else "theta_hat"
-    if fixed in settings:
-        settings["fixed_value"] = settings[fixed]
     config = _build(
         CrossoverConfig,
         settings,
         swept_values=tuple(settings["swept_values"]),
+        device=_build(DeviceModel, settings),
         probs=_build(ProtocolProbabilities, settings),
     )
     records = find_crossover(config)

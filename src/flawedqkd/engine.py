@@ -1,8 +1,7 @@
-"""Loss sweeps and the lt/lp crossover search.
+"""Single key-rate points, loss sweeps and the lt/lp crossover search.
 
-Both engines take a frozen config, evaluate the two estimators on the
-device and channel models, and return plain records; rendering them is
-left to the caller.
+Each entry point takes a device model, evaluates the two estimators on the
+grid path and returns plain records; rendering them is left to the caller.
 """
 
 from __future__ import annotations
@@ -13,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, ProtocolProbabilities, efficiency, system_efficiency
-from .grid import METHODS, evaluate_grid, prepare
+from .grid import METHODS, GridRates, evaluate_grid, prepare
 from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
 from .qstates import DeviceModel
 
-CROSSOVER_PARAMS = ("theta", "mu")
+# The device field each crossover sweep parameter sets.
+SWEPT_FIELDS = {"theta": "theta_hat", "mu": "mu"}
+CROSSOVER_PARAMS = tuple(SWEPT_FIELDS)
 
 # Bracket grid for the crossover bisection in delta.
 _DELTA_SCAN = tuple(i * 0.01 for i in range(51))
@@ -81,26 +82,34 @@ class CrossoverConfig:
     """Search for the delta where both methods give the same rate.
 
     The swept flaw, theta or mu, takes each value of the grid, and the
-    other flaw is held at fixed_value; for each grid value the gap
-    rate_lt - rate_lp is bisected in delta at the comparison loss.
+    device gives the other flaw and the theta mode; for each grid value the
+    gap rate_lt - rate_lp is bisected in delta at the comparison loss.  The
+    search sets delta and the swept flaw, so the device must leave both 0.
     """
 
     swept_param: str
     swept_values: tuple[float, ...]
-    fixed_value: float = 0.0
+    device: DeviceModel = DeviceModel()
     compare_loss_db: float = 20.0
     bisection_tolerance: float = 1e-10
-    theta_mode: str = DeviceModel.theta_mode
     p_d: float = ChannelModel.p_d
     f_ec: float = ChannelModel.f_ec
     probs: ProtocolProbabilities = ProtocolProbabilities()
     solver: str = PAPER_FAITHFUL
 
     def __post_init__(self) -> None:
-        if self.swept_param not in CROSSOVER_PARAMS:
+        if self.swept_param not in SWEPT_FIELDS:
             raise ValueError(f"swept_param must be one of {CROSSOVER_PARAMS}")
         if not self.swept_values:
             raise ValueError("swept grid must be nonempty")
+        for name in ("delta", SWEPT_FIELDS[self.swept_param]):
+            value = getattr(self.device, name)
+            if value != 0.0:
+                raise ValueError(f"the crossover search varies {name}, so the device's {name}"
+                                 f" must be 0, got {value}")
+        # Every searched delta lies in [0, 0.5], so a value the device model
+        # takes at delta = 0 it takes throughout the search.
+        self.devices_at([(0.0, value) for value in self.swept_values])
         if not 0.0 <= self.compare_loss_db < math.inf:
             raise ValueError(f"compare_loss_db must be finite and >= 0, got {self.compare_loss_db}")
         tol = self.bisection_tolerance
@@ -108,6 +117,14 @@ class CrossoverConfig:
             raise ValueError(f"bisection_tolerance must be finite and > 0, got {tol}")
         if self.solver not in SOLVER_MODES:
             raise ValueError(f"unknown solver {self.solver!r}")
+
+    def devices_at(self, points: list[tuple[float, float]]) -> list[DeviceModel]:
+        """The device at each (delta, swept value) point."""
+        # Positional calls: the search builds thousands of devices.
+        d = self.device
+        if self.swept_param == "theta":
+            return [DeviceModel(delta, value, d.theta_mode, d.mu) for delta, value in points]
+        return [DeviceModel(delta, d.theta_hat, d.theta_mode, value) for delta, value in points]
 
 
 @dataclass(frozen=True)
@@ -145,6 +162,22 @@ def loss_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
+def _rows(losses: list[float], etas: list[float], rates: dict[str, GridRates]) -> list[SweepRow]:
+    # Rows of an evaluated grid, by loss, then method; a failed point keeps
+    # its row with the error message and no numbers.
+    columns = [(m, r.e_z.tolist(), r.e_x.tolist(), r.rate_raw.tolist(), r.errors)
+               for m, r in rates.items()]
+    rows = []
+    for i, (loss, eta) in enumerate(zip(losses, etas)):
+        for method, e_z, e_x, rate_raw, errors in columns:
+            if errors[i] is not None:
+                rows.append(SweepRow(loss, eta, method, None, None, None, None, str(errors[i])))
+            else:
+                raw = rate_raw[i]
+                rows.append(SweepRow(loss, eta, method, e_z[i], e_x[i], raw, max(raw, 0.0)))
+    return rows
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every (loss, method) pair of the sweep on one prepared
     device, with the whole loss grid as arrays.
@@ -166,20 +199,37 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         methods,
         config.solver,
     )
-    columns = [
-        (m, rates[m].e_z.tolist(), rates[m].e_x.tolist(), rates[m].rate_raw.tolist(),
-         rates[m].errors)
-        for m in methods
-    ]
-    rows = []
-    for i, (loss, eta) in enumerate(zip(losses, etas)):
-        for method, e_z, e_x, rate_raw, errors in columns:
-            if errors[i] is not None:
-                rows.append(SweepRow(loss, eta, method, None, None, None, None, str(errors[i])))
-            else:
-                raw = rate_raw[i]
-                rows.append(SweepRow(loss, eta, method, e_z[i], e_x[i], raw, max(raw, 0.0)))
-    return rows
+    return _rows(losses, etas, rates)
+
+
+def _point(device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities,
+           method: str, solver: str) -> SweepRow:
+    # The row a sweep prints at this loss; its failure, if any, is raised.
+    eta = system_efficiency(channel)
+    rates = evaluate_grid(
+        prepare(device, probs), np.array([eta]), channel.p_d, channel.f_ec, (method,), solver
+    )
+    error = rates[method].errors[0]
+    if error is not None:
+        raise error
+    return _rows([channel.loss_db], [eta], rates)[0]
+
+
+def key_rate_lt(
+    device: DeviceModel,
+    channel: ChannelModel,
+    probs: ProtocolProbabilities,
+    mode: str = PAPER_FAITHFUL,
+) -> SweepRow:
+    """Secure key rate per emitted pulse under the loss-tolerant analysis."""
+    return _point(device, channel, probs, "lt", mode)
+
+
+def key_rate_lp(
+    device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities
+) -> SweepRow:
+    """Secure key rate per emitted pulse under the quantum-coin analysis."""
+    return _point(device, channel, probs, "lp", PAPER_FAITHFUL)
 
 
 def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]]) -> list:
@@ -188,13 +238,7 @@ def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]
     batch at the comparison transmittance."""
     if not points:
         return []
-    swept_theta = config.swept_param == "theta"
-    devices = []
-    for delta, value in points:
-        theta_hat, mu = (value, config.fixed_value) if swept_theta else (config.fixed_value, value)
-        devices.append(DeviceModel(
-            delta=delta, theta_hat=theta_hat, theta_mode=config.theta_mode, mu=mu
-        ))
+    devices = config.devices_at(points)
     both = evaluate_grid(
         prepare(devices, config.probs),
         np.full(len(devices), eta),
@@ -231,12 +275,7 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     # Per bracketed value: lo, hi and the gap at lo.
     brackets: dict[int, list[float]] = {}
     for k, value in enumerate(values):
-        try:
-            scan = _rates(config, eta, [(d, value) for d in _DELTA_SCAN])
-        except ValueError as exc:
-            # The device model rejects the value itself, whatever the delta.
-            failures[k] = exc
-            continue
+        scan = _rates(config, eta, [(d, value) for d in _DELTA_SCAN])
         failed = next((r for r in scan if isinstance(r, Exception)), None)
         if failed is not None:
             failures[k] = failed

@@ -5,8 +5,7 @@ eta, so everything else is computed once per device by ``prepare`` and
 ``evaluate_grid`` carries a whole grid through each stage as arrays.  The
 device-only terms have a leading device axis: one device serves a whole
 loss grid (a sweep), or n devices each take their own transmittance (the
-crossover search).  The single-point entry points are one-point grids of
-the same path.
+crossover search).
 
 The arrays reproduce the per-point arithmetic bit for bit: every stage
 keeps the operand order of its formula, the transmittance is Python's
@@ -25,14 +24,12 @@ import numpy as np
 from .channel import (
     X_ROWS,
     Z_ROWS,
-    ChannelModel,
     ProtocolProbabilities,
     binary_entropy,
     bit_errors,
     detection_probability,
     detector_yields,
     error_tilt,
-    system_efficiency,
     yield_alignments,
     yield_prefactors,
 )
@@ -91,18 +88,6 @@ class GridRates:
     errors: list[EstimatorError | None]
 
 
-@dataclass(frozen=True)
-class KeyRatePoint:
-    """Per-loss record of the channel point and the resulting key rate."""
-
-    loss_db: float
-    eta: float
-    e_z: float
-    e_x: float
-    rate_raw: float
-    rate: float
-
-
 def prepare(
     devices: DeviceModel | Sequence[DeviceModel], probs: ProtocolProbabilities
 ) -> PreparedDevice:
@@ -129,22 +114,17 @@ def _per_point(failures: tuple, n: int) -> tuple:
 def _entropies(
     e_z: np.ndarray, stages: dict[str, tuple[np.ndarray, list]]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    # h(min(e, 1/2)) of e_z and of each method's e_x, at the points where
-    # a method succeeded: error rates beyond 1/2 carry no extractable key.
-    # h(e_z) is computed once per point, where the first method needs it.
-    ez = e_z.tolist()
-    h_z = [0.0] * len(ez)
-    h_x = {m: [0.0] * len(ez) for m in stages}
-    columns = [(e_x.tolist(), errors, h_x[m]) for m, (e_x, errors) in stages.items()]
-    for i, z in enumerate(ez):
-        pending = True
-        for e_x, errors, h in columns:
-            if errors[i] is None:
-                h[i] = binary_entropy(min(e_x[i], 0.5))
-                if pending:
-                    h_z[i] = binary_entropy(min(z, 0.5))
-                    pending = False
-    return np.array(h_z), {m: np.array(h) for m, h in h_x.items()}
+    # h(min(e, 1/2)) of each method's e_x where that method succeeded, and
+    # of e_z where any method did: error rates beyond 1/2 carry no
+    # extractable key.
+    h_x = {
+        m: np.array([binary_entropy(min(e, 0.5)) if error is None else 0.0
+                     for e, error in zip(e_x.tolist(), errors)])
+        for m, (e_x, errors) in stages.items()
+    }
+    live = [None in point for point in zip(*(errors for _, errors in stages.values()))]
+    h_z = [binary_entropy(min(z, 0.5)) if ok else 0.0 for z, ok in zip(e_z.tolist(), live)]
+    return np.array(h_z), h_x
 
 
 def _lt_bounds(
@@ -161,14 +141,15 @@ def _lt_bounds(
     rhs = halfspace_rhs(ytil, terms.lam_min[:, None], terms.lam_max[:, None])
     lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
     infeasible = np.zeros(todo.shape, dtype=bool)
-    polytopes = {}
+    built = -1
     for i in np.flatnonzero(todo).tolist():
-        # The point's own device, or the only one.
+        # The point's own device, or the only one.  Only the current
+        # device's polytope is kept: a sweep's points share one device, a
+        # batch's points each have their own.
         k = i % len(terms.coef)
-        if k not in polytopes:
-            rows = halfspace_rows(terms.coef[k])
-            polytopes[k] = rows, triple_systems(rows)
-        rows, systems = polytopes[k]
+        if k != built:
+            built, rows = k, halfspace_rows(terms.coef[k])
+            systems = triple_systems(rows)
         for s in (0, 1):
             box = vertex_box(rows, systems, rhs[i, s])
             if box is None:
@@ -268,40 +249,3 @@ def evaluate_grid(
             m: GridRates(e_z, e_x, y_z * (1.0 - h_x[m] - ec_cost), method_errors)
             for m, (e_x, method_errors) in stages.items()
         }
-
-
-def _point(
-    prepared: PreparedDevice, channel: ChannelModel, method: str, solver: str
-) -> KeyRatePoint:
-    # A one-point grid; its failure, if any, is raised.
-    eta = system_efficiency(channel)
-    rates = evaluate_grid(prepared, np.array([eta]), channel.p_d, channel.f_ec, (method,), solver)
-    result = rates[method]
-    if result.errors[0] is not None:
-        raise result.errors[0]
-    rate_raw = float(result.rate_raw[0])
-    return KeyRatePoint(
-        loss_db=channel.loss_db,
-        eta=eta,
-        e_z=float(result.e_z[0]),
-        e_x=float(result.e_x[0]),
-        rate_raw=rate_raw,
-        rate=max(rate_raw, 0.0),
-    )
-
-
-def key_rate_lt(
-    device: DeviceModel,
-    channel: ChannelModel,
-    probs: ProtocolProbabilities,
-    mode: str = PAPER_FAITHFUL,
-) -> KeyRatePoint:
-    """Secure key rate per emitted pulse under the loss-tolerant analysis."""
-    return _point(prepare(device, probs), channel, "lt", mode)
-
-
-def key_rate_lp(
-    device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities
-) -> KeyRatePoint:
-    """Secure key rate per emitted pulse under the quantum-coin analysis."""
-    return _point(prepare(device, probs), channel, "lp", PAPER_FAITHFUL)

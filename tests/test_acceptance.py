@@ -330,7 +330,7 @@ class TestCrossoverFrontier:
         config = CrossoverConfig(
             swept_param="mu",
             swept_values=(1e-9, 1e-8, 1e-7, 1e-6, 1e-5),
-            fixed_value=1e-6,
+            device=DeviceModel(theta_hat=1e-6),
             compare_loss_db=20.0,
             bisection_tolerance=1e-10,
         )

@@ -262,6 +262,10 @@ GOLDEN_DIGESTS = [
      None),
 ]
 
+# A crossover run that the refused-argument cases extend.
+CROSSOVER_ARGV = ["crossover", "--sweep-param", "mu", "--sweep-values", "1e-9", "--theta", "1e-6"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -322,22 +326,43 @@ class TestSweepConfig:
         assert config.loss_stop == 999999.0
 
 
+LEAK_FREE = DeviceModel(theta_hat=1e-6)
+
+
 class TestCrossoverConfig:
     def test_rejects_bad_setups(self):
         with pytest.raises(ValueError):
-            CrossoverConfig("mu", (), 1e-6)
+            CrossoverConfig("mu", (), LEAK_FREE)
         with pytest.raises(ValueError):
-            CrossoverConfig("mu", (1e-9,), 1e-6, bisection_tolerance=0.0)
+            CrossoverConfig("mu", (1e-9,), LEAK_FREE, bisection_tolerance=0.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_rejects_non_finite_tolerance(self, tol):
         with pytest.raises(ValueError, match="bisection_tolerance"):
-            CrossoverConfig("mu", (1e-9,), 1e-6, bisection_tolerance=tol)
+            CrossoverConfig("mu", (1e-9,), LEAK_FREE, bisection_tolerance=tol)
 
     @pytest.mark.parametrize("loss", [math.nan, math.inf, -1.0])
     def test_rejects_unusable_compare_loss(self, loss):
         with pytest.raises(ValueError, match="compare_loss_db"):
-            CrossoverConfig("mu", (1e-9,), 1e-6, compare_loss_db=loss)
+            CrossoverConfig("mu", (1e-9,), LEAK_FREE, compare_loss_db=loss)
+
+    @pytest.mark.parametrize(
+        "swept, device, name",
+        [
+            ("mu", DeviceModel(delta=0.3, theta_hat=1e-6), "delta"),
+            ("mu", DeviceModel(theta_hat=1e-6, mu=5.0), "mu"),
+            ("theta", DeviceModel(theta_hat=1e-3, mu=1e-8), "theta_hat"),
+        ],
+    )
+    def test_rejects_a_device_flaw_the_search_varies(self, swept, device, name):
+        # The search sets delta and the swept flaw itself; a device value
+        # for either would be ignored.
+        with pytest.raises(ValueError, match=f"the device's {name} must be 0"):
+            CrossoverConfig(swept, (1e-9,), device)
+
+    def test_rejects_a_bad_swept_value_when_built(self):
+        with pytest.raises(ValueError, match="theta_hat must lie in"):
+            CrossoverConfig("theta", (1e-5, 2.0))
 
 
 class TestRunSweep:
@@ -590,6 +615,12 @@ class TestSweepCommand:
             (["sweep", "--loss-range", "0:10:inf"], "loss_step"),
             (["sweep", "--loss-range", "0:1e12:1e-9"], "loss_step"),
             (["rate", "--loss", "inf"], "loss_start"),
+            # The crossover search varies delta and the swept flaw itself.
+            (CROSSOVER_ARGV + ["--delta", "0.3"], "delta"),
+            (CROSSOVER_ARGV + ["--mu", "5"], "mu"),
+            # A swept value out of range fails before the collinear 1.0 is
+            # evaluated.
+            (["crossover", "--sweep-param", "theta", "--sweep-values", "1.0,2.0"], "theta_hat"),
         ],
     )
     def test_unusable_grid_is_usage_error(self, capsys, argv, field):
@@ -634,18 +665,28 @@ WRONG_TYPE_CONFIGS = [
                  id="swept_values-unread"),
 ]
 
-# A config file the CLI must refuse, and the key its error must name: a
-# misspelled key, a section that is not an object, a key unknown inside a
-# section, an output format other than csv or json, and the crossover's
-# old fixed_value, which the device's mu or theta_hat gives.
+# A config file the CLI must refuse, the command reading it and what its
+# error must name: a misspelled key, a section that is not an object, a key
+# unknown inside a section, an output format other than csv or json, the
+# crossover's old fixed_value, which the device's mu or theta_hat gives,
+# and a crossover device setting delta or the swept flaw, which the search
+# varies itself.
+CROSSOVER_FILE = {"swept_param": "mu", "swept_values": [1e-9]}
 REFUSED_CONFIGS = [
-    ("device.detla", {"device": {"detla": 0.1}, "loss": 10}),
-    ("lost", {"lost": 10, "loss": 10}),
-    ("device", {"device": 5, "loss": 10}),
-    ("channel", {"channel": [1e-7], "loss": 10}),
-    ("probs.p_z", {"probs": {"p_z": 0.5}, "loss": 10}),
-    ("format", {"format": "xml", "loss": 10}),
-    ("fixed_value", {"fixed_value": 1e-6, "loss": 10}),
+    ("device.detla", {"device": {"detla": 0.1}, "loss": 10}, "rate", "'device.detla'"),
+    ("lost", {"lost": 10, "loss": 10}, "rate", "'lost'"),
+    ("device", {"device": 5, "loss": 10}, "rate", "'device'"),
+    ("channel", {"channel": [1e-7], "loss": 10}, "rate", "'channel'"),
+    ("probs.p_z", {"probs": {"p_z": 0.5}, "loss": 10}, "rate", "'probs.p_z'"),
+    ("format", {"format": "xml", "loss": 10}, "rate", "'format'"),
+    ("fixed_value", {"fixed_value": 1e-6, "loss": 10}, "rate", "'fixed_value'"),
+    ("crossover-device.delta", {**CROSSOVER_FILE, "device": {"delta": 0.3, "theta_hat": 1e-6}},
+     "crossover", "the device's delta must be 0"),
+    ("crossover-device.mu", {**CROSSOVER_FILE, "device": {"theta_hat": 1e-6, "mu": 5}},
+     "crossover", "the device's mu must be 0"),
+    ("crossover-device.theta_hat",
+     {"swept_param": "theta", "swept_values": [1e-4], "device": {"theta_hat": 1e-3}},
+     "crossover", "the device's theta_hat must be 0"),
 ]
 
 # Per command, a config file giving every setting the command reads, and
@@ -743,15 +784,17 @@ class TestConfigFile:
 
 
     @pytest.mark.parametrize(
-        "key, content", REFUSED_CONFIGS, ids=[case[0] for case in REFUSED_CONFIGS]
+        "key, content, command, named", REFUSED_CONFIGS, ids=[case[0] for case in REFUSED_CONFIGS]
     )
-    def test_unknown_or_malformed_key_is_usage_error(self, capsys, tmp_path, key, content):
+    def test_unknown_or_malformed_key_is_usage_error(
+        self, capsys, tmp_path, key, content, command, named
+    ):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(content))
-        code, out, err = run_cli(capsys, "rate", "--config", str(cfg))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert f"'{key}'" in err
+        assert named in err
 
     @pytest.mark.parametrize("command", list(EQUIVALENT_CONFIGS))
     def test_file_and_flags_print_the_same_bytes(self, capsys, tmp_path, command):

@@ -2,7 +2,8 @@
 
 Every record, and every failure the search raises, must be the one the
 value-by-value search gives: ``serial_crossover`` below is that search,
-each device prepared and evaluated alone.
+each device prepared and evaluated alone.  A configuration the config
+rejects when it is built is an outcome too, the same for both searches.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from flawedqkd import (
     system_efficiency,
 )
 from flawedqkd import engine
+from flawedqkd.engine import SWEPT_FIELDS
 
 METHODS = ("lt", "lp")
 DELTA_SCAN = tuple(i * 0.01 for i in range(51))
@@ -37,10 +39,8 @@ def serial_crossover(config, prepare=prepare):
     eta = np.array([system_efficiency(channel)])
 
     def rates(delta, swept_value):
-        theta_hat, mu = config.fixed_value, swept_value
-        if config.swept_param == "theta":
-            theta_hat, mu = mu, theta_hat
-        device = DeviceModel(delta=delta, theta_hat=theta_hat, theta_mode=config.theta_mode, mu=mu)
+        swept = {SWEPT_FIELDS[config.swept_param]: swept_value}
+        device = dataclasses.replace(config.device, delta=delta, **swept)
         prepared = prepare(device, config.probs)
         both = evaluate_grid(prepared, eta, channel.p_d, channel.f_ec, METHODS, config.solver)
         for result in both.values():
@@ -83,11 +83,20 @@ def serial_crossover(config, prepare=prepare):
     return records
 
 
-def outcome(search, config):
+def outcome(search, kwargs):
+    # kwargs of the config, with the device's as a dict: the config and the
+    # device are built here, so that a value they reject is an outcome.
     try:
-        return search(config)
+        return search(CrossoverConfig(**{**kwargs, "device": DeviceModel(**kwargs["device"])}))
     except Exception as exc:  # the class and message are compared
         return type(exc), str(exc)
+
+
+def config_kwargs(swept_param, swept_values, held, **rest):
+    # The kwargs of a config whose device holds the flaw not swept at held.
+    held_field = "mu" if swept_param == "theta" else "theta_hat"
+    device = {held_field: held, "theta_mode": rest.pop("theta_mode", "dependent")}
+    return dict(swept_param=swept_param, swept_values=swept_values, device=device, **rest)
 
 
 # Flaws around the crossover frontier, collinear and degenerate devices, and
@@ -113,10 +122,10 @@ def configs(draw, solver, max_values):
     swept = draw(st.sampled_from(["theta", "mu"]))
     swept_values = draw(st.lists(thetas if swept == "theta" else mus, min_size=1,
                                  max_size=max_values))
-    return CrossoverConfig(
-        swept_param=swept,
-        swept_values=tuple(swept_values),
-        fixed_value=draw(mus if swept == "theta" else thetas),
+    return config_kwargs(
+        swept,
+        tuple(swept_values),
+        draw(mus if swept == "theta" else thetas),
         compare_loss_db=draw(compare_losses),
         bisection_tolerance=10.0 ** draw(st.floats(-10.0, -3.0)),
         theta_mode=draw(st.sampled_from(["independent", "dependent"])),
@@ -125,28 +134,29 @@ def configs(draw, solver, max_values):
     )
 
 
-@given(config=configs(PAPER_FAITHFUL, 4))
-@example(config=CrossoverConfig("theta", (1e-5, 1.0, 0.1), 1e-9))
-@example(config=CrossoverConfig("mu", (1e-9, 1e-3), 1e-6, compare_loss_db=3203.0, p_d=0.0))
-@example(config=CrossoverConfig("mu", (1e-9,), 1e-6, compare_loss_db=3225.2, p_d=0.0))
-@example(config=CrossoverConfig("mu", (1e-9, 800.0), 1e-3, theta_mode="independent"))
-@example(config=CrossoverConfig("theta", (1e-5, 2.0), 1e-9))
+@given(kwargs=configs(PAPER_FAITHFUL, 4))
+@example(kwargs=config_kwargs("theta", (1e-5, 1.0, 0.1), 1e-9))
+@example(kwargs=config_kwargs("mu", (1e-9, 1e-3), 1e-6, compare_loss_db=3203.0, p_d=0.0))
+@example(kwargs=config_kwargs("mu", (1e-9,), 1e-6, compare_loss_db=3225.2, p_d=0.0))
+@example(kwargs=config_kwargs("mu", (1e-9, 800.0), 1e-3, theta_mode="independent"))
+@example(kwargs=config_kwargs("theta", (1e-5, 2.0), 1e-9))
 @settings(max_examples=40)
-def test_batched_search_equals_the_serial_search(config):
-    assert outcome(find_crossover, config) == outcome(serial_crossover, config)
+def test_batched_search_equals_the_serial_search(kwargs):
+    assert outcome(find_crossover, kwargs) == outcome(serial_crossover, kwargs)
 
 
-@given(config=configs(VERTEX_LP, 2))
+@given(kwargs=configs(VERTEX_LP, 2))
 @settings(max_examples=6)
-def test_batched_vertex_search_equals_the_serial_search(config):
-    assert outcome(find_crossover, config) == outcome(serial_crossover, config)
+def test_batched_vertex_search_equals_the_serial_search(kwargs):
+    assert outcome(find_crossover, kwargs) == outcome(serial_crossover, kwargs)
 
 
 def test_earlier_record_fails_first(monkeypatch):
     # Record 1 fails in its scan; record 0 fails later, at its third
     # bisection step.  A value-by-value search meets record 0's failure
     # first, so that is the one raised.
-    config = CrossoverConfig("mu", (1e-9, 1e-8), 1e-6, bisection_tolerance=1e-6)
+    config = CrossoverConfig("mu", (1e-9, 1e-8), DeviceModel(theta_hat=1e-6),
+                             bisection_tolerance=1e-6)
     visited = []
 
     def logging_prepare(devices, probs):

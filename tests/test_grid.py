@@ -63,9 +63,7 @@ def assert_row_matches_point(row, device, p_d, f_ec, probs, solver):
     except EstimatorError as exc:
         assert row.error == str(exc)
         return
-    assert row.error is None
-    got = (row.eta, row.e_z, row.e_x, row.rate_raw, row.rate)
-    assert got == (point.eta, point.e_z, point.e_x, point.rate_raw, point.rate)
+    assert row == point
 
 
 @given(

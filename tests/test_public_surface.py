@@ -32,7 +32,6 @@ EXPORTED = {
     "EstimatorError",
     "GridRates",
     "InfeasibleStatisticsError",
-    "KeyRatePoint",
     "NoDetectionError",
     "PAPER_FAITHFUL",
     "PreparedDevice",

@@ -49,7 +49,9 @@ REFUSED = [
     ("loss_sweep", "--loss-range=0:10:0", "loss_step must be positive"),
     ("loss_sweep", "--loss-range=0:10:-1", "loss_step must be positive"),
     ("loss_sweep", "--loss-range=0:10", "start:stop:step"),
-    ("loss_sweep", "--solver=bogus", "unknown solver 'bogus'"),
+    ("loss_sweep", "--solver=bogus", "invalid choice: 'bogus'"),
+    # Passed on to the sweeps, whose JSON the CSV stream cannot carry.
+    ("loss_sweep", "--format=json", "--format json is not supported"),
     ("loss_sweep", "--pd=2", "p_d must lie in [0, 1)"),
 ]
 
@@ -62,3 +64,11 @@ def test_script_rejects_a_bad_argument(capsys, name, arg, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_solver_comparison_exits_3_on_a_failed_row(capsys):
+    # A collinear device fails every lt row; this once ended in a traceback.
+    assert load_script("solver_comparison").main(["--theta", "1.0", "--loss-stop", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: the three encoding states are collinear")
