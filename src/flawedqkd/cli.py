@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from typing import Any, Iterator, Sequence
@@ -266,6 +267,12 @@ def _run_rate(settings: dict[str, Any]) -> str:
     if "loss" not in settings:
         raise ValueError("rate needs --loss (or 'loss' in the config file)")
     loss = settings["loss"]
+    # Checked here, so that the message names the setting the user gave
+    # rather than the sweep field or channel field it is passed on as.
+    if not 0.0 <= loss < math.inf:
+        raise ValueError(
+            f"--loss (or 'loss' in the config file) must be finite and >= 0, got {loss}"
+        )
     # One point: the sweep's range and jobs, if the file holds them, are not read.
     settings.update(loss_start=loss, loss_stop=loss, loss_step=1.0)
     settings.pop("jobs", None)

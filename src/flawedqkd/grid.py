@@ -7,11 +7,15 @@ device-only terms have a leading device axis: one device serves a whole
 loss grid (a sweep), or n devices each take their own transmittance (the
 crossover search).
 
-The arrays reproduce the per-point arithmetic bit for bit: every stage
-keeps the operand order of its formula, the transmittance is Python's
-``10.0 ** (-loss / 10.0)`` per point, trigonometry is ``math`` per device,
-each point's yields go through its device's inverse as one BLAS product,
-and entropies use ``math.log2`` per element.
+A point's values do not depend on the grid it is evaluated in: every
+stage keeps the operand order of its formula, the transmittance is
+Python's ``10.0 ** (-loss / 10.0)`` per point, trigonometry is ``math``
+per device, each point's yields go through its device's inverse as one
+BLAS product, the vertex solver's vertices are elementwise products with
+each device's triple inverses, and entropies use ``math.log2`` per
+element.  The paper solver's rows are the per-point code's bit for bit;
+the vertex solver's closed-form inverses agree with the LAPACK solves it
+replaced to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ from .lt_estimator import (
     halfspace_rows,
     interval_box,
     lt_terms,
-    triple_systems,
+    triple_inverses,
     unphysical,
-    vertex_box,
+    vertex_bounds,
     virtual_yields,
 )
 from .qstates import DeviceModel, source_terms
@@ -136,26 +140,23 @@ def _lt_bounds(
     if solver == PAPER_FAITHFUL:
         lower, upper = interval_box(ytil, terms)
         return lower, upper, unphysical(lower, upper).any(axis=1)
-    # The vertex enumeration stays one point at a time: batching its
-    # triples over the grid costs megabytes per point.
-    rhs = halfspace_rhs(ytil, terms.lam_min[:, None], terms.lam_max[:, None])
+    # The vertex solver builds each device's halfspace rows and triple
+    # inverses once and enumerates its points' polytopes together, one
+    # right-hand side per (point, outcome).  A sweep's points share its one
+    # device; point i of a batch takes device i.
     lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
-    infeasible = np.zeros(todo.shape, dtype=bool)
-    built = -1
-    for i in np.flatnonzero(todo).tolist():
-        # The point's own device, or the only one.  Only the current
-        # device's polytope is kept: a sweep's points share one device, a
-        # batch's points each have their own.
-        k = i % len(terms.coef)
-        if k != built:
-            built, rows = k, halfspace_rows(terms.coef[k])
-            systems = triple_systems(rows)
-        for s in (0, 1):
-            box = vertex_box(rows, systems, rhs[i, s])
-            if box is None:
-                infeasible[i] = True
-                break
-            lower[i, s], upper[i, s] = box[0], box[1]
+    feasible = np.ones(ytil.shape[:2], dtype=bool)
+    points = np.flatnonzero(todo)
+    groups = [(0, points)] if len(terms.coef) == 1 else [(i, [i]) for i in points.tolist()]
+    for k, idx in groups:
+        rows = halfspace_rows(terms.coef[k])
+        rhs = halfspace_rhs(ytil[idx], terms.lam_min[k], terms.lam_max[k])
+        lo, hi, ok = vertex_bounds(rows, triple_inverses(rows), rhs.reshape(-1, len(rows)))
+        lower[idx], upper[idx] = lo.reshape(-1, 2, 3), hi.reshape(-1, 2, 3)
+        feasible[idx] = ok.reshape(-1, 2)
+    infeasible = ~feasible.all(axis=1)
+    # An infeasible point's boxes are never read; keep them finite.
+    lower[infeasible], upper[infeasible] = 0.0, 0.0
     return lower, upper, infeasible
 
 

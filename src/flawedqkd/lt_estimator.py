@@ -33,8 +33,31 @@ _FEAS_TOL = 1e-9
 INFEASIBLE = "no physical transmission rates are consistent with the yields"
 
 # All 3-subsets of the 16 halfspaces, fixed once; the polytope never has
-# more facets than that.
+# more facets than that.  A triple whose determinant is no larger than
+# _REGULAR_DET in magnitude meets in no single vertex.
 _TRIPLES = np.array(list(itertools.combinations(range(16), 3)), dtype=np.intp)
+_REGULAR_DET = 1e-14
+
+# Gathers from a flattened (16, 3) row array, per triple (a, b, c): the
+# components of a, shape (3, 560), and the four factors of each adjugate
+# entry, shape (4, 3, 3, 560).  Entry [i, j] is component i of the cross
+# product u x v of the pair (b, c), (c, a) or (a, b) for j = 0, 1, 2:
+# u[i + 1] v[i + 2] - u[i + 2] v[i + 1], indices mod 3.
+_FIRST_ROW = 3 * _TRIPLES[:, 0] + np.arange(3)[:, None]
+
+
+def _cross_gathers() -> np.ndarray:
+    i = np.arange(3)[:, None, None]
+    u, v = 3 * _TRIPLES[:, [1, 2, 0]].T, 3 * _TRIPLES[:, [2, 0, 1]].T
+    return np.stack((u + (i + 1) % 3, v + (i + 2) % 3, u + (i + 2) % 3, v + (i + 1) % 3))
+
+
+_CROSS = _cross_gathers()
+
+# Right-hand sides per chunk of the vertex enumeration: the chunk's slack
+# array, 8 bytes per halfspace, triple and right-hand side, stays under
+# 600 kB.
+_CHUNK = 600_000 // (8 * 16 * len(_TRIPLES))
 
 # Physicality rows a . q <= b: q_Id in [0, 1], then, for q_x and q_z with
 # either sign, |q_axis| <= q_Id and |q_axis| <= 1 - q_Id.
@@ -143,17 +166,55 @@ def halfspace_rhs(ytil: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray) ->
     return np.concatenate((rhs, physical), axis=-1)
 
 
-def triple_systems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The regular 3x3 systems among all triples of halfspace rows, and the
-    row indices of each."""
-    sub_a = rows[_TRIPLES]
-    # Singular triples are expected (parallel facets); the batched det can
-    # warn on them, so the warning is silenced rather than each triple
-    # filtered up front.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dets = np.linalg.det(sub_a)
-    regular = np.abs(dets) > 1e-14
-    return sub_a[regular], _TRIPLES[regular]
+def triple_inverses(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The regular triples of halfspace rows, as row indices of shape (3, T),
+    and their inverses, of shape (3, 3, T)."""
+    # The matrix with rows a, b, c has the inverse with columns b x c,
+    # c x a and a x b over its determinant a . (b x c).
+    flat = rows.ravel()
+    u, v, u_swap, v_swap = flat[_CROSS]
+    adjugate = u * v - u_swap * v_swap
+    first = flat[_FIRST_ROW]
+    det = first[0] * adjugate[0, 0] + first[1] * adjugate[1, 0] + first[2] * adjugate[2, 0]
+    # Singular triples (parallel facets) are expected and dropped.
+    regular = np.abs(det) > _REGULAR_DET
+    return _TRIPLES.T[:, regular], adjugate[:, :, regular] / det[regular]
+
+
+def _vertices(
+    rows: np.ndarray, systems: tuple[np.ndarray, np.ndarray], rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Every regular triple's vertex for each of the K right-hand sides, the
+    # rows of rhs, as (3, K, T), and whether it is feasible, as (K, T).
+    # The triples run along the last axis, so every operation and
+    # reduction below is over contiguous runs of T.
+    triples, inv = systems
+    g = np.take(rhs, triples, axis=1)
+    g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
+    verts = np.stack([inv[i, 0] * g0 + inv[i, 1] * g1 + inv[i, 2] * g2 for i in range(3)])
+    slack = (rows @ verts.reshape(3, -1)).reshape(len(rows), *g0.shape)
+    feasible = np.logical_and.reduce(slack <= (rhs.T + _FEAS_TOL)[:, :, None], axis=0)
+    return verts, feasible
+
+
+def vertex_bounds(
+    rows: np.ndarray, systems: tuple[np.ndarray, np.ndarray], rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Componentwise extremes of the polytopes a . q <= b for the K
+    right-hand sides b, the rows of rhs, and whether each has a feasible
+    vertex: lower and upper (K, 3) and feasible (K,).  An infeasible
+    polytope's extremes are +inf and -inf."""
+    # Chunks bound the memory, whatever K; a right-hand side's result does
+    # not depend on the others in its chunk.
+    lower, upper = np.empty((len(rhs), 3)), np.empty((len(rhs), 3))
+    feasible = np.empty(len(rhs), dtype=bool)
+    for start in range(0, len(rhs), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        verts, ok = _vertices(rows, systems, rhs[chunk])
+        lower[chunk] = verts.min(axis=2, initial=np.inf, where=ok).T
+        upper[chunk] = verts.max(axis=2, initial=-np.inf, where=ok).T
+        feasible[chunk] = ok.any(axis=1)
+    return lower, upper, feasible
 
 
 def vertex_box(
@@ -161,10 +222,8 @@ def vertex_box(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Componentwise extremes of the polytope a . q <= bvec and the vertices
     attaining them, or None when no vertex is feasible."""
-    sub_a, triples = systems
-    verts = np.linalg.solve(sub_a, bvec[triples][:, :, None])[:, :, 0]
-    feasible = np.all(rows @ verts.T <= bvec[:, None] + _FEAS_TOL, axis=0)
-    verts = verts[feasible]
+    verts, feasible = _vertices(rows, systems, bvec[None])
+    verts = verts[:, 0, feasible[0]].T
     if verts.shape[0] == 0:
         return None
     lo_idx = np.argmin(verts, axis=0)

@@ -31,7 +31,7 @@ from flawedqkd import (
 )
 from flawedqkd.channel import X_ROWS, detector_yields
 from flawedqkd.lp_estimator import coin_phase_errors
-from flawedqkd.lt_estimator import halfspace_rhs, halfspace_rows, triple_systems, vertex_box
+from flawedqkd.lt_estimator import halfspace_rhs, halfspace_rows, triple_inverses, vertex_box
 from flawedqkd.qstates import source_terms
 from conftest import random_devices
 from oracle import explicit_emitted_states, explicit_qubit_split, explicit_state_lt
@@ -270,7 +270,7 @@ class TestSolverAgreement:
             ytil = yields[:, X_ROWS] / prepared.prefactor[X_ROWS]
             coef = prepared.lt.coef[0]
             rows = halfspace_rows(coef)
-            systems = triple_systems(rows)
+            systems = triple_inverses(rows)
             # The side-channel intervals from explicit states, not from the
             # closed forms the solver was given.
             lam = [explicit_qubit_split(psi)[1:] for psi in explicit_emitted_states(device)[:3]]

@@ -498,6 +498,15 @@ class TestRateCommand:
         assert code == 2
         assert "loss" in err
 
+    @pytest.mark.parametrize("loss", ["nan", "inf", "1e400", "-1"])
+    def test_unusable_loss_names_the_loss_setting(self, capsys, loss):
+        # These once named loss_start or loss_db, fields the user never set.
+        code, out, err = run_cli(capsys, "rate", "--loss", loss)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --loss (or 'loss' in the config file) must be finite")
+        assert "loss_start" not in err and "loss_db" not in err
+
     def test_invalid_device_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--loss", "20", "--delta", "9")
         assert code == 2
@@ -614,7 +623,7 @@ class TestSweepCommand:
             (["sweep", "--loss-range", "0:nan:1"], "loss_stop"),
             (["sweep", "--loss-range", "0:10:inf"], "loss_step"),
             (["sweep", "--loss-range", "0:1e12:1e-9"], "loss_step"),
-            (["rate", "--loss", "inf"], "loss_start"),
+            (["sweep", "--loss-range", "inf:10:1"], "loss_start"),
             # The crossover search varies delta and the swept flaw itself.
             (CROSSOVER_ARGV + ["--delta", "0.3"], "delta"),
             (CROSSOVER_ARGV + ["--mu", "5"], "mu"),

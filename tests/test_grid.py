@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from flawedqkd import (
     PAPER_FAITHFUL,
     SOLVER_MODES,
-    VERTEX_LP,
     ChannelModel,
     DegenerateStateError,
     DeviceModel,
@@ -78,8 +77,6 @@ def assert_row_matches_point(row, device, p_d, f_ec, probs, solver):
 )
 @settings(max_examples=60)
 def test_sweep_rows_equal_single_points(device, p_d, f_ec, probs, start, step, points, solver):
-    if solver == VERTEX_LP:
-        points = min(points, 8)
     stop = start + step * (points - 1)
     rows = run_sweep(SweepConfig(device, start, stop, step, p_d, f_ec, probs, solver=solver))
     assert len(rows) == 2 * len(loss_grid(start, stop, step))

@@ -25,7 +25,7 @@ from flawedqkd.lt_estimator import (
     halfspace_rhs,
     halfspace_rows,
     interval_box,
-    triple_systems,
+    triple_inverses,
     unphysical,
     vertex_box,
     virtual_yields,
@@ -99,7 +99,7 @@ class TestTransmissionRateBounds:
         }
         lower, upper = interval_box(ytil[None], terms)
         rows = halfspace_rows(terms.coef[0])
-        systems = triple_systems(rows)
+        systems = triple_inverses(rows)
         for s, point in expected.items():
             assert lower[0, s] == _triples(point)
             assert upper[0, s] == _triples(point)
@@ -141,7 +141,7 @@ class TestTransmissionRateBounds:
         yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 1e-7)
         ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
         rows = halfspace_rows(terms.coef[0])
-        systems = triple_systems(rows)
+        systems = triple_inverses(rows)
         rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
         lower, upper, _, _ = vertex_box(rows, systems, rhs[0])
         assert lower == _triples(
@@ -166,7 +166,7 @@ class TestTransmissionRateBounds:
         ytil = yields[0, 0, X_ROWS] / prepared.prefactor[X_ROWS]
         rows = halfspace_rows(terms.coef[0])
         lower, upper, _, _ = vertex_box(
-            rows, triple_systems(rows), halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
+            rows, triple_inverses(rows), halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
         )
         assert lower == _triples(
             (0.024199541604, 0.0217085073158, -0.0009527150928)
@@ -182,7 +182,7 @@ class TestTransmissionRateBounds:
         ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
         box_lower, box_upper = interval_box(ytil[None], terms)
         rows = halfspace_rows(terms.coef[0])
-        systems = triple_systems(rows)
+        systems = triple_inverses(rows)
         for s in (0, 1):
             rhs = halfspace_rhs(ytil[s], terms.lam_min[0], terms.lam_max[0])
             v_lower, v_upper, _, _ = vertex_box(rows, systems, rhs)
@@ -218,7 +218,7 @@ class TestTransmissionRateBounds:
         else:
             rows = halfspace_rows(terms.coef[0])
             rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-            assert vertex_box(rows, triple_systems(rows), rhs) is None
+            assert vertex_box(rows, triple_inverses(rows), rhs) is None
 
     @pytest.mark.parametrize("mode", SOLVER_MODES)
     def test_inflated_x_yield_is_infeasible(self, probs, mode):
@@ -234,7 +234,7 @@ class TestTransmissionRateBounds:
         else:
             rows = halfspace_rows(terms.coef[0])
             rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-            assert vertex_box(rows, triple_systems(rows), rhs) is None
+            assert vertex_box(rows, triple_inverses(rows), rhs) is None
 
     @pytest.mark.parametrize("mode", SOLVER_MODES)
     @pytest.mark.parametrize("q", [(0.1, 0.3, 0.0), (0.9, -0.3, 0.0), (0.2, 0.0, -0.3)])
@@ -248,7 +248,7 @@ class TestTransmissionRateBounds:
         else:
             rows = halfspace_rows(terms.coef[0])
             rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-            assert vertex_box(rows, triple_systems(rows), rhs) is None
+            assert vertex_box(rows, triple_inverses(rows), rhs) is None
 
     @given(small_devices, st.floats(0.0, 30.0), st.sampled_from([0, 1]))
     @settings(max_examples=60)
@@ -263,7 +263,7 @@ class TestTransmissionRateBounds:
         bi_lower, bi_upper = box_lower[0, 0], box_upper[0, 0]
         rows = halfspace_rows(terms.coef[0])
         rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-        bv_lower, bv_upper, _, _ = vertex_box(rows, triple_systems(rows), rhs)
+        bv_lower, bv_upper, _, _ = vertex_box(rows, triple_inverses(rows), rhs)
         for i in range(3):
             assert bi_lower[i] <= bi_upper[i] + 1e-15
             assert bv_lower[i] <= bv_upper[i] + 1e-15
