@@ -7,7 +7,7 @@ grid path and returns plain records; rendering them is left to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,8 +20,12 @@ from .qstates import DeviceModel
 SWEPT_FIELDS = {"theta": "theta_hat", "mu": "mu"}
 CROSSOVER_PARAMS = tuple(SWEPT_FIELDS)
 
-# Bracket grid for the crossover bisection in delta.
+# Bracket grid for the crossover bisection in delta, and the grid points
+# per batch of its lazy scan.  A 40-value mu search at 20 dB, whose
+# brackets all lie below delta = 0.11, ran equally fast with 3 to 6 points
+# a batch; 13 points evaluated 10% more devices and ran 5% slower.
 _DELTA_SCAN = tuple(i * 0.01 for i in range(51))
+_SCAN_CHUNK = 5
 
 _MAX_GRID_POINTS = 1_000_000
 
@@ -56,6 +60,8 @@ class SweepConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.loss_start < 0.0:
+            raise ValueError(f"loss_start must be nonnegative, got {self.loss_start}")
         if self.loss_start > self.loss_stop:
             raise ValueError("loss_start must not exceed loss_stop")
         if self.loss_step <= 0.0:
@@ -109,7 +115,8 @@ class CrossoverConfig:
                                  f" must be 0, got {value}")
         # Every searched delta lies in [0, 0.5], so a value the device model
         # takes at delta = 0 it takes throughout the search.
-        self.devices_at([(0.0, value) for value in self.swept_values])
+        for value in self.swept_values:
+            replace(self.device, **{SWEPT_FIELDS[self.swept_param]: value})
         if not 0.0 <= self.compare_loss_db < math.inf:
             raise ValueError(f"compare_loss_db must be finite and >= 0, got {self.compare_loss_db}")
         tol = self.bisection_tolerance
@@ -117,14 +124,6 @@ class CrossoverConfig:
             raise ValueError(f"bisection_tolerance must be finite and > 0, got {tol}")
         if self.solver not in SOLVER_MODES:
             raise ValueError(f"unknown solver {self.solver!r}")
-
-    def devices_at(self, points: list[tuple[float, float]]) -> list[DeviceModel]:
-        """The device at each (delta, swept value) point."""
-        # Positional calls: the search builds thousands of devices.
-        d = self.device
-        if self.swept_param == "theta":
-            return [DeviceModel(delta, value, d.theta_mode, d.mu) for delta, value in points]
-        return [DeviceModel(delta, d.theta_hat, d.theta_mode, value) for delta, value in points]
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     methods = tuple(m for m in METHODS if m in config.methods)
     losses = loss_grid(config.loss_start, config.loss_stop, config.loss_step)
-    # The grid ascends from loss_start, so one channel validates them all.
+    # Checks p_d and f_ec; the config has checked the losses.
     ChannelModel(losses[0], config.p_d, config.f_ec)
     etas = [efficiency(loss) for loss in losses]
     rates = evaluate_grid(
@@ -238,7 +237,10 @@ def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]
     batch at the comparison transmittance."""
     if not points:
         return []
-    devices = config.devices_at(points)
+    _, theta_hat, dependent, mu = config.device
+    theta = config.swept_param == "theta"
+    devices = [(delta, value if theta else theta_hat, dependent, mu if theta else value)
+               for delta, value in points]
     both = evaluate_grid(
         prepare(devices, config.probs),
         np.full(len(devices), eta),
@@ -262,11 +264,15 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     configured delta tolerance, or until lo and hi are adjacent floats.
     Grid values without a sign change yield a no-crossover record.
 
-    Each value's scan is one batch of devices; then every bracket takes
-    its bisection steps in lockstep with the others, one batch per step,
-    and one batch evaluates every delta*.  A value whose evaluation fails
-    stops there; the search then raises the failure of the first such
-    value, which is the one a value-by-value search would meet.
+    The scan runs every value in lockstep, a few grid points per batch,
+    and a value leaves it at its first strict sign change; a value without
+    one sees the whole grid.  Then every bracket takes its bisection steps
+    in lockstep with the others, one batch per step, and one batch
+    evaluates every delta*.  A value whose evaluation fails stops there; a
+    failure past a value's first sign change is never evaluated.  The
+    search then raises the failure of the first failed value, which is the
+    one a value-by-value search, stopping its scan at the first sign
+    change, would meet.
     """
     channel = ChannelModel(config.compare_loss_db, config.p_d, config.f_ec)
     eta = system_efficiency(channel)
@@ -274,17 +280,24 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     failures: dict[int, Exception] = {}
     # Per bracketed value: lo, hi and the gap at lo.
     brackets: dict[int, list[float]] = {}
-    for k, value in enumerate(values):
-        scan = _rates(config, eta, [(d, value) for d in _DELTA_SCAN])
-        failed = next((r for r in scan if isinstance(r, Exception)), None)
-        if failed is not None:
-            failures[k] = failed
-            continue
-        gaps = [lt - lp for lt, lp in scan]
-        for i in range(len(_DELTA_SCAN) - 1):
-            if gaps[i] != 0.0 and gaps[i + 1] != 0.0 and gaps[i] * gaps[i + 1] < 0.0:
-                brackets[k] = [_DELTA_SCAN[i], _DELTA_SCAN[i + 1], gaps[i]]
-                break
+    # Each open value's last scanned delta and gap; (d, 0.0) opens no bracket.
+    previous: dict[int, tuple[float, float]] = {}
+    open_values = list(range(len(values)))
+    for start in range(0, len(_DELTA_SCAN), _SCAN_CHUNK):
+        chunk = _DELTA_SCAN[start:start + _SCAN_CHUNK]
+        scan = _rates(config, eta, [(d, values[k]) for k in open_values for d in chunk])
+        for n, k in enumerate(open_values):
+            for d, result in zip(chunk, scan[n * len(chunk):(n + 1) * len(chunk)]):
+                if isinstance(result, Exception):
+                    failures[k] = result
+                    break
+                gap = result[0] - result[1]
+                lo, g_lo = previous.get(k, (d, 0.0))
+                if g_lo != 0.0 and gap != 0.0 and g_lo * gap < 0.0:
+                    brackets[k] = [lo, d, g_lo]
+                    break
+                previous[k] = (d, gap)
+        open_values = [k for k in open_values if k not in brackets and k not in failures]
 
     tol = config.bisection_tolerance
 

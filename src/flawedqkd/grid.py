@@ -9,13 +9,14 @@ crossover search).
 
 A point's values do not depend on the grid it is evaluated in: every
 stage keeps the operand order of its formula, the transmittance is
-Python's ``10.0 ** (-loss / 10.0)`` per point, trigonometry is ``math``
-per device, each point's yields go through its device's inverse as one
-BLAS product, the vertex solver's vertices are elementwise products with
-each device's triple inverses, and entropies use ``math.log2`` per
-element.  The paper solver's rows are the per-point code's bit for bit;
-the vertex solver's closed-form inverses agree with the LAPACK solves it
-replaced to rounding, not bit for bit.
+Python's ``10.0 ** (-loss / 10.0)`` per point, the device-only terms
+are one row of ``math`` calls per device, each point's yields go through
+its device's inverse as one BLAS product, the vertex solver's vertices
+are elementwise products with each device's triple inverses, and
+entropies use ``math.log2`` per element.  The paper solver's rows are
+the per-point code's bit for bit; the vertex solver's closed-form
+inverses agree with the LAPACK solves it replaced to rounding, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from .channel import (
     bit_errors,
     detection_probability,
     detector_yields,
-    error_tilt,
-    yield_alignments,
     yield_prefactors,
 )
 from .errors import EstimatorError, InfeasibleStatisticsError, NoDetectionError
-from .lp_estimator import coin_imbalance, coin_phase_errors
+from .lp_estimator import coin_phase_errors
 from .lt_estimator import (
     INFEASIBLE,
     PAPER_FAITHFUL,
@@ -93,21 +92,17 @@ class GridRates:
 
 
 def prepare(
-    devices: DeviceModel | Sequence[DeviceModel], probs: ProtocolProbabilities
+    devices: DeviceModel | Sequence[tuple[float, float, bool, float]],
+    probs: ProtocolProbabilities,
 ) -> PreparedDevice:
-    """Compute the device-only terms of both estimators once per device;
-    one device gives a device axis of length 1."""
+    """Compute the device-only terms of both estimators once per device:
+    devices is one DeviceModel (a device axis of length 1) or a sequence of
+    parameter tuples (delta, theta_hat, dependent, mu), or DeviceModels."""
     if isinstance(devices, DeviceModel):
         devices = (devices,)
     source = source_terms(devices)
-    return PreparedDevice(
-        probs=probs,
-        prefactor=yield_prefactors(probs),
-        alignment=np.array([yield_alignments(d.delta) for d in devices]),
-        tilt=np.array([error_tilt(d.delta) for d in devices]),
-        lt=lt_terms(source),
-        coin=np.array([coin_imbalance(row) for row in source.overlaps.tolist()]),
-    )
+    return PreparedDevice(probs, yield_prefactors(probs), source.alignment, source.tilt,
+                          lt_terms(source), source.coin)
 
 
 def _per_point(failures: tuple, n: int) -> tuple:

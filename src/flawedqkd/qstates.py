@@ -10,10 +10,11 @@ suffers three imperfections:
   setting-dependent side-channel state.
 
 ``DeviceModel`` holds one transmitter's validated parameters, and
-``source_terms`` splits the states of many in one pass, each into a qubit
-part plus an orthogonal rest.  The settings are numbered 0Z, 1Z, 0X, 1X: it
-splits the three sent states and the virtual states that define phase
-errors, and pairs each Z state with each X state for the quantum coin.
+``source_terms`` computes every device-only term of many, one flat row per
+device: it splits the three sent states (settings 0Z, 1Z, 0X, 1X) and the
+virtual states that define phase errors into a qubit part plus an
+orthogonal rest, pairs each Z state with each X state for the quantum coin,
+and adds the yield alignments, error tilt and coin imbalance.
 
 All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 """
@@ -22,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .channel import error_tilt, yield_alignments
 from .errors import DegenerateStateError
+from .lp_estimator import coin_imbalance
 
 THETA_MODES = ("independent", "dependent")
 
@@ -54,39 +57,19 @@ class DeviceModel:
         if not 0.0 <= self.theta_hat < math.pi / 2:
             raise ValueError(f"theta_hat must lie in [0, pi/2), got {self.theta_hat}")
         if self.theta_mode not in THETA_MODES:
-            raise ValueError(
-                f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}"
-            )
+            raise ValueError(f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}")
         if not self.mu >= 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if not self.mu < math.inf:
             raise ValueError(f"mu must be finite, got {self.mu}")
 
-
-def _ket(index: int, delta: float) -> tuple[float, float]:
-    # Amplitudes of setting index (0Z, 1Z, 0X, 1X) in the Z eigenbasis.  The
-    # Z states sit near the poles, the X states near the equator; delta
-    # tilts every state except 0Z, the phase reference.
-    if index == 0:
-        return 1.0, 0.0
-    if index == 1:
-        return -math.sin(delta / 2), math.cos(delta / 2)
-    a = math.pi / 4 + delta / 4 if index == 2 else 3 * math.pi / 4 + 3 * delta / 4
-    return math.cos(a), math.sin(a)
-
-
-def _bloch(c0: float, c1: float) -> tuple[float, float]:
-    return 2.0 * c0 * c1, c0 * c0 - c1 * c1
+    def __iter__(self) -> Iterator:
+        # A device unpacks to the parameter tuple that source_terms takes.
+        return iter((self.delta, self.theta_hat, self.theta_mode == "dependent", self.mu))
 
 
 # Dependent-mode rotation per unit theta_hat of 0Z, 1Z, 0X and 1X.
 _DEPENDENT_ROTATION = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
-
-
-def _mode_angle(index: int, device: DeviceModel) -> float:
-    if device.theta_mode == "independent":
-        return device.theta_hat
-    return _DEPENDENT_ROTATION[index] * device.theta_hat
 
 
 def tha_coefficients(mu: float) -> tuple[float, float]:
@@ -103,104 +86,112 @@ def tha_coefficients(mu: float) -> tuple[float, float]:
     return c_i, c_d
 
 
-def _lambda_bounds(side_weight: float, cross_mag: float) -> tuple[float, float]:
-    # Extreme eigenvalues of [[side_weight, cross_mag], [cross_mag, 0]],
-    # the worst-case detection contribution of the non-qubit part.
-    root = math.sqrt(side_weight * side_weight + 4.0 * cross_mag * cross_mag)
-    return (side_weight + root) / 2.0, (side_weight - root) / 2.0
+def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> tuple:
+    # One device's terms, flat: the sent splits of 0Z, 1Z and 0X, the
+    # virtual splits of j = 0 and 1 (7 each), the overlaps, the yield
+    # alignments, the error tilt and the coin imbalance, then the
+    # DegenerateStateError or None.
+    c_i, c_d = tha_coefficients(mu)
+    angles = [r * theta_hat for r in _DEPENDENT_ROTATION] if dependent else [theta_hat] * 4
+    cos = [math.cos(a) for a in angles]
+    # Kets of 0Z, 1Z, 0X and 1X in the Z eigenbasis.  The Z states sit near
+    # the poles, the X states near the equator; delta tilts every state
+    # except 0Z, the phase reference.
+    s_half, c_half = math.sin(delta / 2), math.cos(delta / 2)
+    a_0x, a_1x = math.pi / 4 + delta / 4, 3 * math.pi / 4 + 3 * delta / 4
+    kets = ((1.0, 0.0), (-s_half, c_half), (math.cos(a_0x), math.sin(a_0x)),
+            (math.cos(a_1x), math.sin(a_1x)))
+    # A split's lambda_max and lambda_min are the extreme eigenvalues of
+    # [[side, cross], [cross, 0]], the worst-case detection contribution of
+    # the non-qubit part.
+    row = []
+    for cos_k, (c0, c1) in zip(cos, kets[:3]):
+        qubit_weight = (c_i * cos_k) ** 2
+        side_weight = 1.0 - qubit_weight
+        cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
+        root = math.sqrt(side_weight * side_weight + 4.0 * cross_mag * cross_mag)
+        row += (qubit_weight, side_weight, cross_mag, (side_weight + root) / 2.0,
+                (side_weight - root) / 2.0, 2.0 * c0 * c1, c0 * c0 - c1 * c1)
+
+    cos_0, cos_1, sin_0, sin_1 = cos[0], cos[1], math.sin(angles[0]), math.sin(angles[1])
+    error, bits = None, ()
+    # j = 1 first: when both virtual states vanish, its failure is reported.
+    for j, sgn in ((1, -1.0), (0, 1.0)):
+        a_j = 0.25 * c_i * c_i * (cos_0 ** 2 - sgn * 2.0 * cos_0 * cos_1 * s_half + cos_1 ** 2)
+        c_j = 0.25 * (c_i * c_i * (sin_0 ** 2 - sgn * 2.0 * sin_0 * sin_1 * s_half + sin_1 ** 2)
+                      + 2.0 * c_d * c_d)
+        if a_j <= 1e-300:
+            error = DegenerateStateError(
+                f"virtual state j={j} has no qubit component (A_j = {a_j})")
+            bits = (0.0,) * 14
+            break
+        b_j = math.sqrt(a_j * c_j)
+        root = math.sqrt(c_j * c_j + 4.0 * b_j * b_j)
+        # Bloch vector of the normalized qubit part.  The z component is
+        # negated relative to the raw ket so the virtual states are
+        # expressed on the measurement axis realized by the receiver model;
+        # without the flip the phase error keeps a spurious O(delta^2) floor
+        # on a lossless channel.
+        denom = 4.0 * a_j / (c_i * c_i)
+        px = (sgn * 2.0 * cos_0 * cos_1 * c_half - 2.0 * cos_1 ** 2 * c_half * s_half) / denom
+        pz = (cos_1 ** 2 * math.cos(delta) + sgn * 2.0 * cos_0 * cos_1 * s_half
+              - cos_0 ** 2) / denom
+        bits = (a_j, c_j, b_j, (c_j + root) / 2.0, (c_j - root) / 2.0, px, pz) + bits
+
+    overlaps = [
+        cos[z] * cos[x] * c_i * c_i * (kets[z][0] * kets[x][0] + kets[z][1] * kets[x][1])
+        for z in (0, 1) for x in (2, 3)
+    ]
+    return (*row, *bits, *overlaps, *yield_alignments(delta), error_tilt(delta),
+            coin_imbalance(overlaps), error)
 
 
 class SourceTerms(NamedTuple):
-    """The splits and overlaps of m devices' states, with a leading device
-    axis: sent (m, 3, 7) for the sent states 0Z, 1Z and 0X, virtual
-    (m, 2, 7) for the virtual states of bits j = 0 and 1, and overlaps
-    (m, 4).  A split holds the weights of the qubit part and of the rest,
-    the magnitude of their cross term, the bounds lambda_max and lambda_min
-    on the non-qubit contribution to any detection probability, and the
-    Bloch components px, pz of the normalized qubit part.  degenerate holds
-    each device's DegenerateStateError or None; a degenerate device's
-    virtual splits are zeros."""
+    """Every device-only term of m devices, with a leading device axis.
+
+    sent (m, 3, 7) splits the sent states 0Z, 1Z and 0X, virtual (m, 2, 7)
+    the virtual states of bits j = 0 and 1.  A split holds the weights of
+    the qubit part and of the rest, the magnitude of their cross term, the
+    bounds lambda_max and lambda_min on the non-qubit contribution to any
+    detection probability, and the Bloch components px, pz of the
+    normalized qubit part.  overlaps (m, 4) pairs (0Z, 0X), (0Z, 1X),
+    (1Z, 0X) and (1Z, 1X); alignment (m, 5) holds ``yield_alignments``,
+    tilt (m,) ``error_tilt`` and coin (m,) ``coin_imbalance`` of each
+    device.  degenerate holds each device's DegenerateStateError or None;
+    a degenerate device's virtual splits are zeros."""
 
     sent: np.ndarray
     virtual: np.ndarray
     overlaps: np.ndarray
+    alignment: np.ndarray
+    tilt: np.ndarray
+    coin: np.ndarray
     degenerate: tuple[DegenerateStateError | None, ...]
 
 
-def source_terms(devices: Sequence[DeviceModel]) -> SourceTerms:
-    """Split every device's states in one pass.
+def source_terms(devices: Sequence[tuple[float, float, bool, float]]) -> SourceTerms:
+    """Every device's terms from one pass over the devices.
 
-    A sent state's qubit weight is C_I^2 cos^2(theta) for the setting's
-    rotation theta; the rest (rotated polarization, leaked light) is side
-    channel, with worst-case mutually orthogonal side states.  The virtual
-    state of bit j is the component of the Z-basis source state after
-    Alice measures her ancilla along X; the qubit weights A_0 + A_1 and
-    side weights C_0 + C_1 sum to 1.  The overlaps pair (0Z, 0X), (0Z, 1X),
-    (1Z, 0X) and (1Z, 1X); cross-polarization terms and distinct worst-case
-    leakage states contribute nothing to them, so only the co-polarized
-    leakage-free component survives."""
-    sent, virtual, overlaps, degenerate = [], [], [], []
-    for device in devices:
-        c_i, c_d = tha_coefficients(device.mu)
-        a0, a1, a2, a3 = [_mode_angle(i, device) for i in range(4)]
-        cos, delta = (math.cos(a0), math.cos(a1), math.cos(a2), math.cos(a3)), device.delta
-        kets = (_ket(0, delta), _ket(1, delta), _ket(2, delta), _ket(3, delta))
-        rows = []
-        for index in range(3):
-            qubit_weight = (c_i * cos[index]) ** 2
-            side_weight = 1.0 - qubit_weight
-            cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
-            lam_max, lam_min = _lambda_bounds(side_weight, cross_mag)
-            px, pz = _bloch(*kets[index])
-            rows.append((qubit_weight, side_weight, cross_mag, lam_max, lam_min, px, pz))
-        sent.append(rows)
-        overlaps.append([
-            cos[z] * cos[x] * c_i * c_i * (kets[z][0] * kets[x][0] + kets[z][1] * kets[x][1])
-            for z in (0, 1) for x in (2, 3)
-        ])
-
-        cos_t0, cos_t1, sin_t0, sin_t1 = cos[0], cos[1], math.sin(a0), math.sin(a1)
-        s_half, c_half = math.sin(delta / 2), math.cos(delta / 2)
-        error, bits = None, [None, None]
-        # j = 1 first: when both virtual states vanish, its failure is reported.
-        for j in (1, 0):
-            sgn = 1.0 if j == 0 else -1.0
-            a_j = 0.25 * c_i * c_i * (
-                cos_t0 ** 2
-                - sgn * 2.0 * cos_t0 * cos_t1 * s_half
-                + cos_t1 ** 2
-            )
-            c_j = 0.25 * (
-                c_i * c_i * (
-                    sin_t0 ** 2
-                    - sgn * 2.0 * sin_t0 * sin_t1 * s_half
-                    + sin_t1 ** 2
-                )
-                + 2.0 * c_d * c_d
-            )
-            if a_j <= 1e-300:
-                error = DegenerateStateError(
-                    f"virtual state j={j} has no qubit component (A_j = {a_j})"
-                )
-                break
-            b_j = math.sqrt(a_j * c_j)
-            lam_max, lam_min = _lambda_bounds(c_j, b_j)
-            # Bloch vector of the normalized qubit part.  The z component
-            # is negated relative to the raw ket so the virtual states are
-            # expressed on the measurement axis realized by the receiver
-            # model; without the flip the phase error keeps a spurious
-            # O(delta^2) floor on a lossless channel.
-            denom = 4.0 * a_j / (c_i * c_i)
-            px = (
-                sgn * 2.0 * cos_t0 * cos_t1 * c_half
-                - 2.0 * cos_t1 ** 2 * c_half * s_half
-            ) / denom
-            pz = (
-                cos_t1 ** 2 * math.cos(delta)
-                + sgn * 2.0 * cos_t0 * cos_t1 * s_half
-                - cos_t0 ** 2
-            ) / denom
-            bits[j] = (a_j, c_j, b_j, lam_max, lam_min, px, pz)
-        virtual.append(bits if error is None else ((0.0,) * 7,) * 2)
-        degenerate.append(error)
-    return SourceTerms(np.array(sent), np.array(virtual), np.array(overlaps), tuple(degenerate))
+    devices holds parameter tuples (delta, theta_hat, dependent, mu), as a
+    ``DeviceModel`` unpacks, with dependent true in the dependent theta
+    mode; the values are taken as valid.  A sent state's qubit weight is
+    C_I^2 cos^2(theta) for the setting's rotation theta; the rest (rotated
+    polarization, leaked light) is side channel, with worst-case mutually
+    orthogonal side states.  The virtual state of bit j is the component of
+    the Z-basis source state after Alice measures her ancilla along X; the
+    qubit weights A_0 + A_1 and side weights C_0 + C_1 sum to 1.
+    Cross-polarization terms and distinct worst-case leakage states
+    contribute nothing to the overlaps, so only the co-polarized
+    leakage-free component survives.  Each device's row is computed with
+    Python's ``math`` on Python floats, so its values do not depend on the
+    batch."""
+    m = len(devices)
+    table, degenerate = np.empty((m, 46)), []
+    for i, device in enumerate(devices):
+        row = _device_row(*device)
+        table[i] = row[:-1]
+        degenerate.append(row[-1])
+    return SourceTerms(
+        table[:, :21].reshape(m, 3, 7), table[:, 21:35].reshape(m, 2, 7), table[:, 35:39],
+        table[:, 39:44], table[:, 44], table[:, 45], tuple(degenerate),
+    )

@@ -630,6 +630,8 @@ class TestSweepCommand:
             # A swept value out of range fails before the collinear 1.0 is
             # evaluated.
             (["crossover", "--sweep-param", "theta", "--sweep-values", "1.0,2.0"], "theta_hat"),
+            # This once named loss_db, a channel field the user never set.
+            (["sweep", "--loss-range=-1:10:1"], "loss_start must be nonnegative"),
         ],
     )
     def test_unusable_grid_is_usage_error(self, capsys, argv, field):
@@ -678,8 +680,8 @@ WRONG_TYPE_CONFIGS = [
 # error must name: a misspelled key, a section that is not an object, a key
 # unknown inside a section, an output format other than csv or json, the
 # crossover's old fixed_value, which the device's mu or theta_hat gives,
-# and a crossover device setting delta or the swept flaw, which the search
-# varies itself.
+# a crossover device setting delta or the swept flaw, which the search
+# varies itself, and a negative start loss.
 CROSSOVER_FILE = {"swept_param": "mu", "swept_values": [1e-9]}
 REFUSED_CONFIGS = [
     ("device.detla", {"device": {"detla": 0.1}, "loss": 10}, "rate", "'device.detla'"),
@@ -696,6 +698,8 @@ REFUSED_CONFIGS = [
     ("crossover-device.theta_hat",
      {"swept_param": "theta", "swept_values": [1e-4], "device": {"theta_hat": 1e-3}},
      "crossover", "the device's theta_hat must be 0"),
+    ("loss_start", {"loss_start": -2, "loss_stop": 10, "loss_step": 1}, "sweep",
+     "loss_start must be nonnegative, got -2"),
 ]
 
 # Per command, a config file giving every setting the command reads, and

@@ -51,11 +51,13 @@ def serial_crossover(config, prepare=prepare):
 
     records = []
     for value in config.swept_values:
-        gaps = [lt - lp for lt, lp in (rates(d, value) for d in DELTA_SCAN)]
-        bracket = None
-        for i in range(len(DELTA_SCAN) - 1):
-            if gaps[i] != 0.0 and gaps[i + 1] != 0.0 and gaps[i] * gaps[i + 1] < 0.0:
-                bracket = (DELTA_SCAN[i], DELTA_SCAN[i + 1], gaps[i])
+        # The scan stops at the first strict sign change.
+        gaps, bracket = [], None
+        for i, d in enumerate(DELTA_SCAN):
+            rate_lt, rate_lp = rates(d, value)
+            gaps.append(rate_lt - rate_lp)
+            if i and gaps[i - 1] != 0.0 and gaps[i] != 0.0 and gaps[i - 1] * gaps[i] < 0.0:
+                bracket = (DELTA_SCAN[i - 1], d, gaps[i - 1])
                 break
         if bracket is None:
             records.append(
@@ -151,10 +153,30 @@ def test_batched_vertex_search_equals_the_serial_search(kwargs):
     assert outcome(find_crossover, kwargs) == outcome(serial_crossover, kwargs)
 
 
+def faulty_prepare(faults):
+    """prepare, with the devices at the (mu, delta) points of faults made
+    singular with the given error."""
+
+    def prepare_with_faults(devices, probs):
+        prepared = prepare(devices, probs)
+        devices = [devices] if isinstance(devices, DeviceModel) else devices
+        singular = tuple(faults.get((mu, delta), s)
+                         for (delta, _, _, mu), s in zip(devices, prepared.lt.singular))
+        return dataclasses.replace(prepared, lt=dataclasses.replace(prepared.lt, singular=singular))
+
+    return prepare_with_faults
+
+
+def searches(monkeypatch, faults):
+    # The batched and the serial search, both with the faults.
+    monkeypatch.setattr(engine, "prepare", faulty_prepare(faults))
+    return find_crossover, lambda c: serial_crossover(c, faulty_prepare(faults))
+
+
 def test_earlier_record_fails_first(monkeypatch):
-    # Record 1 fails in its scan; record 0 fails later, at its third
-    # bisection step.  A value-by-value search meets record 0's failure
-    # first, so that is the one raised.
+    # Record 1 fails in its scan, before its bracket (0.05, 0.06); record 0
+    # fails later, at its third bisection step.  A value-by-value search
+    # meets record 0's failure first, so that is the one raised.
     config = CrossoverConfig("mu", (1e-9, 1e-8), DeviceModel(theta_hat=1e-6),
                              bisection_tolerance=1e-6)
     visited = []
@@ -168,21 +190,50 @@ def test_earlier_record_fails_first(monkeypatch):
     steps = [delta for mu, delta in visited if mu == 1e-9 and delta not in DELTA_SCAN]
     faults = {
         (1e-9, steps[2]): SingularSystemError("record 0, bisection step 3"),
-        (1e-8, 0.2): SingularSystemError("record 1, scan"),
+        (1e-8, DELTA_SCAN[3]): SingularSystemError("record 1, scan"),
     }
-
-    def faulty_prepare(devices, probs):
-        prepared = prepare(devices, probs)
-        devices = [devices] if isinstance(devices, DeviceModel) else devices
-        singular = tuple(faults.get((d.mu, d.delta), s)
-                         for d, s in zip(devices, prepared.lt.singular))
-        return dataclasses.replace(prepared, lt=dataclasses.replace(prepared.lt, singular=singular))
-
-    monkeypatch.setattr(engine, "prepare", faulty_prepare)
-    for search in (find_crossover, lambda c: serial_crossover(c, faulty_prepare)):
+    for search in searches(monkeypatch, faults):
         with pytest.raises(SingularSystemError, match="record 0, bisection step 3"):
             search(config)
     del faults[1e-9, steps[2]]
-    for search in (find_crossover, lambda c: serial_crossover(c, faulty_prepare)):
+    for search in searches(monkeypatch, faults):
         with pytest.raises(SingularSystemError, match="record 1, scan"):
             search(config)
+
+
+def test_scan_stops_at_the_first_sign_change(monkeypatch):
+    # Record 0 brackets at (0.05, 0.06), so its faults past the bracket, in
+    # the bracket's batch (0.07) or later (0.2), are never met; record 1
+    # never crosses, so its scan reaches delta = 0.5.
+    config = CrossoverConfig("mu", (1e-8, 1e-3), DeviceModel(theta_hat=1e-6),
+                             bisection_tolerance=1e-6)
+    records = find_crossover(config)
+    assert [r.status for r in records] == ["crossover", "no-crossover"]
+    faults = {(1e-8, DELTA_SCAN[i]): SingularSystemError("record 0, past its bracket")
+              for i in (7, 20)}
+    for search in searches(monkeypatch, faults):
+        assert search(config) == records
+    faults[1e-3, DELTA_SCAN[50]] = SingularSystemError("record 1, last scan point")
+    for search in searches(monkeypatch, faults):
+        with pytest.raises(SingularSystemError, match="record 1, last scan point"):
+            search(config)
+
+
+def test_lazy_scan_device_count(monkeypatch):
+    # Every bracket of this grid lies below delta = 0.11, so the lazy scan
+    # evaluates few of the 51 scan points per value; bisection takes 27
+    # steps per value and the final delta* one more.  Scanning all 51
+    # points of every value took 3,160 devices in 68 batches.
+    counted = []
+
+    def counting_evaluate_grid(prepared, eta, *args):
+        counted.append(len(eta))
+        return evaluate_grid(prepared, eta, *args)
+
+    monkeypatch.setattr(engine, "evaluate_grid", counting_evaluate_grid)
+    mus = tuple(10.0 ** (-9.0 + 2.0 * i / 39) for i in range(40))
+    config = CrossoverConfig("mu", mus, DeviceModel(theta_hat=1e-6), compare_loss_db=20.0,
+                             bisection_tolerance=1e-10)
+    records = find_crossover(config)
+    assert all(r.status == "crossover" for r in records)
+    assert (sum(counted), len(counted)) == (1495, 31)

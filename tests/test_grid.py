@@ -32,6 +32,7 @@ from flawedqkd import (
     run_sweep,
     system_efficiency,
 )
+from flawedqkd.channel import error_tilt, yield_alignments
 from flawedqkd.qstates import source_terms
 
 # Small flaws, plus the devices whose lt evaluation fails everywhere.
@@ -43,7 +44,9 @@ devices = st.one_of(
         theta_mode=st.sampled_from(["independent", "dependent"]),
         mu=st.floats(0.0, 1e-4),
     ),
-    st.sampled_from([DeviceModel(theta_hat=1.0), DeviceModel(delta=3.14159265)]),
+    st.sampled_from(
+        [DeviceModel(theta_hat=1.0), DeviceModel(delta=3.14159265), DeviceModel(mu=2000)]
+    ),
 )
 dark_counts = st.sampled_from([0.0, 1e-9, 1e-7, 1e-5])
 probabilities = st.builds(
@@ -343,6 +346,7 @@ class TestDeviceAxis:
         DeviceModel(theta_hat=1.0),  # collinear: singular
         DeviceModel(delta=0.2, theta_hat=2e-3, theta_mode="independent", mu=1e-5),
         DeviceModel(delta=3.14159265),  # degenerate virtual state
+        DeviceModel(mu=2000),  # degenerate: both virtual states vanish
         DeviceModel(),
     ]
 
@@ -374,6 +378,10 @@ class TestDeviceAxis:
         batch = prepare(devices, probs)
         assert len(batch.tilt) == len(devices)
         for i, device in enumerate(devices):
+            # The one pass computes each term with the function that defines it.
+            assert tuple(batch.alignment[i].tolist()) == yield_alignments(device.delta)
+            assert batch.tilt[i] == error_tilt(device.delta)
+            assert batch.coin[i] == coin_imbalance(source_terms([device]).overlaps[0].tolist())
             alone = prepare(device, probs)
             for name, values in self.arrays(alone).items():
                 rows = self.arrays(batch)[name]
@@ -399,7 +407,7 @@ class TestDeviceAxis:
 
     @pytest.mark.parametrize("solver", SOLVER_MODES)
     def test_failing_devices_fail_only_their_points(self, solver):
-        self.check_grid(self.DEVICES, [0.0, 20.0, 40.0, 10.0, 3000.0], 1e-7, solver)
+        self.check_grid(self.DEVICES, [0.0, 20.0, 40.0, 10.0, 30.0, 3000.0], 1e-7, solver)
 
     def check_grid(self, devices, losses, p_d, solver):
         probs = ProtocolProbabilities()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flawedqkd import DegenerateStateError, DeviceModel, tha_coefficients
-from flawedqkd.qstates import _bloch, _ket, _mode_angle, source_terms
+from flawedqkd.qstates import source_terms
 
 # Strategy kept away from the delta -> pi corner where the virtual states
 # legitimately degenerate.
@@ -47,41 +47,71 @@ class TestDeviceModel:
             DeviceModel(**kwargs)
 
 
-# Settings are numbered 0Z, 1Z, 0X, 1X; _ket, _bloch and _mode_angle are
-# what source_terms builds the closed forms from.
+def kets(delta):
+    """The kets of 0Z, 1Z, 0X and 1X at tilt delta, read off source_terms
+    for a device with no other flaw: a Z ket from its Bloch vector, with
+    c1 >= 0 as the kets have it, and an X ket from its overlaps with the
+    Z kets, given that 0Z is (1, 0)."""
+    terms = source_terms([DeviceModel(delta=delta)])
+    z_kets = []
+    for *_, px, pz in terms.sent[0, :2].tolist():
+        c1 = math.sqrt((1.0 - pz) / 2.0)
+        z_kets.append((px / (2.0 * c1) if c1 else math.sqrt((1.0 + pz) / 2.0), c1))
+    b0, b1 = z_kets[1]
+    overlaps = terms.overlaps[0].tolist()
+    x_kets = [(overlaps[x], (overlaps[2 + x] - b0 * overlaps[x]) / b1) for x in (0, 1)]
+    return z_kets + x_kets
+
+
+def mode_angles(device):
+    """The rotation angles of 0Z, 1Z, 0X and 1X of a device without tilt
+    or leak, read off source_terms: a sent state's qubit weight is the
+    squared cosine of its angle, and 1X's overlap with 0Z is 0X's with the
+    cosine of 1X's angle in place of 0X's and the sign of the ket flipped."""
+    terms = source_terms([device])
+    cos = [math.sqrt(w) for w in terms.sent[0, :, 0].tolist()]
+    overlaps = terms.overlaps[0].tolist()
+    cos.append(-overlaps[1] / overlaps[0] * cos[2])
+    return [math.acos(c) for c in cos]
+
+
+# Settings are numbered 0Z, 1Z, 0X, 1X; the kets, Bloch vectors and mode
+# angles that source_terms builds its closed forms from, read off its output.
 class TestQubitStates:
     def test_reference_state_is_pole(self):
-        assert _ket(0, 0.7) == (1.0, 0.0)
+        assert kets(0.7)[0] == (1.0, 0.0)
 
     def test_ideal_states(self):
         r = math.sqrt(0.5)
-        kx = _ket(2, 0.0)
+        kx = kets(0.0)[2]
         assert kx[0] == pytest.approx(r, abs=1e-15)
         assert kx[1] == pytest.approx(r, abs=1e-15)
-        assert _ket(1, 0.0) == (0.0, 1.0)
+        assert kets(0.0)[1] == (0.0, 1.0)
 
     def test_tilted_amplitudes(self):
         # values pinned from an exact high-precision evaluation at delta = 0.126
-        k0x = _ket(2, 0.126)
+        k0x = kets(0.126)[2]
         assert k0x[0] == pytest.approx(0.684485816592, abs=1e-12)
         assert k0x[1] == pytest.approx(0.729026177092, abs=1e-12)
-        k1z = _ket(1, 0.126)
+        k1z = kets(0.126)[1]
         assert k1z[0] == pytest.approx(-0.0629583337695, abs=1e-12)
         assert k1z[1] == pytest.approx(0.998016156287, abs=1e-12)
-        k1x = _ket(3, 0.126)
+        k1x = kets(0.126)[3]
         assert k1x[0] == pytest.approx(-0.770673989595, abs=1e-12)
         assert k1x[1] == pytest.approx(0.637229630323, abs=1e-12)
 
     @given(devices, st.sampled_from(range(4)))
     def test_states_stay_normalized(self, device, index):
-        c0, c1 = _ket(index, device.delta)
+        c0, c1 = kets(device.delta)[index]
         assert c0 * c0 + c1 * c1 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBlochVector:
     def test_poles_and_equator(self):
-        assert _bloch(1.0, 0.0) == (0.0, 1.0)
-        px, pz = _bloch(math.sqrt(0.5), math.sqrt(0.5))
+        # The Bloch vectors of the kets (1, 0) and (sqrt(1/2), sqrt(1/2)).
+        sent = source_terms([DeviceModel()]).sent[0]
+        assert tuple(sent[0, 5:].tolist()) == (0.0, 1.0)
+        px, pz = sent[2, 5:]
         assert px == pytest.approx(1.0, abs=1e-12)
         assert pz == pytest.approx(0.0, abs=1e-12)
 
@@ -100,15 +130,16 @@ class TestBlochVector:
 
 class TestModeAngles:
     def test_dependent_scaling(self):
-        device = DeviceModel(theta_hat=1e-3, theta_mode="dependent")
-        assert _mode_angle(0, device) == 0.0
-        assert _mode_angle(1, device) == pytest.approx(math.pi * 1e-3)
-        assert _mode_angle(2, device) == pytest.approx(math.pi / 2 * 1e-3)
-        assert _mode_angle(3, device) == pytest.approx(3 * math.pi / 2 * 1e-3)
+        angles = mode_angles(DeviceModel(theta_hat=1e-3, theta_mode="dependent"))
+        assert angles[0] == 0.0
+        assert angles[1] == pytest.approx(math.pi * 1e-3)
+        assert angles[2] == pytest.approx(math.pi / 2 * 1e-3)
+        assert angles[3] == pytest.approx(3 * math.pi / 2 * 1e-3)
 
     def test_independent_is_uniform(self):
         device = DeviceModel(theta_hat=1e-3, theta_mode="independent")
-        assert {_mode_angle(i, device) for i in range(4)} == {1e-3}
+        assert len(set(source_terms([device]).sent[0, :, 0].tolist())) == 1
+        assert mode_angles(device) == pytest.approx([1e-3] * 4)
 
 
 class TestThaCoefficients:
