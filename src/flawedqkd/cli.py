@@ -46,10 +46,13 @@ def _num(x: float) -> float:
     return float(_fmt(x))
 
 
-# Column order of each output record: its dataclass fields, less the
+# Column order of each output record: its named-tuple fields, less the
 # sweep's error message, which only the JSON form carries.
-_SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
-_CROSSOVER_FIELDS = tuple(f.name for f in fields(CrossoverRecord))
+_SWEEP_FIELDS = SweepRow._fields[:7]
+_CROSSOVER_FIELDS = CrossoverRecord._fields
+# Each record's CSV line in one format; "%.10g" renders a number as _fmt does.
+_SWEEP_LINE = "%.10g,%.10g,%s,%.10g,%.10g,%.10g,%.10g"
+_CROSSOVER_LINE = "%s,%.10g,%.10g,%.10g,%.10g,%s"
 
 
 def _cell(x: str | float | None) -> str:
@@ -64,32 +67,32 @@ def _value(x: str | float | None) -> str | float | None:
     return _num(x)
 
 
-def _csv(preamble: list[str], records: Sequence[Any], names: tuple[str, ...]) -> str:
-    lines = [*preamble, ",".join(names)]
-    lines += [",".join(_cell(getattr(r, n)) for n in names) for r in records]
+def _csv(preamble: list[str], records: Sequence[tuple], names: tuple[str, ...], line: str) -> str:
+    lines, n = [*preamble, ",".join(names)], len(names)
+    for r in records:
+        try:
+            lines.append(line % r[:n])
+        except TypeError:  # a None cell, as in a failed row, renders empty
+            lines.append(",".join(map(_cell, r[:n])))
     return "\n".join(lines) + "\n"
 
 
-def _item(record: Any, names: tuple[str, ...]) -> dict[str, Any]:
-    return {n: _value(getattr(record, n)) for n in names}
+def _item(record: tuple, names: tuple[str, ...]) -> dict[str, Any]:
+    return dict(zip(names, map(_value, record)))
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    return _csv([], rows, _SWEEP_FIELDS)
+    return _csv([], rows, _SWEEP_FIELDS, _SWEEP_LINE)
 
 
 def sweep_json(rows: Sequence[SweepRow]) -> str:
-    payload = []
-    for r in rows:
-        item = _item(r, _SWEEP_FIELDS)
-        if r.error is not None:
-            item["error"] = r.error
-        payload.append(item)
+    payload = [_item(r, _SWEEP_FIELDS if r.error is None else SweepRow._fields) for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
 def crossover_csv(records: Sequence[CrossoverRecord], compare_loss_db: float) -> str:
-    return _csv([f"# compare_loss_db={_fmt(compare_loss_db)}"], records, _CROSSOVER_FIELDS)
+    preamble = [f"# compare_loss_db={_fmt(compare_loss_db)}"]
+    return _csv(preamble, records, _CROSSOVER_FIELDS, _CROSSOVER_LINE)
 
 
 def crossover_json(records: Sequence[CrossoverRecord], compare_loss_db: float) -> str:

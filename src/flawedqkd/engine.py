@@ -1,13 +1,14 @@
 """Single key-rate points, loss sweeps and the lt/lp crossover search.
 
 Each entry point takes a device model, evaluates the two estimators on the
-grid path and returns plain records; rendering them is left to the caller.
+grid path and returns named-tuple records; rendering is left to the caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,10 +127,10 @@ class CrossoverConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One output row; numeric fields are None when this row's estimator
-    failed (the error message is kept instead)."""
+class SweepRow(NamedTuple):
+    """One output row, a named tuple whose first seven fields are the CSV
+    columns; numeric fields are None when its estimator failed (the error
+    message is kept instead)."""
 
     loss_db: float
     eta: float
@@ -141,10 +142,9 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class CrossoverRecord:
-    """Bisection result for one swept value; delta_star is None when the
-    rate gap never changes sign on the scan grid."""
+class CrossoverRecord(NamedTuple):
+    """Bisection result for one swept value, a named tuple of the CSV columns;
+    delta_star is None when the rate gap never changes sign on the scan grid."""
 
     swept_param: str
     swept_value: float

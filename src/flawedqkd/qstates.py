@@ -34,6 +34,14 @@ from .lp_estimator import coin_imbalance
 THETA_MODES = ("independent", "dependent")
 
 
+def _check_angles(delta: float, theta_hat: float) -> None:
+    """Reject a delta outside [0, pi) or a theta_hat outside [0, pi/2)."""
+    if not 0.0 <= delta < math.pi:
+        raise ValueError(f"delta must lie in [0, pi), got {delta}")
+    if not 0.0 <= theta_hat < math.pi / 2:
+        raise ValueError(f"theta_hat must lie in [0, pi/2), got {theta_hat}")
+
+
 @dataclass(frozen=True)
 class DeviceModel:
     """Imperfection parameters of the transmitter.
@@ -52,10 +60,7 @@ class DeviceModel:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta < math.pi:
-            raise ValueError(f"delta must lie in [0, pi), got {self.delta}")
-        if not 0.0 <= self.theta_hat < math.pi / 2:
-            raise ValueError(f"theta_hat must lie in [0, pi/2), got {self.theta_hat}")
+        _check_angles(self.delta, self.theta_hat)
         if self.theta_mode not in THETA_MODES:
             raise ValueError(f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}")
         if not self.mu >= 0.0:
@@ -91,6 +96,7 @@ def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> t
     # virtual splits of j = 0 and 1 (7 each), the overlaps, the yield
     # alignments, the error tilt and the coin imbalance, then the
     # DegenerateStateError or None.
+    _check_angles(delta, theta_hat)
     c_i, c_d = tha_coefficients(mu)
     angles = [r * theta_hat for r in _DEPENDENT_ROTATION] if dependent else [theta_hat] * 4
     cos = [math.cos(a) for a in angles]
@@ -174,7 +180,7 @@ def source_terms(devices: Sequence[tuple[float, float, bool, float]]) -> SourceT
 
     devices holds parameter tuples (delta, theta_hat, dependent, mu), as a
     ``DeviceModel`` unpacks, with dependent true in the dependent theta
-    mode; the values are taken as valid.  A sent state's qubit weight is
+    mode; out-of-range values raise ValueError.  A sent state's qubit weight is
     C_I^2 cos^2(theta) for the setting's rotation theta; the rest (rotated
     polarization, leaked light) is side channel, with worst-case mutually
     orthogonal side states.  The virtual state of bit j is the component of

@@ -8,17 +8,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flawedqkd
 from flawedqkd import (
     CrossoverConfig,
+    CrossoverRecord,
     DeviceModel,
     SweepConfig,
     SweepRow,
     loss_grid,
     run_sweep,
 )
-from flawedqkd.cli import _SETTINGS, crossover_csv, main, sweep_csv, sweep_json
+from flawedqkd.cli import _SETTINGS, crossover_csv, crossover_json, main, sweep_csv, sweep_json
 
 IDEAL = DeviceModel()
 
@@ -403,7 +406,95 @@ class TestRunSweep:
         assert all(r.error is None and r.rate is not None for r in lp_rows)
 
 
+def _per_cell_csv(preamble, records, names):
+    # The renderers' reference: each cell read by name and formatted alone.
+    def cell(x):
+        return x if isinstance(x, str) else "" if x is None else f"{x:.10g}"
+
+    lines = [*preamble, ",".join(names)]
+    lines += [",".join(cell(getattr(r, n)) for n in names) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _per_cell_item(record, names):
+    def value(x):
+        return x if isinstance(x, str) or x is None else float(f"{x:.10g}")
+
+    return {n: value(getattr(record, n)) for n in names}
+
+
+def _per_cell_sweep_json(rows):
+    payload = []
+    for r in rows:
+        item = _per_cell_item(r, SWEEP_COLUMNS)
+        if r.error is not None:
+            item["error"] = r.error
+        payload.append(item)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _per_cell_crossover_json(records, compare_loss_db):
+    payload = {
+        "compare_loss_db": float(f"{compare_loss_db:.10g}"),
+        "records": [_per_cell_item(r, CROSSOVER_COLUMNS) for r in records],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _outcome(render, *args):
+    # The text, or the type of the exception, that rendering gives.
+    try:
+        return render(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+SWEEP_COLUMNS = ("loss_db", "eta", "method", "e_z", "e_x", "rate_raw", "rate")
+CROSSOVER_COLUMNS = ("swept_param", "swept_value", "delta_star", "rate_lt", "rate_lp", "status")
+# Config files give ints ("loss": 10); floats span signed zeros, infinities,
+# nan, subnormals and the extremes.
+numbers = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.integers(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300, -1e-300]),
+)
+cells = st.one_of(st.none(), numbers)
+sweep_rows = st.one_of(
+    st.builds(SweepRow, numbers, numbers, st.text(), numbers, numbers, numbers, numbers),
+    st.builds(SweepRow, numbers, numbers, st.text(), st.none(), st.none(), st.none(),
+              st.none(), st.text()),
+    st.builds(SweepRow, numbers, numbers, st.text(), cells, cells, cells, cells,
+              st.one_of(st.none(), st.text())),
+)
+crossover_records = st.builds(
+    CrossoverRecord, st.text(), numbers, cells, cells, cells, st.text()
+)
+
+
 class TestRendering:
+    @given(rows=st.lists(sweep_rows, max_size=8))
+    @settings(max_examples=200)
+    def test_sweep_renderers_equal_the_per_cell_rendering(self, rows):
+        assert _outcome(sweep_csv, rows) == _outcome(_per_cell_csv, [], rows, SWEEP_COLUMNS)
+        assert _outcome(sweep_json, rows) == _outcome(_per_cell_sweep_json, rows)
+
+    @given(records=st.lists(crossover_records, max_size=8), compare_loss_db=numbers)
+    @settings(max_examples=200)
+    def test_crossover_renderers_equal_the_per_cell_rendering(self, records, compare_loss_db):
+        preamble = [f"# compare_loss_db={compare_loss_db:.10g}"]
+        assert _outcome(crossover_csv, records, compare_loss_db) == _outcome(
+            _per_cell_csv, preamble, records, CROSSOVER_COLUMNS)
+        assert _outcome(crossover_json, records, compare_loss_db) == _outcome(
+            _per_cell_crossover_json, records, compare_loss_db)
+
+    def test_rows_are_named_tuples_of_the_columns(self):
+        row = SweepRow(10, 0.1, "lt", 0.0, 0.5, -1e-3, 0.0)
+        assert row == (10, 0.1, "lt", 0.0, 0.5, -1e-3, 0.0, None)
+        assert SweepRow._fields == (*SWEEP_COLUMNS, "error")
+        assert CrossoverRecord._fields == CROSSOVER_COLUMNS
+        with pytest.raises(AttributeError):
+            row.rate = 1.0
+
     def test_error_row_cells_are_empty(self):
         rows = [SweepRow(5.0, 0.316, "lt", None, None, None, None, error="boom")]
         csv_text = sweep_csv(rows)

@@ -6,6 +6,7 @@ and the bits of the scalar per-point arithmetic the arrays replaced.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -422,6 +423,23 @@ class TestDeviceAxis:
                     assert rates.e_z[i] == alone[method].e_z[0]
                     assert rates.e_x[i] == alone[method].e_x[0]
                     assert rates.rate_raw[i] == alone[method].rate_raw[0]
+
+    @pytest.mark.parametrize(
+        "device, message",
+        [
+            ((math.nan, 0.0, True, 0.0), "delta must lie in [0, pi), got nan"),
+            ((0.1, 5.0, True, 0.0), "theta_hat must lie in [0, pi/2), got 5.0"),
+        ],
+        ids=["delta-nan", "theta_hat-past-pi/2"],
+    )
+    def test_out_of_range_tuple_fails_as_its_device_model(self, device, message):
+        # Unchecked, the nan fails late at the entropy and theta_hat = 5 rad
+        # is evaluated.
+        delta, theta_hat, _, mu = device
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DeviceModel(delta, theta_hat, "dependent", mu)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_grid(prepare([device], ProtocolProbabilities()), np.array([0.1]), 1e-7, 1.16)
 
     def test_device_count_must_match_the_grid(self):
         prepared = prepare(self.DEVICES[:2], ProtocolProbabilities())

@@ -122,6 +122,47 @@ def test_cli_has_exactly_three_subcommands(capsys):
     assert "invalid choice: 'azuma'" in capsys.readouterr().err
 
 
+def _cli_spans():
+    """The flawedqkd.cli attributes that bench/tracer.py's SPANS times as a
+    cli.* layer, read from the file."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    return sorted(name for name, span in spans.items() if span.startswith("cli."))
+
+
+def test_cli_defines_every_function_the_tracer_times():
+    # The tracer skips a name that is gone, so its layer would read 0.
+    cli = importlib.import_module("flawedqkd.cli")
+    names = _cli_spans()
+    assert {"run_sweep", "sweep_csv", "crossover_json"} <= set(names)
+    for name in names:
+        assert callable(getattr(cli, name, None)), f"flawedqkd.cli.{name}"
+
+
+def test_cli_commands_call_the_traced_functions(monkeypatch, capsys):
+    # Each traced name must be what main resolves at call time, or the
+    # layer's span is never entered.
+    cli = importlib.import_module("flawedqkd.cli")
+    called = set()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _cli_spans():
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for fmt in ("csv", "json"):
+        assert main(["sweep", "--loss-range", "0:10:10", "--format", fmt]) == 0
+        assert main(["crossover", "--sweep-param", "mu", "--sweep-values", "1e-9",
+                     "--theta", "1e-6", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert called == set(_cli_spans()) - {"build_parser"}
+
+
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_library_imports_only_the_standard_library_and_numpy(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
