@@ -14,6 +14,10 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+# The least int that float() cannot represent: a number, int or float, is
+# finite as a float exactly when -FLOAT_LIMIT < x < FLOAT_LIMIT.
+FLOAT_LIMIT = 2**1024 - 2**970
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -30,7 +34,7 @@ class ChannelModel:
             raise ValueError(f"loss_db must be nonnegative, got {self.loss_db}")
         if not 0.0 <= self.p_d < 1.0:
             raise ValueError(f"p_d must lie in [0, 1), got {self.p_d}")
-        if not 1.0 <= self.f_ec < math.inf:
+        if not 1.0 <= self.f_ec < FLOAT_LIMIT:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 

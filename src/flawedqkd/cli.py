@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from typing import Any, Iterator, Sequence
 
-from .channel import ProtocolProbabilities
+from .channel import FLOAT_LIMIT, ProtocolProbabilities
 from .engine import (
     CROSSOVER_PARAMS,
     METHODS,
@@ -272,7 +271,7 @@ def _run_rate(settings: dict[str, Any]) -> str:
     loss = settings["loss"]
     # Checked here, so that the message names the setting the user gave
     # rather than the sweep field or channel field it is passed on as.
-    if not 0.0 <= loss < math.inf:
+    if not 0.0 <= loss < FLOAT_LIMIT:
         raise ValueError(
             f"--loss (or 'loss' in the config file) must be finite and >= 0, got {loss}"
         )

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelModel, ProtocolProbabilities, efficiency, system_efficiency
+from .channel import FLOAT_LIMIT, ChannelModel, ProtocolProbabilities, efficiency, system_efficiency
 from .grid import METHODS, GridRates, evaluate_grid, prepare
 from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
 from .qstates import DeviceModel
@@ -59,7 +59,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("loss_start", "loss_stop", "loss_step"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not -FLOAT_LIMIT < value < FLOAT_LIMIT:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.loss_start < 0.0:
             raise ValueError(f"loss_start must be nonnegative, got {self.loss_start}")
@@ -118,10 +118,10 @@ class CrossoverConfig:
         # takes at delta = 0 it takes throughout the search.
         for value in self.swept_values:
             replace(self.device, **{SWEPT_FIELDS[self.swept_param]: value})
-        if not 0.0 <= self.compare_loss_db < math.inf:
+        if not 0.0 <= self.compare_loss_db < FLOAT_LIMIT:
             raise ValueError(f"compare_loss_db must be finite and >= 0, got {self.compare_loss_db}")
         tol = self.bisection_tolerance
-        if not 0.0 < tol < math.inf:
+        if not 0.0 < tol < FLOAT_LIMIT:
             raise ValueError(f"bisection_tolerance must be finite and > 0, got {tol}")
         if self.solver not in SOLVER_MODES:
             raise ValueError(f"unknown solver {self.solver!r}")

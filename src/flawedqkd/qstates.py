@@ -11,10 +11,10 @@ suffers three imperfections:
 
 ``DeviceModel`` holds one transmitter's validated parameters, and
 ``source_terms`` computes every device-only term of many, one flat row per
-device: it splits the three sent states (settings 0Z, 1Z, 0X, 1X) and the
-virtual states that define phase errors into a qubit part plus an
-orthogonal rest, pairs each Z state with each X state for the quantum coin,
-and adds the yield alignments, error tilt and coin imbalance.
+device in Python floats: it splits the three sent states (settings 0Z, 1Z,
+0X, 1X) and the virtual states that define phase errors into a qubit part
+plus an orthogonal rest, pairs each Z state with each X state for the
+quantum coin, and adds the yield alignments, error tilt and coin imbalance.
 
 All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 """
@@ -22,12 +22,13 @@ All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 from __future__ import annotations
 
 import math
+from math import cos, sin, sqrt
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import error_tilt, yield_alignments
+from .channel import FLOAT_LIMIT, error_tilt, yield_alignments
 from .errors import DegenerateStateError
 from .lp_estimator import coin_imbalance
 
@@ -65,7 +66,7 @@ class DeviceModel:
             raise ValueError(f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}")
         if not self.mu >= 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not self.mu < math.inf:
+        if not self.mu < FLOAT_LIMIT:
             raise ValueError(f"mu must be finite, got {self.mu}")
 
     def __iter__(self) -> Iterator:
@@ -73,7 +74,8 @@ class DeviceModel:
         return iter((self.delta, self.theta_hat, self.theta_mode == "dependent", self.mu))
 
 
-# Dependent-mode rotation per unit theta_hat of 0Z, 1Z, 0X and 1X.
+# Dependent-mode rotation per unit theta_hat of 0Z, 1Z, 0X and 1X; the
+# independent mode rotates each setting by theta_hat itself.
 _DEPENDENT_ROTATION = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
 
 
@@ -84,72 +86,77 @@ def tha_coefficients(mu: float) -> tuple[float, float]:
     """
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    if not mu < math.inf:
+    if not mu < FLOAT_LIMIT:
         raise ValueError(f"mu must be finite, got {mu}")
     c_i = math.exp(-mu / 2)
     c_d = math.sqrt(max(1.0 - math.exp(-mu), 0.0))
     return c_i, c_d
 
 
+def _sent_split(amplitude: float, c0: float, c1: float) -> tuple:
+    # The split of a sent state of qubit amplitude C_I cos(theta) and ket
+    # (c0, c1).  lambda_max and lambda_min, the extreme eigenvalues of [[side,
+    # cross], [cross, 0]], bound the non-qubit part's detection contribution.
+    qubit_weight = amplitude ** 2
+    side_weight = 1.0 - qubit_weight
+    cross_mag = sqrt(max(qubit_weight * side_weight, 0.0))
+    root = sqrt(side_weight * side_weight + 4.0 * cross_mag * cross_mag)
+    return (qubit_weight, side_weight, cross_mag, (side_weight + root) / 2.0,
+            (side_weight - root) / 2.0, 2.0 * c0 * c1, c0 * c0 - c1 * c1)
+
+
 def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> tuple:
     # One device's terms, flat: the sent splits of 0Z, 1Z and 0X, the
     # virtual splits of j = 0 and 1 (7 each), the overlaps, the yield
-    # alignments, the error tilt and the coin imbalance, then the
+    # alignments, the error tilt and the coin imbalance; and its
     # DegenerateStateError or None.
-    _check_angles(delta, theta_hat)
+    if not (0.0 <= delta < math.pi and 0.0 <= theta_hat < math.pi / 2):
+        _check_angles(delta, theta_hat)
     c_i, c_d = tha_coefficients(mu)
-    angles = [r * theta_hat for r in _DEPENDENT_ROTATION] if dependent else [theta_hat] * 4
-    cos = [math.cos(a) for a in angles]
-    # Kets of 0Z, 1Z, 0X and 1X in the Z eigenbasis.  The Z states sit near
-    # the poles, the X states near the equator; delta tilts every state
-    # except 0Z, the phase reference.
-    s_half, c_half = math.sin(delta / 2), math.cos(delta / 2)
+    r_0, r_1, r_2, r_3 = _DEPENDENT_ROTATION if dependent else (1.0, 1.0, 1.0, 1.0)
+    t_0, t_1 = r_0 * theta_hat, r_1 * theta_hat
+    cos_0, cos_1, cos_2, cos_3 = cos(t_0), cos(t_1), cos(r_2 * theta_hat), cos(r_3 * theta_hat)
+    sin_0, sin_1 = sin(t_0), sin(t_1)
+    # Kets of 0Z, 1Z, 0X and 1X in the Z eigenbasis: (1, 0), (-s_half,
+    # c_half), (x_0, x_1) and (y_0, y_1).  The Z states sit near the poles,
+    # the X states near the equator; delta tilts every state but 0Z.
+    s_half, c_half = sin(delta / 2), cos(delta / 2)
     a_0x, a_1x = math.pi / 4 + delta / 4, 3 * math.pi / 4 + 3 * delta / 4
-    kets = ((1.0, 0.0), (-s_half, c_half), (math.cos(a_0x), math.sin(a_0x)),
-            (math.cos(a_1x), math.sin(a_1x)))
-    # A split's lambda_max and lambda_min are the extreme eigenvalues of
-    # [[side, cross], [cross, 0]], the worst-case detection contribution of
-    # the non-qubit part.
-    row = []
-    for cos_k, (c0, c1) in zip(cos, kets[:3]):
-        qubit_weight = (c_i * cos_k) ** 2
-        side_weight = 1.0 - qubit_weight
-        cross_mag = math.sqrt(max(qubit_weight * side_weight, 0.0))
-        root = math.sqrt(side_weight * side_weight + 4.0 * cross_mag * cross_mag)
-        row += (qubit_weight, side_weight, cross_mag, (side_weight + root) / 2.0,
-                (side_weight - root) / 2.0, 2.0 * c0 * c1, c0 * c0 - c1 * c1)
+    x_0, x_1, y_0, y_1 = cos(a_0x), sin(a_0x), cos(a_1x), sin(a_1x)
+    sent = (_sent_split(c_i * cos_0, 1.0, 0.0) + _sent_split(c_i * cos_1, -s_half, c_half)
+            + _sent_split(c_i * cos_2, x_0, x_1))
 
-    cos_0, cos_1, sin_0, sin_1 = cos[0], cos[1], math.sin(angles[0]), math.sin(angles[1])
+    cos0_sq, cos1_sq, sin0_sq, sin1_sq = cos_0 ** 2, cos_1 ** 2, sin_0 ** 2, sin_1 ** 2
+    cos_cross, sin_cross = 2.0 * cos_0 * cos_1 * s_half, 2.0 * sin_0 * sin_1 * s_half
+    px_cross, px_rest = 2.0 * cos_0 * cos_1 * c_half, 2.0 * cos1_sq * c_half * s_half
+    cc, quarter, leak = c_i * c_i, 0.25 * c_i * c_i, 2.0 * c_d * c_d
     error, bits = None, ()
     # j = 1 first: when both virtual states vanish, its failure is reported.
     for j, sgn in ((1, -1.0), (0, 1.0)):
-        a_j = 0.25 * c_i * c_i * (cos_0 ** 2 - sgn * 2.0 * cos_0 * cos_1 * s_half + cos_1 ** 2)
-        c_j = 0.25 * (c_i * c_i * (sin_0 ** 2 - sgn * 2.0 * sin_0 * sin_1 * s_half + sin_1 ** 2)
-                      + 2.0 * c_d * c_d)
+        a_j = quarter * (cos0_sq - sgn * cos_cross + cos1_sq)
+        c_j = 0.25 * (cc * (sin0_sq - sgn * sin_cross + sin1_sq) + leak)
         if a_j <= 1e-300:
             error = DegenerateStateError(
                 f"virtual state j={j} has no qubit component (A_j = {a_j})")
             bits = (0.0,) * 14
             break
-        b_j = math.sqrt(a_j * c_j)
-        root = math.sqrt(c_j * c_j + 4.0 * b_j * b_j)
+        b_j = sqrt(a_j * c_j)
+        root = sqrt(c_j * c_j + 4.0 * b_j * b_j)
         # Bloch vector of the normalized qubit part.  The z component is
         # negated relative to the raw ket so the virtual states are
         # expressed on the measurement axis realized by the receiver model;
         # without the flip the phase error keeps a spurious O(delta^2) floor
         # on a lossless channel.
-        denom = 4.0 * a_j / (c_i * c_i)
-        px = (sgn * 2.0 * cos_0 * cos_1 * c_half - 2.0 * cos_1 ** 2 * c_half * s_half) / denom
-        pz = (cos_1 ** 2 * math.cos(delta) + sgn * 2.0 * cos_0 * cos_1 * s_half
-              - cos_0 ** 2) / denom
+        denom = 4.0 * a_j / cc
+        px = (sgn * px_cross - px_rest) / denom
+        pz = (cos1_sq * cos(delta) + sgn * cos_cross - cos0_sq) / denom
         bits = (a_j, c_j, b_j, (c_j + root) / 2.0, (c_j - root) / 2.0, px, pz) + bits
 
-    overlaps = [
-        cos[z] * cos[x] * c_i * c_i * (kets[z][0] * kets[x][0] + kets[z][1] * kets[x][1])
-        for z in (0, 1) for x in (2, 3)
-    ]
-    return (*row, *bits, *overlaps, *yield_alignments(delta), error_tilt(delta),
-            coin_imbalance(overlaps), error)
+    overlaps = (cos_0 * cos_2 * c_i * c_i * x_0, cos_0 * cos_3 * c_i * c_i * y_0,
+                cos_1 * cos_2 * c_i * c_i * (-s_half * x_0 + c_half * x_1),
+                cos_1 * cos_3 * c_i * c_i * (-s_half * y_0 + c_half * y_1))
+    return (*sent, *bits, *overlaps, *yield_alignments(delta), error_tilt(delta),
+            coin_imbalance(overlaps)), error
 
 
 class SourceTerms(NamedTuple):
@@ -189,14 +196,14 @@ def source_terms(devices: Sequence[tuple[float, float, bool, float]]) -> SourceT
     Cross-polarization terms and distinct worst-case leakage states
     contribute nothing to the overlaps, so only the co-polarized
     leakage-free component survives.  Each device's row is computed with
-    Python's ``math`` on Python floats, so its values do not depend on the
-    batch."""
+    Python's ``math`` on Python floats, each shared square or product once,
+    so its values do not depend on the batch; numpy's exp and squares
+    differ from these in the last bit for some inputs."""
     m = len(devices)
     table, degenerate = np.empty((m, 46)), []
     for i, device in enumerate(devices):
-        row = _device_row(*device)
-        table[i] = row[:-1]
-        degenerate.append(row[-1])
+        table[i], error = _device_row(*device)
+        degenerate.append(error)
     return SourceTerms(
         table[:, :21].reshape(m, 3, 7), table[:, 21:35].reshape(m, 2, 7), table[:, 35:39],
         table[:, 39:44], table[:, 44], table[:, 45], tuple(degenerate),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from flawedqkd import (
     evaluate_grid,
     prepare,
     system_efficiency,
+    tha_coefficients,
     z_basis_yield,
 )
 from flawedqkd.channel import (
+    FLOAT_LIMIT,
     detection_probability,
     detector_yields,
     efficiency,
@@ -113,12 +116,28 @@ class TestChannelModel:
         (lambda v: ChannelModel(10.0, f_ec=v), "f_ec", math.nan),
         (lambda v: ChannelModel(10.0, f_ec=v), "f_ec", math.inf),
         (lambda v: DeviceModel(mu=v), "mu", math.nan),
+        # An int past float range compares below math.inf, and float() of it
+        # overflows.
+        (lambda v: ChannelModel(10.0, f_ec=v), "f_ec must be finite", FLOAT_LIMIT),
+        (lambda v: DeviceModel(mu=v), "mu must be finite", FLOAT_LIMIT),
+        (tha_coefficients, "mu must be finite", FLOAT_LIMIT),
     ],
-    ids=["loss_db-nan", "f_ec-nan", "f_ec-inf", "mu-nan"],
+    ids=["loss_db-nan", "f_ec-nan", "f_ec-inf", "mu-nan", "f_ec-int-past-float-range",
+         "mu-int-past-float-range", "tha_coefficients-mu-int-past-float-range"],
 )
 def test_non_finite_parameters_fail_early_by_name(build, field, value):
     with pytest.raises(ValueError, match=field):
         build(value)
+
+
+def test_float_limit_is_the_least_int_past_float_range():
+    assert float(FLOAT_LIMIT - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(FLOAT_LIMIT)
+    # The largest int that float() takes is finite.
+    ChannelModel(10.0, f_ec=FLOAT_LIMIT - 1)
+    DeviceModel(mu=FLOAT_LIMIT - 1)
+    tha_coefficients(FLOAT_LIMIT - 1)
 
 
 class TestProtocolProbabilities:

@@ -772,7 +772,9 @@ WRONG_TYPE_CONFIGS = [
 # unknown inside a section, an output format other than csv or json, the
 # crossover's old fixed_value, which the device's mu or theta_hat gives,
 # a crossover device setting delta or the swept flaw, which the search
-# varies itself, and a negative start loss.
+# varies itself, and a negative start loss.  An int too large for a float,
+# which json.dump writes out and json.load reads back as an int, compares
+# below math.inf but overflows float(): it fails as an infinite value does.
 CROSSOVER_FILE = {"swept_param": "mu", "swept_values": [1e-9]}
 REFUSED_CONFIGS = [
     ("device.detla", {"device": {"detla": 0.1}, "loss": 10}, "rate", "'device.detla'"),
@@ -791,6 +793,17 @@ REFUSED_CONFIGS = [
      "crossover", "the device's theta_hat must be 0"),
     ("loss_start", {"loss_start": -2, "loss_stop": 10, "loss_step": 1}, "sweep",
      "loss_start must be nonnegative, got -2"),
+    ("loss-int-past-float-range", {"loss": 10**400}, "rate",
+     "error: --loss (or 'loss' in the config file) must be finite and >= 0"),
+    ("loss_stop-int-past-float-range", {"loss_start": 0, "loss_stop": 10**400, "loss_step": 5},
+     "sweep", "error: loss_stop must be finite"),
+    ("device.mu-int-past-float-range", {"device": {"mu": 10**400}, "loss": 10}, "rate",
+     "error: mu must be finite"),
+    ("channel.f_ec-int-past-float-range", {"channel": {"f_ec": 10**400}, "loss": 10}, "rate",
+     "error: f_ec must be finite and >= 1"),
+    ("compare_loss_db-int-past-float-range",
+     {**CROSSOVER_FILE, "device": {"theta_hat": 1e-6}, "compare_loss_db": 10**400}, "crossover",
+     "error: compare_loss_db must be finite and >= 0"),
 ]
 
 # Per command, a config file giving every setting the command reads, and

@@ -1,6 +1,9 @@
+import hashlib
 import math
+import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,3 +287,59 @@ class TestFullOverlap:
     def test_symmetric_and_bounded(self, device):
         for ov in source_terms([device]).overlaps[0]:
             assert abs(ov) <= 1.0 + 1e-12
+
+
+def pin_devices(n):
+    """n seeded parameter tuples: every combination of the edge values, then
+    random devices with tiny, near-limit and uniform angles, delta and
+    theta_hat of both signs of zero, and mu from 0 to 2000 (where the
+    virtual states degenerate), in both theta modes."""
+    rng = random.Random(23)
+
+    def angle(top):
+        kind = rng.random()
+        if kind < 0.1:
+            return rng.choice((0.0, -0.0))
+        if kind < 0.3:
+            return top * 10.0 ** rng.uniform(-12.0, -1.0)
+        if kind < 0.45:
+            return top * (1.0 - 10.0 ** rng.uniform(-15.0, -2.0))
+        return rng.uniform(0.0, top) % top
+
+    def mu():
+        kind = rng.random()
+        if kind < 0.15:
+            return rng.choice((0.0, 1e-12, 2000.0))
+        if kind < 0.5:
+            return 10.0 ** rng.uniform(-12.0, -6.0)
+        return 10.0 ** rng.uniform(-12.0, math.log10(2000.0))
+
+    edges = [
+        (delta, theta_hat, dependent, mu)
+        for delta in (0.0, -0.0, math.nextafter(math.pi, 0.0), 3.14159265)
+        for theta_hat in (0.0, -0.0, math.nextafter(math.pi / 2, 0.0))
+        for dependent in (True, False)
+        for mu in (0.0, 1e-12, 2000.0)
+    ]
+    return edges + [(angle(math.pi), angle(math.pi / 2), rng.random() < 0.5, mu())
+                    for _ in range(n - len(edges))]
+
+
+class TestBitIdentity:
+    def test_source_terms_digest(self):
+        # Every array's bytes and every degenerate message of 10,000 devices
+        # (1,175 of them degenerate), as computed at commit ea7d09b with
+        # glibc's libm on x86-64.  Squaring any one of cos_0, cos_1, sin_0 or
+        # sin_1 as x * x in place of x ** 2, or regrouping a product such as
+        # 0.25 * c_i * c_i, changes it; at 2,000 devices the sin_1 square
+        # did not.
+        terms = source_terms(pin_devices(10_000))
+        digest = hashlib.sha256()
+        for array in terms[:6]:
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        for error in terms.degenerate:
+            digest.update(f"{error!r}\n".encode())
+        assert sum(e is not None for e in terms.degenerate) == 1175
+        assert digest.hexdigest() == (
+            "1e027a33379d3d20153a567c9f75c0ceb235d4324aceaed98c06b7e77123663d"
+        )
