@@ -32,6 +32,8 @@ class ChannelModel:
         # Infinite loss stays valid: it is the eta = 0 limit.
         if not self.loss_db >= 0.0:
             raise ValueError(f"loss_db must be nonnegative, got {self.loss_db}")
+        if FLOAT_LIMIT <= self.loss_db < math.inf:
+            raise ValueError(f"loss_db must be finite or inf, got {self.loss_db}")
         if not 0.0 <= self.p_d < 1.0:
             raise ValueError(f"p_d must lie in [0, 1), got {self.p_d}")
         if not 1.0 <= self.f_ec < FLOAT_LIMIT:

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import FLOAT_LIMIT, ChannelModel, ProtocolProbabilities, efficiency, system_efficiency
+from .errors import EstimatorError
 from .grid import METHODS, GridRates, evaluate_grid, prepare
 from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
 from .qstates import DeviceModel
@@ -234,9 +235,7 @@ def key_rate_lp(
 def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]]) -> list:
     """Both clamped rates at each (delta, swept value) point, or the
     failure that stops a search there, lt's before lp's; the points are one
-    batch at the comparison transmittance."""
-    if not points:
-        return []
+    nonempty batch at the comparison transmittance."""
     _, theta_hat, dependent, mu = config.device
     theta = config.swept_param == "theta"
     devices = [(delta, value if theta else theta_hat, dependent, mu if theta else value)
@@ -256,87 +255,88 @@ def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]
     ]
 
 
+def _gap(result) -> float:
+    # rate_lt - rate_lp of one evaluated point, or its failure raised.
+    if isinstance(result, Exception):
+        raise result
+    return result[0] - result[1]
+
+
+def _bisect(lo: float, hi: float, g_lo: float, tol: float):
+    # Yield each midpoint of the sign change on [lo, hi], where the gap is
+    # g_lo, as a 1-tuple, and return delta*.  A bracket is halved while it
+    # is wider than tol and its midpoint lies strictly inside it: once lo
+    # and hi are adjacent floats, the midpoint is one of them.
+    while hi - lo > tol and lo < (lo + hi) / 2.0 < hi:
+        mid = (lo + hi) / 2.0
+        (result,) = yield (mid,)
+        g_mid = _gap(result)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def _search(tol: float):
+    """One swept value's search: a generator that yields the deltas it needs
+    next (scan chunks up to the first strict sign change of the gap, then
+    each bisection midpoint, then delta*), is sent their results and raises
+    the first failure it reads.  Returns (delta*, (rate_lt, rate_lp)), or
+    None when the gap never changes sign."""
+    lo, g_lo = 0.0, 0.0
+    for start in range(0, len(_DELTA_SCAN), _SCAN_CHUNK):
+        chunk = _DELTA_SCAN[start:start + _SCAN_CHUNK]
+        results = yield chunk
+        for d, result in zip(chunk, results):
+            gap = _gap(result)
+            if g_lo != 0.0 and gap != 0.0 and g_lo * gap < 0.0:
+                star = yield from _bisect(lo, d, g_lo, tol)
+                (rates,) = yield (star,)
+                _gap(rates)  # raises its failure
+                return star, rates
+            lo, g_lo = d, gap
+    return None
+
+
 def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     """Bisect the delta at which both methods give the same key rate.
 
     For each swept value the gap g(delta) = rate_lt - rate_lp is scanned
-    on a fixed delta grid; a strict sign change is bisected down to the
-    configured delta tolerance, or until lo and hi are adjacent floats.
-    Grid values without a sign change yield a no-crossover record.
+    on a fixed delta grid, a few points at a time; a strict sign change is
+    bisected down to the configured delta tolerance, or until lo and hi are
+    adjacent floats.  Grid values without a sign change yield a
+    no-crossover record.
 
-    The scan runs every value in lockstep, a few grid points per batch,
-    and a value leaves it at its first strict sign change; a value without
-    one sees the whole grid.  Then every bracket takes its bisection steps
-    in lockstep with the others, one batch per step, and one batch
-    evaluates every delta*.  A value whose evaluation fails stops there; a
-    failure past a value's first sign change is never evaluated.  The
-    search then raises the failure of the first failed value, which is the
-    one a value-by-value search, stopping its scan at the first sign
-    change, would meet.
+    Each round evaluates the deltas that every open ``_search`` asks for in
+    one batch.  A value stops at its first failure; a failure past its
+    first sign change is never read.  The failure of the first failed
+    value, the one a value-by-value search meets first, is raised.
     """
-    channel = ChannelModel(config.compare_loss_db, config.p_d, config.f_ec)
-    eta = system_efficiency(channel)
-    values = config.swept_values
-    failures: dict[int, Exception] = {}
-    # Per bracketed value: lo, hi and the gap at lo.
-    brackets: dict[int, list[float]] = {}
-    # Each open value's last scanned delta and gap; (d, 0.0) opens no bracket.
-    previous: dict[int, tuple[float, float]] = {}
-    open_values = list(range(len(values)))
-    for start in range(0, len(_DELTA_SCAN), _SCAN_CHUNK):
-        chunk = _DELTA_SCAN[start:start + _SCAN_CHUNK]
-        scan = _rates(config, eta, [(d, values[k]) for k in open_values for d in chunk])
-        for n, k in enumerate(open_values):
-            for d, result in zip(chunk, scan[n * len(chunk):(n + 1) * len(chunk)]):
-                if isinstance(result, Exception):
-                    failures[k] = result
-                    break
-                gap = result[0] - result[1]
-                lo, g_lo = previous.get(k, (d, 0.0))
-                if g_lo != 0.0 and gap != 0.0 and g_lo * gap < 0.0:
-                    brackets[k] = [lo, d, g_lo]
-                    break
-                previous[k] = (d, gap)
-        open_values = [k for k in open_values if k not in brackets and k not in failures]
-
-    tol = config.bisection_tolerance
-
-    def splits(k: int) -> bool:
-        # Wider than tol, with its midpoint strictly inside: once lo and hi
-        # are adjacent floats, the midpoint is one of them.
-        lo, hi, _ = brackets[k]
-        return hi - lo > tol and lo < (lo + hi) / 2.0 < hi
-
-    active = [k for k in brackets if splits(k)]
-    while active:
-        mids = [(brackets[k][0] + brackets[k][1]) / 2.0 for k in active]
-        results = _rates(config, eta, [(mid, values[k]) for k, mid in zip(active, mids)])
-        still = []
-        for k, mid, result in zip(active, mids, results):
-            if isinstance(result, Exception):
-                failures[k] = result
-                continue
-            bracket = brackets[k]
-            g_mid = result[0] - result[1]
-            if g_mid == 0.0:
-                bracket[0] = bracket[1] = mid
-                continue
-            if (g_mid > 0.0) == (bracket[2] > 0.0):
-                bracket[0], bracket[2] = mid, g_mid
-            else:
-                bracket[1] = mid
-            if splits(k):
-                still.append(k)
-        active = still
-
-    stars = {k: (lo + hi) / 2.0 for k, (lo, hi, _) in brackets.items() if k not in failures}
-    finals = dict(zip(stars, _rates(config, eta, [(d, values[k]) for k, d in stars.items()])))
-    failures.update((k, r) for k, r in finals.items() if isinstance(r, Exception))
-    if failures:
-        raise failures[min(failures)]
+    eta = system_efficiency(ChannelModel(config.compare_loss_db, config.p_d, config.f_ec))
+    values, param = config.swept_values, config.swept_param
+    searches = [_search(config.bisection_tolerance) for _ in values]
+    wanted = {k: next(search) for k, search in enumerate(searches)}
+    outcomes = [None] * len(values)
+    while wanted:
+        points = [(d, values[k]) for k, deltas in wanted.items() for d in deltas]
+        results = iter(_rates(config, eta, points))
+        asked, wanted = wanted, {}
+        for k, deltas in asked.items():
+            sent = [next(results) for _ in deltas]
+            try:
+                wanted[k] = searches[k].send(sent)
+            except StopIteration as done:
+                outcomes[k] = done.value
+            except EstimatorError as failure:  # raised below unless an earlier value failed
+                outcomes[k] = failure
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
     return [
-        CrossoverRecord(config.swept_param, value, stars[k], *finals[k], "crossover")
-        if k in finals
-        else CrossoverRecord(config.swept_param, value, None, None, None, "no-crossover")
-        for k, value in enumerate(values)
+        CrossoverRecord(param, value, outcome[0], *outcome[1], "crossover") if outcome
+        else CrossoverRecord(param, value, None, None, None, "no-crossover")
+        for value, outcome in zip(values, outcomes)
     ]

@@ -217,20 +217,6 @@ def vertex_bounds(
     return lower, upper, feasible
 
 
-def vertex_box(
-    rows: np.ndarray, systems: tuple[np.ndarray, np.ndarray], bvec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Componentwise extremes of the polytope a . q <= bvec and the vertices
-    attaining them, or None when no vertex is feasible."""
-    verts, feasible = _vertices(rows, systems, bvec[None])
-    verts = verts[:, 0, feasible[0]].T
-    if verts.shape[0] == 0:
-        return None
-    lo_idx = np.argmin(verts, axis=0)
-    hi_idx = np.argmax(verts, axis=0)
-    return verts[lo_idx, np.arange(3)], verts[hi_idx, np.arange(3)], verts[lo_idx], verts[hi_idx]
-
-
 def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):
     """Upper bounds on virtual yields from transmission-rate boxes.
 

@@ -64,10 +64,7 @@ class DeviceModel:
         _check_angles(self.delta, self.theta_hat)
         if self.theta_mode not in THETA_MODES:
             raise ValueError(f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}")
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not self.mu < FLOAT_LIMIT:
-            raise ValueError(f"mu must be finite, got {self.mu}")
+        tha_coefficients(self.mu)  # checks mu, as source_terms does
 
     def __iter__(self) -> Iterator:
         # A device unpacks to the parameter tuple that source_terms takes.
@@ -82,9 +79,10 @@ _DEPENDENT_ROTATION = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
 def tha_coefficients(mu: float) -> tuple[float, float]:
     """Amplitudes (C_I, C_D) of the leakage-free and leaked components.
 
-    C_I^2 + C_D^2 = 1; mu = 0 gives (1, 0).
+    C_I^2 + C_D^2 = 1; mu = 0 gives (1, 0).  A mu that is negative, nan or
+    not finite is a ValueError; DeviceModel checks mu here too.
     """
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if not mu < FLOAT_LIMIT:
         raise ValueError(f"mu must be finite, got {mu}")

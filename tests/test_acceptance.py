@@ -31,7 +31,7 @@ from flawedqkd import (
 )
 from flawedqkd.channel import X_ROWS, detector_yields
 from flawedqkd.lp_estimator import coin_phase_errors
-from flawedqkd.lt_estimator import halfspace_rhs, halfspace_rows, triple_inverses, vertex_box
+from flawedqkd.lt_estimator import _vertices, halfspace_rhs, halfspace_rows, triple_inverses
 from flawedqkd.qstates import source_terms
 from conftest import random_devices
 from oracle import explicit_emitted_states, explicit_qubit_split, explicit_state_lt
@@ -276,18 +276,16 @@ class TestSolverAgreement:
             lam = [explicit_qubit_split(psi)[1:] for psi in explicit_emitted_states(device)[:3]]
             for s in (0, 1):
                 rhs = halfspace_rhs(ytil[s], prepared.lt.lam_min[0], prepared.lt.lam_max[0])
-                box = vertex_box(rows, systems, rhs)
-                assert box is not None
-                _, _, witness_lower, witness_upper = box
-                for q in (*witness_lower, *witness_upper):
-                    for k in range(3):
-                        resid = ytil[s, k] - float(coef[:, k] @ q)
-                        assert lam[k][0] - tol <= resid <= lam[k][1] + tol
-                    q_id, q_x, q_z = q
-                    assert -tol <= q_id <= 1.0 + tol
-                    cap = min(q_id, 1.0 - q_id)
-                    assert abs(q_x) <= cap + tol
-                    assert abs(q_z) <= cap + tol
+                verts, feasible = _vertices(rows, systems, rhs[None])
+                vertices = verts[:, 0, feasible[0]].T
+                assert len(vertices) > 0
+                for k in range(3):
+                    resid = ytil[s, k] - vertices @ coef[:, k]
+                    assert (lam[k][0] - tol <= resid).all() and (resid <= lam[k][1] + tol).all()
+                q_id, q_x, q_z = vertices.T
+                assert (-tol <= q_id).all() and (q_id <= 1.0 + tol).all()
+                cap = np.minimum(q_id, 1.0 - q_id)
+                assert (abs(q_x) <= cap + tol).all() and (abs(q_z) <= cap + tol).all()
 
 
 class TestStructuralInvariants:

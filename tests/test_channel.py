@@ -121,9 +121,11 @@ class TestChannelModel:
         (lambda v: ChannelModel(10.0, f_ec=v), "f_ec must be finite", FLOAT_LIMIT),
         (lambda v: DeviceModel(mu=v), "mu must be finite", FLOAT_LIMIT),
         (tha_coefficients, "mu must be finite", FLOAT_LIMIT),
+        (lambda v: ChannelModel(v), "loss_db must be finite or inf", FLOAT_LIMIT),
     ],
     ids=["loss_db-nan", "f_ec-nan", "f_ec-inf", "mu-nan", "f_ec-int-past-float-range",
-         "mu-int-past-float-range", "tha_coefficients-mu-int-past-float-range"],
+         "mu-int-past-float-range", "tha_coefficients-mu-int-past-float-range",
+         "loss_db-int-past-float-range"],
 )
 def test_non_finite_parameters_fail_early_by_name(build, field, value):
     with pytest.raises(ValueError, match=field):

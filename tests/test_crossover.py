@@ -237,3 +237,27 @@ def test_lazy_scan_device_count(monkeypatch):
     records = find_crossover(config)
     assert all(r.status == "crossover" for r in records)
     assert (sum(counted), len(counted)) == (1495, 31)
+
+
+@pytest.mark.parametrize(
+    "tol, batches",
+    [(1e-10, [5, 5, 1, 1]), (0.02, [5, 5, 1])],
+    ids=["exact-zero-at-a-midpoint", "tolerance-wider-than-the-grid-bracket"],
+)
+def test_synthetic_gap_ends_the_bisection(monkeypatch, tol, batches):
+    # The gap delta - 0.055 brackets at (0.05, 0.06), whose midpoint is
+    # 0.055: at tolerance 1e-10 the first step lands on the exact zero and
+    # ends the bisection; at 0.02 the bracket is already narrower than the
+    # tolerance, so no step is taken.  Either way delta* is 0.055.
+    sizes = []
+
+    def synthetic_rates(config, eta, points):
+        if points:
+            sizes.append(len(points))
+        return [(1.0, 1.0) if d == 0.055 else (d, 0.055) for d, _ in points]
+
+    monkeypatch.setattr(engine, "_rates", synthetic_rates)
+    config = CrossoverConfig("mu", (1e-9,), DeviceModel(theta_hat=1e-6),
+                             bisection_tolerance=tol)
+    assert find_crossover(config) == [CrossoverRecord("mu", 1e-9, 0.055, 1.0, 1.0, "crossover")]
+    assert sizes == batches

@@ -430,8 +430,9 @@ class TestDeviceAxis:
             ((math.nan, 0.0, True, 0.0), "delta must lie in [0, pi), got nan"),
             ((0.1, 5.0, True, 0.0), "theta_hat must lie in [0, pi/2), got 5.0"),
             ((0.1, 0.0, True, 10**400), f"mu must be finite, got {10**400}"),
+            ((0.1, 0.0, True, math.nan), "mu must be nonnegative, got nan"),
         ],
-        ids=["delta-nan", "theta_hat-past-pi/2", "mu-int-past-float-range"],
+        ids=["delta-nan", "theta_hat-past-pi/2", "mu-int-past-float-range", "mu-nan"],
     )
     def test_out_of_range_tuple_fails_as_its_device_model(self, device, message):
         # Unchecked, the nan fails late at the entropy and theta_hat = 5 rad

@@ -27,7 +27,7 @@ from flawedqkd.lt_estimator import (
     interval_box,
     triple_inverses,
     unphysical,
-    vertex_box,
+    vertex_bounds,
     virtual_yields,
 )
 from flawedqkd.qstates import source_terms
@@ -103,11 +103,11 @@ class TestTransmissionRateBounds:
         for s, point in expected.items():
             assert lower[0, s] == _triples(point)
             assert upper[0, s] == _triples(point)
-            v_lower, v_upper, _, _ = vertex_box(
-                rows, systems, halfspace_rhs(ytil[s], terms.lam_min[0], terms.lam_max[0])
+            v_lower, v_upper, _ = vertex_bounds(
+                rows, systems, halfspace_rhs(ytil[s], terms.lam_min[0], terms.lam_max[0])[None]
             )
-            assert v_lower == _triples(point)
-            assert v_upper == _triples(point)
+            assert v_lower[0] == _triples(point)
+            assert v_upper[0] == _triples(point)
 
     def test_ideal_outcome_one(self, probs):
         prepared = prepare(DeviceModel(), probs)
@@ -143,21 +143,19 @@ class TestTransmissionRateBounds:
         rows = halfspace_rows(terms.coef[0])
         systems = triple_inverses(rows)
         rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-        lower, upper, _, _ = vertex_box(rows, systems, rhs[0])
-        assert lower == _triples(
+        lower, upper, _ = vertex_bounds(rows, systems, rhs)
+        assert lower[0] == _triples(
             (0.00170498116932, -0.000780337671007, -0.00166124701588)
         )
-        assert upper == _triples(
+        assert upper[0] == _triples(
             (0.00423037831131, 0.00329264595325, 0.00118022581811)
         )
-        lower, upper, _, witness_upper = vertex_box(rows, systems, rhs[1])
-        assert lower == _triples(
+        assert lower[1] == _triples(
             (0.00105254249751, -0.00418279440028, -0.00181872285182)
         )
-        assert upper == _triples(
+        assert upper[1] == _triples(
             (0.00423038019252, 0.000586987006212, 0.00136877027513)
         )
-        assert len(witness_upper) == 3
 
     def test_vertex_solver_live_point(self, probs):
         prepared = prepare(COMPOSITE, probs)
@@ -165,13 +163,14 @@ class TestTransmissionRateBounds:
         yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(10.0), 1e-7)
         ytil = yields[0, 0, X_ROWS] / prepared.prefactor[X_ROWS]
         rows = halfspace_rows(terms.coef[0])
-        lower, upper, _, _ = vertex_box(
-            rows, triple_inverses(rows), halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
+        lower, upper, _ = vertex_bounds(
+            rows, triple_inverses(rows),
+            halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])[None],
         )
-        assert lower == _triples(
+        assert lower[0] == _triples(
             (0.024199541604, 0.0217085073158, -0.0009527150928)
         )
-        assert upper == _triples(
+        assert upper[0] == _triples(
             (0.0267304769345, 0.025787206388, 0.00189429592967)
         )
 
@@ -185,10 +184,10 @@ class TestTransmissionRateBounds:
         systems = triple_inverses(rows)
         for s in (0, 1):
             rhs = halfspace_rhs(ytil[s], terms.lam_min[0], terms.lam_max[0])
-            v_lower, v_upper, _, _ = vertex_box(rows, systems, rhs)
+            v_lower, v_upper, _ = vertex_bounds(rows, systems, rhs[None])
             for i in range(3):
-                assert v_lower[i] >= box_lower[0, s, i] - 1e-12
-                assert v_upper[i] <= box_upper[0, s, i] + 1e-12
+                assert v_lower[0, i] >= box_lower[0, s, i] - 1e-12
+                assert v_upper[0, i] <= box_upper[0, s, i] + 1e-12
 
     def test_rejects_unknown_mode(self, probs):
         prepared = prepare(DeviceModel(), probs)
@@ -218,7 +217,7 @@ class TestTransmissionRateBounds:
         else:
             rows = halfspace_rows(terms.coef[0])
             rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-            assert vertex_box(rows, triple_inverses(rows), rhs) is None
+            assert not vertex_bounds(rows, triple_inverses(rows), rhs[None])[2].any()
 
     @pytest.mark.parametrize("mode", SOLVER_MODES)
     def test_inflated_x_yield_is_infeasible(self, probs, mode):
@@ -234,7 +233,7 @@ class TestTransmissionRateBounds:
         else:
             rows = halfspace_rows(terms.coef[0])
             rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-            assert vertex_box(rows, triple_inverses(rows), rhs) is None
+            assert not vertex_bounds(rows, triple_inverses(rows), rhs[None])[2].any()
 
     @pytest.mark.parametrize("mode", SOLVER_MODES)
     @pytest.mark.parametrize("q", [(0.1, 0.3, 0.0), (0.9, -0.3, 0.0), (0.2, 0.0, -0.3)])
@@ -248,7 +247,7 @@ class TestTransmissionRateBounds:
         else:
             rows = halfspace_rows(terms.coef[0])
             rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-            assert vertex_box(rows, triple_inverses(rows), rhs) is None
+            assert not vertex_bounds(rows, triple_inverses(rows), rhs[None])[2].any()
 
     @given(small_devices, st.floats(0.0, 30.0), st.sampled_from([0, 1]))
     @settings(max_examples=60)
@@ -263,7 +262,7 @@ class TestTransmissionRateBounds:
         bi_lower, bi_upper = box_lower[0, 0], box_upper[0, 0]
         rows = halfspace_rows(terms.coef[0])
         rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
-        bv_lower, bv_upper, _, _ = vertex_box(rows, triple_inverses(rows), rhs)
+        (bv_lower,), (bv_upper,), _ = vertex_bounds(rows, triple_inverses(rows), rhs[None])
         for i in range(3):
             assert bi_lower[i] <= bi_upper[i] + 1e-15
             assert bv_lower[i] <= bv_upper[i] + 1e-15
