@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import log2
+
 import numpy as np
 
 # The least int that float() cannot represent: a number, int or float, is
@@ -34,10 +36,16 @@ class ChannelModel:
             raise ValueError(f"loss_db must be nonnegative, got {self.loss_db}")
         if FLOAT_LIMIT <= self.loss_db < math.inf:
             raise ValueError(f"loss_db must be finite or inf, got {self.loss_db}")
-        if not 0.0 <= self.p_d < 1.0:
-            raise ValueError(f"p_d must lie in [0, 1), got {self.p_d}")
-        if not 1.0 <= self.f_ec < FLOAT_LIMIT:
-            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
+        check_channel_parameters(self.p_d, self.f_ec)
+
+
+def check_channel_parameters(p_d: float, f_ec: float) -> None:
+    """Raise a ValueError naming p_d or f_ec unless p_d lies in [0, 1) and
+    f_ec is finite and >= 1."""
+    if not 0.0 <= p_d < 1.0:
+        raise ValueError(f"p_d must lie in [0, 1), got {p_d}")
+    if not 1.0 <= f_ec < FLOAT_LIMIT:
+        raise ValueError(f"f_ec must be finite and >= 1, got {f_ec}")
 
 
 @dataclass(frozen=True)
@@ -168,4 +176,21 @@ def binary_entropy(x: float) -> float:
         raise ValueError(f"binary_entropy needs x in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
+
+
+def clamped_entropies(xs: list[float], failures: list) -> list[float]:
+    """binary_entropy(min(x, 1/2)) of each x, bit for bit, and 0.0 where
+    failures holds a true value (a failed point).
+
+    One pass with binary_entropy's formula inline: math.log2 sees only
+    arguments in (0, 1/2), a clamped argument gives h(1/2) = 1.0 exactly,
+    and a nan or negative x at a live point raises binary_entropy's error.
+    """
+    return [
+        0.0 if failed or x == 0.0
+        else -x * log2(x) - (1.0 - x) * log2(1.0 - x) if 0.0 < x < 0.5
+        else 1.0 if x >= 0.5
+        else binary_entropy(x)
+        for x, failed in zip(xs, failures)
+    ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -163,19 +164,21 @@ def loss_grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def _rows(losses: list[float], etas: list[float], rates: dict[str, GridRates]) -> list[SweepRow]:
-    # Rows of an evaluated grid, by loss, then method; a failed point keeps
-    # its row with the error message and no numbers.
-    columns = [(m, r.e_z.tolist(), r.e_x.tolist(), r.rate_raw.tolist(), r.errors)
-               for m, r in rates.items()]
-    rows = []
-    for i, (loss, eta) in enumerate(zip(losses, etas)):
-        for method, e_z, e_x, rate_raw, errors in columns:
-            if errors[i] is not None:
-                rows.append(SweepRow(loss, eta, method, None, None, None, None, str(errors[i])))
-            else:
-                raw = rate_raw[i]
-                rows.append(SweepRow(loss, eta, method, e_z[i], e_x[i], raw, max(raw, 0.0)))
-    return rows
+    # Rows of an evaluated grid, by loss, then method, zipped from each
+    # method's columns; a failed point keeps its row with the error message
+    # and no numbers.  0.0 if w < 0.0 else w is max(w, 0.0), -0.0 and nan
+    # included.
+    columns = []
+    for method, r in rates.items():
+        raw = r.rate_raw.tolist()
+        rate = [0.0 if w < 0.0 else w for w in raw]
+        rows = list(map(SweepRow._make, zip(losses, etas, repeat(method), r.e_z.tolist(),
+                                            r.e_x.tolist(), raw, rate, repeat(None))))
+        for i, error in enumerate(r.errors):
+            if error is not None:
+                rows[i] = SweepRow(losses[i], etas[i], method, None, None, None, None, str(error))
+        columns.append(rows)
+    return list(chain.from_iterable(zip(*columns)))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -188,8 +191,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     methods = tuple(m for m in METHODS if m in config.methods)
     losses = loss_grid(config.loss_start, config.loss_stop, config.loss_step)
-    # Checks p_d and f_ec; the config has checked the losses.
-    ChannelModel(losses[0], config.p_d, config.f_ec)
     etas = [efficiency(loss) for loss in losses]
     rates = evaluate_grid(
         prepare(config.device, config.probs),

@@ -12,8 +12,11 @@ stage keeps the operand order of its formula, the transmittance is
 Python's ``10.0 ** (-loss / 10.0)`` per point, the device-only terms
 are one row of ``math`` calls per device, each point's yields go through
 its device's inverse as one BLAS product, the vertex solver's vertices
-are elementwise products with each device's triple inverses, and
-entropies use ``math.log2`` per element.  The paper solver's rows are
+are elementwise products with each device's triple inverses, and the
+entropies are one list pass of ``clamped_entropies``: ``math.log2`` runs
+only on open arguments in (0, 1/2), and a clamped argument gives
+h(1/2) = 1.0 exactly.  The sweep's rows are then zipped from these
+columns (``engine._rows``).  The paper solver's rows are
 the per-point code's bit for bit; the vertex solver's closed-form
 inverses agree with the LAPACK solves it replaced to rounding, not bit
 for bit.
@@ -30,8 +33,9 @@ from .channel import (
     X_ROWS,
     Z_ROWS,
     ProtocolProbabilities,
-    binary_entropy,
     bit_errors,
+    check_channel_parameters,
+    clamped_entropies,
     detection_probability,
     detector_yields,
     yield_prefactors,
@@ -116,14 +120,10 @@ def _entropies(
     # h(min(e, 1/2)) of each method's e_x where that method succeeded, and
     # of e_z where any method did: error rates beyond 1/2 carry no
     # extractable key.
-    h_x = {
-        m: np.array([binary_entropy(min(e, 0.5)) if error is None else 0.0
-                     for e, error in zip(e_x.tolist(), errors)])
-        for m, (e_x, errors) in stages.items()
-    }
-    live = [None in point for point in zip(*(errors for _, errors in stages.values()))]
-    h_z = [binary_entropy(min(z, 0.5)) if ok else 0.0 for z, ok in zip(e_z.tolist(), live)]
-    return np.array(h_z), h_x
+    h_x = {m: np.array(clamped_entropies(e_x.tolist(), errors))
+           for m, (e_x, errors) in stages.items()}
+    failed = [None not in point for point in zip(*(errors for _, errors in stages.values()))]
+    return np.array(clamped_entropies(e_z.tolist(), failed)), h_x
 
 
 def _lt_bounds(
@@ -199,7 +199,10 @@ def evaluate_grid(
     """e_z, e_x and the unclamped rate of each method at each transmittance.
 
     eta has shape (n,); prepared holds one device, evaluated at every
-    point, or n devices, device i at point i.  A failure at one point is
+    point, or n devices, device i at point i.  Every eta must lie in
+    [0, 1], p_d in [0, 1) and f_ec must be finite and >= 1; each is
+    checked before anything is evaluated, and a ValueError names the first
+    bad parameter, as ChannelModel's checks do.  A failure at one point is
     kept in that point's error slot and never stops the others.  Per
     point, a failure reports in the order the chain meets it: no
     detections at all, a bit error rate e_z below 0, no Z-basis detections
@@ -208,6 +211,10 @@ def evaluate_grid(
     """
     if solver not in SOLVER_MODES:
         raise ValueError(f"mode must be one of {SOLVER_MODES}, got {solver!r}")
+    check_channel_parameters(p_d, f_ec)
+    for x in eta.tolist():
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {x}")
     if len(prepared.tilt) not in (1, len(eta)):
         raise ValueError(
             f"{len(prepared.tilt)} prepared devices do not match {len(eta)} transmittances"

@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from flawedqkd import (
     tha_coefficients,
     z_basis_yield,
 )
+from flawedqkd import channel as channel_module
 from flawedqkd.channel import (
     FLOAT_LIMIT,
+    clamped_entropies,
     detection_probability,
     detector_yields,
     efficiency,
@@ -351,3 +355,51 @@ class TestBinaryEntropy:
     def test_concavity(self, a, b):
         mid = binary_entropy((a + b) / 2)
         assert mid >= (binary_entropy(a) + binary_entropy(b)) / 2 - 1e-12
+
+
+class TestClampedEntropies:
+    """clamped_entropies is binary_entropy(min(x, 1/2)) over a list, bit for
+    bit, with 0.0 at failed points and math.log2 only on open arguments."""
+
+    EDGES = [0.0, -0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0,
+             1.5, 1e300, math.inf, 5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+             math.nan, -5e-324, -0.25, -math.inf]
+    # What a point's failure slot holds: an error or a flag is failed, None
+    # or False is live.
+    FAILURES = [None, False, True, NoDetectionError("no detections: eta = 0 and p_d = 0")]
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from(EDGES), st.floats(), st.floats(0.0, 0.5)),
+        st.sampled_from(FAILURES),
+    ), max_size=30))
+    def test_matches_binary_entropy_of_the_clamped_argument(self, points):
+        xs = [x for x, _ in points]
+        failures = [failed for _, failed in points]
+        expected, message = [], None
+        for x, failed in points:
+            if failed:
+                expected.append(0.0)
+                continue
+            try:
+                expected.append(binary_entropy(min(x, 0.5)))
+            except ValueError as exc:
+                message = str(exc)
+                break
+        logged = []
+
+        def log2(y):
+            logged.append(y)
+            return math.log2(y)
+
+        with mock.patch.object(channel_module, "log2", log2):
+            if message is None:
+                got = clamped_entropies(xs, failures)
+            else:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    clamped_entropies(xs, failures)
+        if message is None:
+            assert [type(h) for h in got] == [float] * len(xs)
+            assert [h.hex() for h in got] == [h.hex() for h in expected]
+        # log2 is called on x, then on 1 - x, for x in (0, 1/2) alone.
+        assert all(0.0 < y < 0.5 for y in logged[::2])
+        assert logged[1::2] == [1.0 - y for y in logged[::2]]

@@ -34,6 +34,8 @@ from flawedqkd import (
     system_efficiency,
 )
 from flawedqkd.channel import error_tilt, yield_alignments
+from flawedqkd.engine import SweepRow, _rows
+from flawedqkd.grid import GridRates
 from flawedqkd.qstates import source_terms
 
 # Small flaws, plus the devices whose lt evaluation fails everywhere.
@@ -447,3 +449,66 @@ class TestDeviceAxis:
         prepared = prepare(self.DEVICES[:2], ProtocolProbabilities())
         with pytest.raises(ValueError, match="2 prepared devices do not match 3"):
             evaluate_grid(prepared, np.array([1.0, 0.5, 0.1]), 1e-7, 1.16)
+
+    @pytest.mark.parametrize(
+        "eta, p_d, f_ec, message",
+        [
+            ([0.1, 2.0], 1e-7, 1.16, "eta must lie in [0, 1], got 2.0"),
+            ([math.nan], 1e-7, 1.16, "eta must lie in [0, 1], got nan"),
+            ([0.1, math.inf], 1e-7, 1.16, "eta must lie in [0, 1], got inf"),
+            ([-0.1], 1e-7, 1.16, "eta must lie in [0, 1], got -0.1"),
+            ([0.1], math.nan, 1.16, "p_d must lie in [0, 1), got nan"),
+            ([0.1], 1.0, 1.16, "p_d must lie in [0, 1), got 1.0"),
+            ([0.1], 1e-7, math.nan, "f_ec must be finite and >= 1, got nan"),
+            ([0.1], 1e-7, 0.5, "f_ec must be finite and >= 1, got 0.5"),
+            ([0.1], 1e-7, math.inf, "f_ec must be finite and >= 1, got inf"),
+        ],
+        ids=["eta-above-1", "eta-nan", "eta-inf", "eta-negative", "p_d-nan", "p_d-1",
+             "f_ec-nan", "f_ec-below-1", "f_ec-inf"],
+    )
+    def test_out_of_range_channel_fails_by_name(self, eta, p_d, f_ec, message):
+        # Unchecked, f_ec = nan gives a silent nan rate, eta = 2 a live lt
+        # rate, and a nan eta or p_d fails late at the entropy.
+        prepared = prepare(self.DEVICES[0], ProtocolProbabilities())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_grid(prepared, np.array(eta), p_d, f_ec)
+
+
+class TestColumnRows:
+    """Rows zipped from the columns equal the per-element rows, cell for
+    cell: max(rate_raw, 0.0) keeps -0.0 and nan, and a failed point keeps
+    only its message."""
+
+    LOSSES = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+    RAW = [-1e-3, -0.0, 0.0, 2e-4, math.nan, math.inf, 0.125]
+
+    def rates(self, failed_at):
+        n = len(self.LOSSES)
+        error = NoDetectionError("no detections: eta = 0 and p_d = 0")
+        return GridRates(np.linspace(0.01, 0.07, n), np.linspace(0.1, 0.7, n) ** 2,
+                         np.array(self.RAW), [error if i == failed_at else None for i in range(n)])
+
+    @staticmethod
+    def cells(row):
+        return tuple(v.hex() if isinstance(v, float) else repr(v) for v in row)
+
+    @pytest.mark.parametrize("methods", [("lt",), ("lp",), ("lt", "lp")])
+    def test_rows_equal_the_per_element_rows(self, methods):
+        etas = [10.0 ** (-loss / 10.0) for loss in self.LOSSES]
+        rates = {m: self.rates(failed_at) for m, failed_at in zip(methods, (2, 5))}
+        expected = []
+        for i, (loss, eta) in enumerate(zip(self.LOSSES, etas)):
+            for m, r in rates.items():
+                if r.errors[i] is not None:
+                    expected.append(SweepRow(loss, eta, m, None, None, None, None,
+                                             str(r.errors[i])))
+                else:
+                    raw = r.rate_raw[i].item()
+                    expected.append(SweepRow(loss, eta, m, r.e_z[i].item(), r.e_x[i].item(),
+                                             raw, max(raw, 0.0)))
+        rows = _rows(self.LOSSES, etas, rates)
+        assert [self.cells(row) for row in rows] == [self.cells(row) for row in expected]
+        assert all(type(row) is SweepRow for row in rows)
+        for row in rows:
+            numbers = row[:2] + row[3:7] if row.error is None else row[:2]
+            assert all(type(v) is float for v in numbers)
