@@ -20,6 +20,42 @@ import numpy as np
 # finite as a float exactly when -FLOAT_LIMIT < x < FLOAT_LIMIT.
 FLOAT_LIMIT = 2**1024 - 2**970
 
+_FINITE = (lambda x: -FLOAT_LIMIT < x < FLOAT_LIMIT, "must be finite")
+_NONNEGATIVE = (lambda x: x >= 0.0, "must be nonnegative")
+_FINITE_NONNEGATIVE = (lambda x: 0.0 <= x < FLOAT_LIMIT, "must be finite and >= 0")
+_OPEN_UNIT = (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")
+
+# Every parameter's domain: its rules in the order they are checked, each a
+# predicate and the wording of its error.  A nan breaks each first rule.
+DOMAINS = {
+    "delta": ((lambda x: 0.0 <= x < math.pi, "must lie in [0, pi)"),),
+    "theta_hat": ((lambda x: 0.0 <= x < math.pi / 2, "must lie in [0, pi/2)"),),
+    "mu": (_NONNEGATIVE, _FINITE),
+    # Infinite loss stays valid: it is the eta = 0 limit.
+    "loss_db": (_NONNEGATIVE, (lambda x: not FLOAT_LIMIT <= x < math.inf, "must be finite or inf")),
+    "eta": ((lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"),),
+    "p_d": ((lambda x: 0.0 <= x < 1.0, "must lie in [0, 1)"),),
+    "f_ec": ((lambda x: 1.0 <= x < FLOAT_LIMIT, "must be finite and >= 1"),),
+    "p_za": (_OPEN_UNIT,),
+    "p_zb": (_OPEN_UNIT,),
+    "loss_start": (_FINITE, _NONNEGATIVE),
+    "loss_stop": (_FINITE,),
+    "loss_step": (_FINITE, (lambda x: x > 0.0, "must be positive")),
+    "jobs": ((lambda x: x >= 1, "must be >= 1"),),
+    "compare_loss_db": (_FINITE_NONNEGATIVE,),
+    "bisection_tolerance": ((lambda x: 0.0 < x < FLOAT_LIMIT, "must be finite and > 0"),),
+    # The rate command's loss, named as its user gives it.
+    "--loss (or 'loss' in the config file)": (_FINITE_NONNEGATIVE,),
+}
+
+
+def check(**values: float) -> None:
+    """Raise a ValueError naming the first value that breaks its DOMAINS rules."""
+    for name, value in values.items():
+        for valid, wording in DOMAINS[name]:
+            if not valid(value):
+                raise ValueError(f"{name} {wording}, got {value}")
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -31,21 +67,7 @@ class ChannelModel:
     f_ec: float = 1.16
 
     def __post_init__(self) -> None:
-        # Infinite loss stays valid: it is the eta = 0 limit.
-        if not self.loss_db >= 0.0:
-            raise ValueError(f"loss_db must be nonnegative, got {self.loss_db}")
-        if FLOAT_LIMIT <= self.loss_db < math.inf:
-            raise ValueError(f"loss_db must be finite or inf, got {self.loss_db}")
-        check_channel_parameters(self.p_d, self.f_ec)
-
-
-def check_channel_parameters(p_d: float, f_ec: float) -> None:
-    """Raise a ValueError naming p_d or f_ec unless p_d lies in [0, 1) and
-    f_ec is finite and >= 1."""
-    if not 0.0 <= p_d < 1.0:
-        raise ValueError(f"p_d must lie in [0, 1), got {p_d}")
-    if not 1.0 <= f_ec < FLOAT_LIMIT:
-        raise ValueError(f"f_ec must be finite and >= 1, got {f_ec}")
+        check(loss_db=self.loss_db, p_d=self.p_d, f_ec=self.f_ec)
 
 
 @dataclass(frozen=True)
@@ -60,10 +82,7 @@ class ProtocolProbabilities:
     p_zb: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_za < 1.0:
-            raise ValueError(f"p_za must lie in (0, 1), got {self.p_za}")
-        if not 0.0 < self.p_zb < 1.0:
-            raise ValueError(f"p_zb must lie in (0, 1), got {self.p_zb}")
+        check(p_za=self.p_za, p_zb=self.p_zb)
 
     @property
     def p_0z(self) -> float:

@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 from typing import Any, Iterator, Sequence
 
-from .channel import FLOAT_LIMIT, ProtocolProbabilities
+from .channel import ProtocolProbabilities, check
 from .engine import (
     CROSSOVER_PARAMS,
     METHODS,
@@ -33,6 +33,7 @@ from .qstates import THETA_MODES, DeviceModel
 
 _SOLVER_FLAGS = {"paper": PAPER_FAITHFUL, "vertex-lp": VERTEX_LP}
 _FORMATS = ("csv", "json")
+_LOSS = "--loss (or 'loss' in the config file)"  # the rate command's loss, as a user names it
 
 
 def _fmt(x: float) -> str:
@@ -267,14 +268,11 @@ def _sweep_rows(settings: dict[str, Any]) -> list[SweepRow]:
 
 def _run_rate(settings: dict[str, Any]) -> str:
     if "loss" not in settings:
-        raise ValueError("rate needs --loss (or 'loss' in the config file)")
+        raise ValueError(f"rate needs {_LOSS}")
     loss = settings["loss"]
     # Checked here, so that the message names the setting the user gave
     # rather than the sweep field or channel field it is passed on as.
-    if not 0.0 <= loss < FLOAT_LIMIT:
-        raise ValueError(
-            f"--loss (or 'loss' in the config file) must be finite and >= 0, got {loss}"
-        )
+    check(**{_LOSS: loss})
     # One point: the sweep's range and jobs, if the file holds them, are not read.
     settings.update(loss_start=loss, loss_stop=loss, loss_step=1.0)
     settings.pop("jobs", None)

@@ -6,17 +6,16 @@ grid path and returns named-tuple records; rendering is left to the caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FLOAT_LIMIT, ChannelModel, ProtocolProbabilities, efficiency, system_efficiency
+from .channel import ChannelModel, ProtocolProbabilities, check, efficiency, system_efficiency
 from .errors import EstimatorError
-from .grid import METHODS, GridRates, evaluate_grid, prepare
-from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES
+from .grid import METHODS, GridRates, check_estimators, evaluate_grid, prepare
+from .lt_estimator import PAPER_FAITHFUL
 from .qstates import DeviceModel
 
 # The device field each crossover sweep parameter sets.
@@ -33,10 +32,19 @@ _SCAN_CHUNK = 5
 _MAX_GRID_POINTS = 1_000_000
 
 
-def _grid_steps(start: float, stop: float, step: float) -> float:
-    # Whole steps from start to stop, with slack so that a stop landing on
-    # the grid within floating-point error is included.
-    return (stop - start) / step + 1e-9
+def _grid_size(start: float, stop: float, step: float) -> int:
+    # Points of the loss grid start:stop:step, which needs finite bounds with
+    # 0 <= start <= stop, a positive step and at most _MAX_GRID_POINTS points;
+    # the slack keeps a stop that lands on the grid within rounding.
+    check(loss_start=start, loss_stop=stop, loss_step=step)
+    if start > stop:
+        raise ValueError(f"a loss grid needs loss_start <= loss_stop, got {start} > {stop}")
+    steps = (stop - start) / step + 1e-9
+    # floor(steps) + 1 points exceed the cap exactly when steps >= cap.
+    if steps >= _MAX_GRID_POINTS:
+        raise ValueError(f"a loss grid has at most {_MAX_GRID_POINTS} points; loss_step {step}"
+                         f" gives more from {start} to {stop} dB")
+    return int(steps) + 1
 
 
 @dataclass(frozen=True)
@@ -59,31 +67,9 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("loss_start", "loss_stop", "loss_step"):
-            value = getattr(self, name)
-            if not -FLOAT_LIMIT < value < FLOAT_LIMIT:
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.loss_start < 0.0:
-            raise ValueError(f"loss_start must be nonnegative, got {self.loss_start}")
-        if self.loss_start > self.loss_stop:
-            raise ValueError("loss_start must not exceed loss_stop")
-        if self.loss_step <= 0.0:
-            raise ValueError(f"loss_step must be positive, got {self.loss_step}")
-        # floor(steps) + 1 points exceed the cap exactly when steps >= cap.
-        if _grid_steps(self.loss_start, self.loss_stop, self.loss_step) >= _MAX_GRID_POINTS:
-            raise ValueError(
-                f"loss_step {self.loss_step} gives more than {_MAX_GRID_POINTS} grid points"
-                f" from {self.loss_start} to {self.loss_stop} dB"
-            )
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        if self.solver not in SOLVER_MODES:
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        _grid_size(self.loss_start, self.loss_stop, self.loss_step)
+        check_estimators(self.methods, self.solver)
+        check(jobs=self.jobs)
 
 
 @dataclass(frozen=True)
@@ -120,13 +106,8 @@ class CrossoverConfig:
         # takes at delta = 0 it takes throughout the search.
         for value in self.swept_values:
             replace(self.device, **{SWEPT_FIELDS[self.swept_param]: value})
-        if not 0.0 <= self.compare_loss_db < FLOAT_LIMIT:
-            raise ValueError(f"compare_loss_db must be finite and >= 0, got {self.compare_loss_db}")
-        tol = self.bisection_tolerance
-        if not 0.0 < tol < FLOAT_LIMIT:
-            raise ValueError(f"bisection_tolerance must be finite and > 0, got {tol}")
-        if self.solver not in SOLVER_MODES:
-            raise ValueError(f"unknown solver {self.solver!r}")
+        check(compare_loss_db=self.compare_loss_db, bisection_tolerance=self.bisection_tolerance)
+        check_estimators(METHODS, self.solver)
 
 
 class SweepRow(NamedTuple):
@@ -158,9 +139,8 @@ class CrossoverRecord(NamedTuple):
 
 def loss_grid(start: float, stop: float, step: float) -> list[float]:
     """Inclusive dB grid; the stop value is included when it lands on the
-    grid within floating-point slack."""
-    n = int(math.floor(_grid_steps(start, stop, step))) + 1
-    return [start + i * step for i in range(n)]
+    grid within floating-point slack.  A grid SweepConfig refuses is its ValueError."""
+    return [start + i * step for i in range(_grid_size(start, stop, step))]
 
 
 def _rows(losses: list[float], etas: list[float], rates: dict[str, GridRates]) -> list[SweepRow]:

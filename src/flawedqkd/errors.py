@@ -1,9 +1,11 @@
 """Exception types shared across the estimators.
 
-Invalid argument values (out-of-range probabilities, negative intensities,
-unknown settings) raise the builtin ``ValueError``.  The classes here mark
-failures of the numerical procedure itself, so callers can distinguish
-"you passed garbage" from "the method broke down at this parameter point".
+Invalid argument values raise the builtin ``ValueError``, from
+``channel.check`` and its table of parameter domains ``channel.DOMAINS``,
+or from ``grid.check_estimators`` for methods and solvers.  The classes
+here mark failures of the numerical procedure itself, so callers can
+distinguish "you passed garbage" from "the method broke down at this
+parameter point".
 """
 
 

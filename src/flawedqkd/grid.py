@@ -34,7 +34,7 @@ from .channel import (
     Z_ROWS,
     ProtocolProbabilities,
     bit_errors,
-    check_channel_parameters,
+    check,
     clamped_entropies,
     detection_probability,
     detector_yields,
@@ -59,6 +59,18 @@ from .lt_estimator import (
 from .qstates import DeviceModel, source_terms
 
 METHODS = ("lt", "lp")
+
+
+def check_estimators(methods: tuple[str, ...], solver: str) -> None:
+    """Raise a ValueError unless methods is a nonempty subset of METHODS and
+    solver is one of SOLVER_MODES."""
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    if not methods:
+        raise ValueError("at least one method is required")
+    if solver not in SOLVER_MODES:
+        raise ValueError(f"solver mode must be one of {SOLVER_MODES}, got {solver!r}")
 
 
 @dataclass(frozen=True)
@@ -199,29 +211,25 @@ def evaluate_grid(
     """e_z, e_x and the unclamped rate of each method at each transmittance.
 
     eta has shape (n,); prepared holds one device, evaluated at every
-    point, or n devices, device i at point i.  Every eta must lie in
-    [0, 1], p_d in [0, 1) and f_ec must be finite and >= 1; each is
-    checked before anything is evaluated, and a ValueError names the first
-    bad parameter, as ChannelModel's checks do.  A failure at one point is
-    kept in that point's error slot and never stops the others.  Per
-    point, a failure reports in the order the chain meets it: no
-    detections at all, a bit error rate e_z below 0, no Z-basis detections
-    (lt), a singular yield system (lt), infeasible yields (lt), a
+    point, or n devices, device i at point i.  Before anything is
+    evaluated, ``check_estimators`` checks the methods and solver and
+    ``channel.check`` checks p_d, f_ec and every eta, so a ValueError names
+    the first bad one in the wording every entry point uses.  A failure at
+    one point is kept in that point's error slot and never stops the
+    others.  Per point, a failure reports in the order the chain meets it:
+    no detections at all, a bit error rate e_z below 0, no Z-basis
+    detections (lt), a singular yield system (lt), infeasible yields (lt), a
     degenerate virtual state (lt).
     """
-    if solver not in SOLVER_MODES:
-        raise ValueError(f"mode must be one of {SOLVER_MODES}, got {solver!r}")
-    check_channel_parameters(p_d, f_ec)
+    check_estimators(methods, solver)
+    check(p_d=p_d, f_ec=f_ec)
     for x in eta.tolist():
         if not 0.0 <= x <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {x}")
+            check(eta=x)
     if len(prepared.tilt) not in (1, len(eta)):
         raise ValueError(
             f"{len(prepared.tilt)} prepared devices do not match {len(eta)} transmittances"
         )
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
     probs = prepared.probs
     # Points that fail, or sit at a subnormal eta, may divide by zero or
     # overflow; their error slots and the clamps take care of the result.

@@ -28,19 +28,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import FLOAT_LIMIT, error_tilt, yield_alignments
+from .channel import FLOAT_LIMIT, check, error_tilt, yield_alignments
 from .errors import DegenerateStateError
 from .lp_estimator import coin_imbalance
 
 THETA_MODES = ("independent", "dependent")
-
-
-def _check_angles(delta: float, theta_hat: float) -> None:
-    """Reject a delta outside [0, pi) or a theta_hat outside [0, pi/2)."""
-    if not 0.0 <= delta < math.pi:
-        raise ValueError(f"delta must lie in [0, pi), got {delta}")
-    if not 0.0 <= theta_hat < math.pi / 2:
-        raise ValueError(f"theta_hat must lie in [0, pi/2), got {theta_hat}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +53,10 @@ class DeviceModel:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_angles(self.delta, self.theta_hat)
+        check(delta=self.delta, theta_hat=self.theta_hat)
         if self.theta_mode not in THETA_MODES:
             raise ValueError(f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}")
-        tha_coefficients(self.mu)  # checks mu, as source_terms does
+        check(mu=self.mu)
 
     def __iter__(self) -> Iterator:
         # A device unpacks to the parameter tuple that source_terms takes.
@@ -79,13 +71,11 @@ _DEPENDENT_ROTATION = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
 def tha_coefficients(mu: float) -> tuple[float, float]:
     """Amplitudes (C_I, C_D) of the leakage-free and leaked components.
 
-    C_I^2 + C_D^2 = 1; mu = 0 gives (1, 0).  A mu that is negative, nan or
-    not finite is a ValueError; DeviceModel checks mu here too.
+    C_I^2 + C_D^2 = 1; mu = 0 gives (1, 0).  A mu outside its domain in
+    ``channel.DOMAINS`` (negative, nan or not finite) is a ValueError.
     """
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    if not mu < FLOAT_LIMIT:
-        raise ValueError(f"mu must be finite, got {mu}")
+    if not 0.0 <= mu < FLOAT_LIMIT:
+        check(mu=mu)
     c_i = math.exp(-mu / 2)
     c_d = math.sqrt(max(1.0 - math.exp(-mu), 0.0))
     return c_i, c_d
@@ -109,7 +99,7 @@ def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> t
     # alignments, the error tilt and the coin imbalance; and its
     # DegenerateStateError or None.
     if not (0.0 <= delta < math.pi and 0.0 <= theta_hat < math.pi / 2):
-        _check_angles(delta, theta_hat)
+        check(delta=delta, theta_hat=theta_hat)
     c_i, c_d = tha_coefficients(mu)
     r_0, r_1, r_2, r_3 = _DEPENDENT_ROTATION if dependent else (1.0, 1.0, 1.0, 1.0)
     t_0, t_1 = r_0 * theta_hat, r_1 * theta_hat

@@ -291,6 +291,25 @@ class TestLossGrid:
     def test_single_point(self):
         assert loss_grid(20.0, 20.0, 1.0) == [20.0]
 
+    @pytest.mark.parametrize(
+        "start, stop, step, message",
+        [
+            (0.0, 10.0, 0.0, "loss_step must be positive, got 0.0"),
+            (0.0, 10.0, math.nan, "loss_step must be finite, got nan"),
+            (0.0, 10.0, -1.0, "loss_step must be positive, got -1.0"),
+            (5.0, 1.0, 1.0, "a loss grid needs loss_start <= loss_stop, got 5.0 > 1.0"),
+        ],
+        ids=["zero-step", "nan-step", "negative-step", "start-past-stop"],
+    )
+    def test_refuses_what_the_sweep_config_refuses(self, start, stop, step, message):
+        # These once raised ZeroDivisionError, a float-to-int error, or
+        # returned an empty grid.
+        with pytest.raises(ValueError) as grid:
+            loss_grid(start, stop, step)
+        with pytest.raises(ValueError) as config:
+            SweepConfig(IDEAL, start, stop, step)
+        assert str(grid.value) == str(config.value) == message
+
 
 class TestSweepConfig:
     def test_rejects_bad_ranges(self):
