@@ -9,8 +9,9 @@ Every number comes from one path: ``prepare`` computes what depends on the
 devices alone, and ``evaluate_grid`` carries an array of transmittances
 through both estimators.  ``key_rate_lt`` and ``key_rate_lp`` are one-point
 grids that return the row a sweep prints there; ``run_sweep`` and
-``find_crossover`` drive whole grids.  The stages the grid runs live in the
-``channel``, ``lt_estimator`` and ``lp_estimator`` modules.
+``find_crossover`` drive whole grids.  The grid observes the statistics
+with ``channel`` and makes one call per method: ``lt_estimator`` owns the
+loss-tolerant chain, ``lp_estimator`` the coin bound.
 """
 
 from .channel import (

@@ -6,7 +6,7 @@ grid path and returns named-tuple records; rendering is left to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -69,7 +69,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _grid_size(self.loss_start, self.loss_stop, self.loss_step)
         check_estimators(self.methods, self.solver)
-        check(jobs=self.jobs)
+        check(jobs=self.jobs, p_d=self.p_d, f_ec=self.f_ec)
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,13 @@ class CrossoverConfig:
             if value != 0.0:
                 raise ValueError(f"the crossover search varies {name}, so the device's {name}"
                                  f" must be 0, got {value}")
-        # Every searched delta lies in [0, 0.5], so a value the device model
-        # takes at delta = 0 it takes throughout the search.
+        # Every searched delta lies in [0, 0.5], so a swept value the table
+        # allows, the device model takes throughout the search.
         for value in self.swept_values:
-            replace(self.device, **{SWEPT_FIELDS[self.swept_param]: value})
+            check(**{SWEPT_FIELDS[self.swept_param]: value})
         check(compare_loss_db=self.compare_loss_db, bisection_tolerance=self.bisection_tolerance)
         check_estimators(METHODS, self.solver)
+        check(p_d=self.p_d, f_ec=self.f_ec)
 
 
 class SweepRow(NamedTuple):
@@ -169,7 +170,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     rate, so one bad point cannot take down a long sweep.  Rows are
     ordered by loss, then method.  config.jobs is ignored.
     """
-    methods = tuple(m for m in METHODS if m in config.methods)
     losses = loss_grid(config.loss_start, config.loss_stop, config.loss_step)
     etas = [efficiency(loss) for loss in losses]
     rates = evaluate_grid(
@@ -177,7 +177,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         np.array(etas),
         config.p_d,
         config.f_ec,
-        methods,
+        config.methods,
         config.solver,
     )
     return _rows(losses, etas, rates)
@@ -296,7 +296,7 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     first sign change is never read.  The failure of the first failed
     value, the one a value-by-value search meets first, is raised.
     """
-    eta = system_efficiency(ChannelModel(config.compare_loss_db, config.p_d, config.f_ec))
+    eta = efficiency(config.compare_loss_db)
     values, param = config.swept_values, config.swept_param
     searches = [_search(config.bisection_tolerance) for _ in values]
     wanted = {k: next(search) for k, search in enumerate(searches)}

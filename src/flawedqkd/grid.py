@@ -5,21 +5,17 @@ eta, so everything else is computed once per device by ``prepare`` and
 ``evaluate_grid`` carries a whole grid through each stage as arrays.  The
 device-only terms have a leading device axis: one device serves a whole
 loss grid (a sweep), or n devices each take their own transmittance (the
-crossover search).
+crossover search).  ``evaluate_grid`` observes the detection statistics,
+makes one call per estimator module and combines entropies and rates.
 
 A point's values do not depend on the grid it is evaluated in: every
 stage keeps the operand order of its formula, the transmittance is
 Python's ``10.0 ** (-loss / 10.0)`` per point, the device-only terms
-are one row of ``math`` calls per device, each point's yields go through
-its device's inverse as one BLAS product, the vertex solver's vertices
-are elementwise products with each device's triple inverses, and the
-entropies are one list pass of ``clamped_entropies``: ``math.log2`` runs
-only on open arguments in (0, 1/2), and a clamped argument gives
-h(1/2) = 1.0 exactly.  The sweep's rows are then zipped from these
-columns (``engine._rows``).  The paper solver's rows are
-the per-point code's bit for bit; the vertex solver's closed-form
-inverses agree with the LAPACK solves it replaced to rounding, not bit
-for bit.
+are one row of ``math`` calls per device, each estimator keeps its points
+apart, and the entropies are one list pass of ``clamped_entropies``:
+``math.log2`` runs only on open arguments in (0, 1/2), and a clamped
+argument gives h(1/2) = 1.0 exactly.  The sweep's rows are then zipped
+from these columns (``engine._rows``).
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (
-    X_ROWS,
-    Z_ROWS,
     ProtocolProbabilities,
     bit_errors,
     check,
@@ -42,20 +36,7 @@ from .channel import (
 )
 from .errors import EstimatorError, InfeasibleStatisticsError, NoDetectionError
 from .lp_estimator import coin_phase_errors
-from .lt_estimator import (
-    INFEASIBLE,
-    PAPER_FAITHFUL,
-    SOLVER_MODES,
-    LtTerms,
-    halfspace_rhs,
-    halfspace_rows,
-    interval_box,
-    lt_terms,
-    triple_inverses,
-    unphysical,
-    vertex_bounds,
-    virtual_yields,
-)
+from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES, LtTerms, lt_phase_errors, lt_terms
 from .qstates import DeviceModel, source_terms
 
 METHODS = ("lt", "lp")
@@ -81,8 +62,8 @@ class PreparedDevice:
     prefactor holds the selection probabilities of the five yield rows.
     The rest has a leading axis of length m: alignment the Bloch
     alignments of the rows, tilt the device's term of the bit error, lt
-    the loss-tolerant device terms and coin the quantum-coin imbalance
-    Delta.
+    the loss-tolerant device terms, in ``lt_estimator``'s own format, and
+    coin the quantum-coin imbalance Delta.
     """
 
     probs: ProtocolProbabilities
@@ -121,11 +102,6 @@ def prepare(
                           lt_terms(source), source.coin)
 
 
-def _per_point(failures: tuple, n: int) -> tuple:
-    # Each point's device failure: a single device's serves every point.
-    return failures * n if len(failures) == 1 else failures
-
-
 def _entropies(
     e_z: np.ndarray, stages: dict[str, tuple[np.ndarray, list]]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -136,68 +112,6 @@ def _entropies(
            for m, (e_x, errors) in stages.items()}
     failed = [None not in point for point in zip(*(errors for _, errors in stages.values()))]
     return np.array(clamped_entropies(e_z.tolist(), failed)), h_x
-
-
-def _lt_bounds(
-    terms: LtTerms, ytil: np.ndarray, todo: np.ndarray, solver: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Transmission-rate boxes of shape (n, 2, 3), one per point and Bob
-    # outcome, and whether each point's yields are infeasible; points not
-    # in todo have already failed.
-    if solver == PAPER_FAITHFUL:
-        lower, upper = interval_box(ytil, terms)
-        return lower, upper, unphysical(lower, upper).any(axis=1)
-    # The vertex solver builds each device's halfspace rows and triple
-    # inverses once and enumerates its points' polytopes together, one
-    # right-hand side per (point, outcome).  A sweep's points share its one
-    # device; point i of a batch takes device i.
-    lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
-    feasible = np.ones(ytil.shape[:2], dtype=bool)
-    points = np.flatnonzero(todo)
-    groups = [(0, points)] if len(terms.coef) == 1 else [(i, [i]) for i in points.tolist()]
-    for k, idx in groups:
-        rows = halfspace_rows(terms.coef[k])
-        rhs = halfspace_rhs(ytil[idx], terms.lam_min[k], terms.lam_max[k])
-        lo, hi, ok = vertex_bounds(rows, triple_inverses(rows), rhs.reshape(-1, len(rows)))
-        lower[idx], upper[idx] = lo.reshape(-1, 2, 3), hi.reshape(-1, 2, 3)
-        feasible[idx] = ok.reshape(-1, 2)
-    infeasible = ~feasible.all(axis=1)
-    # An infeasible point's boxes are never read; keep them finite.
-    lower[infeasible], upper[infeasible] = 0.0, 0.0
-    return lower, upper, infeasible
-
-
-def _lt_phase_errors(
-    prepared: PreparedDevice,
-    eta: np.ndarray,
-    p_d: float,
-    errors: list[EstimatorError | None],
-    solver: str,
-) -> tuple[np.ndarray, list[EstimatorError | None]]:
-    # e_x of the loss-tolerant bound; errors comes in with each point's
-    # failure so far and leaves with the first lt failure added.
-    terms = prepared.lt
-    yields = detector_yields(prepared.prefactor, prepared.alignment, eta, p_d)
-    z_yields = yields[:, :, Z_ROWS]
-    # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
-    z_sum = z_yields[:, 0, 0] + z_yields[:, 1, 0] + z_yields[:, 0, 1] + z_yields[:, 1, 1]
-    no_z = NoDetectionError("no Z-basis detections; e_X is undefined")
-    errors = [no_z if e is None and z <= 0.0 else e for e, z in zip(errors, z_sum.tolist())]
-    n = len(errors)
-    errors = [s if e is None else e for e, s in zip(errors, _per_point(terms.singular, n))]
-
-    ytil = yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS]
-    todo = np.array([e is None for e in errors])
-    lower, upper, infeasible = _lt_bounds(terms, ytil, todo, solver)
-    infeasible_error = InfeasibleStatisticsError(INFEASIBLE)
-    errors = [infeasible_error if e is None and bad else e
-              for e, bad in zip(errors, infeasible.tolist())]
-    errors = [d if e is None else e for e, d in zip(errors, _per_point(terms.degenerate, n))]
-
-    v, p_zz = terms.virtual, prepared.probs.p_za * prepared.probs.p_zb
-    y = virtual_yields(lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6], p_zz)
-    e_x = (y[:, 0] + y[:, 1]) / z_sum
-    return np.minimum(np.where(0.0 > e_x, 0.0, e_x), 1.0), errors
 
 
 def evaluate_grid(
@@ -230,7 +144,7 @@ def evaluate_grid(
         raise ValueError(
             f"{len(prepared.tilt)} prepared devices do not match {len(eta)} transmittances"
         )
-    probs = prepared.probs
+    p_zz = prepared.probs.p_za * prepared.probs.p_zb
     # Points that fail, or sit at a subnormal eta, may divide by zero or
     # overflow; their error slots and the clamps take care of the result.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -249,12 +163,14 @@ def evaluate_grid(
         # Each stage: e_x and the failure of each point.
         stages = {}
         if "lt" in methods:
-            stages["lt"] = _lt_phase_errors(prepared, eta, p_d, errors, solver)
+            yields = detector_yields(prepared.prefactor, prepared.alignment, eta, p_d)
+            stages["lt"] = lt_phase_errors(prepared.lt, yields, prepared.prefactor, p_zz,
+                                           errors, solver)
         if "lp" in methods:
             enhanced = prepared.coin / y_det
             stages["lp"] = (coin_phase_errors(np.minimum(e_z, 0.5), enhanced), errors)
         h_z, h_x = _entropies(e_z, stages)
-        y_z = probs.p_za * probs.p_zb * y_det
+        y_z = p_zz * y_det
         ec_cost = f_ec * h_z
         return {
             m: GridRates(e_z, e_x, y_z * (1.0 - h_x[m] - ec_cost), method_errors)

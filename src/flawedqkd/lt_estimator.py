@@ -12,6 +12,15 @@ region:
   boxes and enumerates the polytope's vertices exactly.
 
 With no side channels both collapse to the unique linear-system solution.
+
+``lt_phase_errors`` runs the whole chain on a grid of points from the
+terms ``lt_terms`` computes once per device.  Each point's yields go
+through its device's inverse as one BLAS product, and the vertex solver's
+vertices are elementwise products with each device's closed-form triple
+inverses, so a point's values do not depend on the points evaluated with
+it.  The paper solver's values are the per-point code's bit for bit; the
+vertex solver's inverses agree with the LAPACK solves they replaced to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, SingularSystemError
+from .channel import X_ROWS, Z_ROWS
+from .errors import (DegenerateStateError, EstimatorError, InfeasibleStatisticsError,
+                     NoDetectionError, SingularSystemError)
 from .qstates import SourceTerms
 
 PAPER_FAITHFUL = "paper_faithful"
@@ -229,3 +240,70 @@ def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):
     val = best[..., 0] + px * best[..., 1] + pz * best[..., 2]
     y = p_zz * (weight * val + lam_max)
     return np.where(0.0 > y, 0.0, y)
+
+
+def _per_point(failures: tuple, n: int) -> tuple:
+    # Each point's device failure: a single device's serves every point.
+    return failures * n if len(failures) == 1 else failures
+
+
+def _lt_bounds(
+    terms: LtTerms, ytil: np.ndarray, todo: np.ndarray, solver: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Transmission-rate boxes of shape (n, 2, 3), one per point and Bob
+    # outcome, and whether each point's yields are infeasible; points not
+    # in todo have already failed.
+    if solver == PAPER_FAITHFUL:
+        lower, upper = interval_box(ytil, terms)
+        return lower, upper, unphysical(lower, upper).any(axis=1)
+    # The vertex solver builds each device's halfspace rows and triple
+    # inverses once and enumerates its points' polytopes together, one
+    # right-hand side per (point, outcome).  A sweep's points share its one
+    # device; point i of a batch takes device i.
+    lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
+    feasible = np.ones(ytil.shape[:2], dtype=bool)
+    points = np.flatnonzero(todo)
+    groups = [(0, points)] if len(terms.coef) == 1 else [(i, [i]) for i in points.tolist()]
+    for k, idx in groups:
+        rows = halfspace_rows(terms.coef[k])
+        rhs = halfspace_rhs(ytil[idx], terms.lam_min[k], terms.lam_max[k])
+        lo, hi, ok = vertex_bounds(rows, triple_inverses(rows), rhs.reshape(-1, len(rows)))
+        lower[idx], upper[idx] = lo.reshape(-1, 2, 3), hi.reshape(-1, 2, 3)
+        feasible[idx] = ok.reshape(-1, 2)
+    infeasible = ~feasible.all(axis=1)
+    # An infeasible point's boxes are never read; keep them finite.
+    lower[infeasible], upper[infeasible] = 0.0, 0.0
+    return lower, upper, infeasible
+
+
+def lt_phase_errors(
+    terms: LtTerms, yields: np.ndarray, prefactor: np.ndarray, p_zz: float,
+    errors: list[EstimatorError | None], solver: str,
+) -> tuple[np.ndarray, list[EstimatorError | None]]:
+    """e_x of the loss-tolerant bound at n points, from detector yields of
+    shape (n, 2, 5) whose rows have selection probabilities prefactor;
+    p_zz is the probability that both parties choose Z, and point i takes
+    device i of terms, or its only device.  errors holds each point's
+    failure so far; the returned list adds the first lt failure: no Z-basis
+    detections, a singular system, infeasible yields, a degenerate state.
+    """
+    z_yields = yields[:, :, Z_ROWS]
+    # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
+    z_sum = z_yields[:, 0, 0] + z_yields[:, 1, 0] + z_yields[:, 0, 1] + z_yields[:, 1, 1]
+    no_z = NoDetectionError("no Z-basis detections; e_X is undefined")
+    errors = [no_z if e is None and z <= 0.0 else e for e, z in zip(errors, z_sum.tolist())]
+    n = len(errors)
+    errors = [s if e is None else e for e, s in zip(errors, _per_point(terms.singular, n))]
+
+    ytil = yields[:, :, X_ROWS] / prefactor[X_ROWS]
+    todo = np.array([e is None for e in errors])
+    lower, upper, infeasible = _lt_bounds(terms, ytil, todo, solver)
+    infeasible_error = InfeasibleStatisticsError(INFEASIBLE)
+    errors = [infeasible_error if e is None and bad else e
+              for e, bad in zip(errors, infeasible.tolist())]
+    errors = [d if e is None else e for e, d in zip(errors, _per_point(terms.degenerate, n))]
+
+    v = terms.virtual
+    y = virtual_yields(lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6], p_zz)
+    e_x = (y[:, 0] + y[:, 1]) / z_sum
+    return np.minimum(np.where(0.0 > e_x, 0.0, e_x), 1.0), errors

@@ -22,6 +22,7 @@ from flawedqkd import (
     run_sweep,
 )
 from flawedqkd.cli import _SETTINGS, crossover_csv, crossover_json, main, sweep_csv, sweep_json
+from flawedqkd.grid import METHODS
 
 IDEAL = DeviceModel()
 
@@ -423,6 +424,17 @@ class TestRunSweep:
         lp_rows = [r for r in rows if r.method == "lp"]
         assert all(r.error is not None and r.rate is None for r in lt_rows)
         assert all(r.error is None and r.rate is not None for r in lp_rows)
+
+    def test_methods_keep_their_order_and_count_once(self, probs):
+        # evaluate_grid builds one stage per method, in METHODS order,
+        # whatever order or repeats the config gives.
+        device = DeviceModel(delta=0.126, theta_hat=1e-3, mu=1e-8)
+
+        def rows(methods):
+            return run_sweep(SweepConfig(device, 0.0, 20.0, 5.0, probs=probs, methods=methods))
+
+        assert rows(("lp", "lt")) == rows(METHODS)
+        assert rows(("lt", "lt")) == rows(("lt",))
 
 
 def _per_cell_csv(preamble, records, names):

@@ -48,9 +48,13 @@ ENTRIES = {
     "theta_hat": (lambda v: DeviceModel(theta_hat=v), lambda v: _tuple(theta_hat=v)),
     "mu": (lambda v: DeviceModel(mu=v), lambda v: _tuple(mu=v), tha_coefficients),
     "p_d": (lambda v: ChannelModel(10.0, p_d=v),
-            lambda v: evaluate_grid(PREPARED, ETA, v, 1.16)),
+            lambda v: evaluate_grid(PREPARED, ETA, v, 1.16),
+            lambda v: SweepConfig(DeviceModel(), 0.0, 10.0, 1.0, p_d=v),
+            lambda v: CrossoverConfig("mu", (1e-9,), LEAK_FREE, p_d=v)),
     "f_ec": (lambda v: ChannelModel(10.0, f_ec=v),
-             lambda v: evaluate_grid(PREPARED, ETA, 1e-7, v)),
+             lambda v: evaluate_grid(PREPARED, ETA, 1e-7, v),
+             lambda v: SweepConfig(DeviceModel(), 0.0, 10.0, 1.0, f_ec=v),
+             lambda v: CrossoverConfig("mu", (1e-9,), LEAK_FREE, f_ec=v)),
     "solver": (lambda v: SweepConfig(DeviceModel(), 0.0, 10.0, 1.0, solver=v),
                lambda v: CrossoverConfig("mu", (1e-9,), LEAK_FREE, solver=v),
                lambda v: evaluate_grid(PREPARED, ETA, 1e-7, 1.16, solver=v)),

@@ -5,8 +5,11 @@ loss, so neither the grid length nor the array shapes may change a value,
 and the bits of the scalar per-point arithmetic the arrays replaced.
 """
 
+import ast
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +38,9 @@ from flawedqkd import (
 )
 from flawedqkd.channel import error_tilt, yield_alignments
 from flawedqkd.engine import SweepRow, _rows
+import flawedqkd.grid as grid
 from flawedqkd.grid import GridRates
+from flawedqkd.lt_estimator import LtTerms
 from flawedqkd.qstates import source_terms
 
 # Small flaws, plus the devices whose lt evaluation fails everywhere.
@@ -512,3 +517,13 @@ class TestColumnRows:
         for row in rows:
             numbers = row[:2] + row[3:7] if row.error is None else row[:2]
             assert all(type(v) is float for v in numbers)
+
+
+def test_grid_reads_no_lt_terms_field():
+    # lt_estimator owns the loss-tolerant chain and its device terms; the
+    # grid hands prepared.lt to lt_phase_errors and never reads its format.
+    fields = {field.name for field in dataclasses.fields(LtTerms)}
+    tree = ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))
+    reads = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in fields]
+    assert not reads, f"grid.py reads LtTerms fields: {reads}"

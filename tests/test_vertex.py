@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import flawedqkd.grid as grid
+import flawedqkd.lt_estimator as lt_estimator
 from flawedqkd import (
     VERTEX_LP,
     ChannelModel,
@@ -53,7 +53,8 @@ def reference_box(rows, systems, bvec):
 
 
 def reference_lt_bounds(terms, ytil, todo, solver):
-    """grid._lt_bounds in vertex mode, one point and outcome at a time."""
+    """lt_estimator._lt_bounds in vertex mode, one point and outcome at a
+    time; lt_phase_errors reads it by name, so a test can patch it."""
     assert solver == VERTEX_LP
     lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
     infeasible = np.zeros(todo.shape, dtype=bool)
@@ -100,7 +101,7 @@ def test_enumeration_matches_the_per_point_solves(monkeypatch, theta_mode, seed)
     for device in oracle_devices(theta_mode, 12, seed):
         prepared = prepare(device, PROBS)
         ytil = normalized_yields(prepared, eta, 1e-7)
-        lower, upper, infeasible = grid._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
+        lower, upper, infeasible = lt_estimator._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
         reference = reference_lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
         assert np.array_equal(infeasible, reference[2])
         assert np.abs(lower - reference[0]).max() <= 1e-15
@@ -110,7 +111,7 @@ def test_enumeration_matches_the_per_point_solves(monkeypatch, theta_mode, seed)
         # in place of the batched ones; every point is to do.
         batched = evaluate_grid(prepared, eta, 1e-7, 1.16, ("lt",), VERTEX_LP)["lt"]
         with monkeypatch.context() as m:
-            m.setattr(grid, "_lt_bounds", lambda terms, y, todo_, solver: reference)
+            m.setattr(lt_estimator, "_lt_bounds", lambda terms, y, todo_, solver: reference)
             solved = evaluate_grid(prepared, eta, 1e-7, 1.16, ("lt",), VERTEX_LP)["lt"]
         assert batched.errors == solved.errors == [None] * len(eta)
         assert [f"{x:.10g}" for x in batched.e_x.tolist()] == [
@@ -138,10 +139,10 @@ def test_failed_and_infeasible_points_leave_their_chunk_alone():
     ytil = normalized_yields(prepared, eta, 0.0)
     ytil[[3, 9], 0, 1] *= 50.0
     todo = eta > 0.0
-    lower, upper, infeasible = grid._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
+    lower, upper, infeasible = lt_estimator._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
     assert np.flatnonzero(infeasible).tolist() == [3, 9]
     for i in np.flatnonzero(todo).tolist():
-        alone = grid._lt_bounds(prepared.lt, ytil[i:i + 1], todo[i:i + 1], VERTEX_LP)
+        alone = lt_estimator._lt_bounds(prepared.lt, ytil[i:i + 1], todo[i:i + 1], VERTEX_LP)
         assert np.array_equal(lower[i], alone[0][0])
         assert np.array_equal(upper[i], alone[1][0])
         assert infeasible[i] == alone[2][0]
@@ -177,10 +178,10 @@ def test_sweep_enumeration_memory_is_bounded():
     eta = np.array([10.0 ** (-0.01 * i) for i in range(701)])
     ytil = normalized_yields(prepared, eta, 1e-7)
     todo = np.ones(len(eta), dtype=bool)
-    grid._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
+    lt_estimator._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
     tracemalloc.start()
     try:
-        grid._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
+        lt_estimator._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
