@@ -3,8 +3,11 @@
 
 The closed-form interval solver treats each coordinate bound independently
 and so over-covers; the vertex enumerator solves the same constraints as a
-polytope and is never looser.  This script prints, per loss, the phase
-error bound from each solver and the key rate it leads to.
+polytope.  It is not always tighter: its feasibility test uses an absolute
+tolerance, so at high loss it can admit points outside the constraints
+and print a larger phase error than the interval solver.  This script
+prints, per loss, the phase error bound from each solver and the key rate
+it leads to.
 """
 
 import argparse

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from .channel import ChannelModel, ProtocolProbabilities, check, efficiency, system_efficiency
 from .errors import EstimatorError
 from .grid import METHODS, GridRates, check_estimators, evaluate_grid, prepare
@@ -174,7 +172,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     etas = [efficiency(loss) for loss in losses]
     rates = evaluate_grid(
         prepare(config.device, config.probs),
-        np.array(etas),
+        etas,
         config.p_d,
         config.f_ec,
         config.methods,
@@ -188,7 +186,7 @@ def _point(device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilit
     # The row a sweep prints at this loss; its failure, if any, is raised.
     eta = system_efficiency(channel)
     rates = evaluate_grid(
-        prepare(device, probs), np.array([eta]), channel.p_d, channel.f_ec, (method,), solver
+        prepare(device, probs), [eta], channel.p_d, channel.f_ec, (method,), solver
     )
     error = rates[method].errors[0]
     if error is not None:
@@ -223,7 +221,7 @@ def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]
                for delta, value in points]
     both = evaluate_grid(
         prepare(devices, config.probs),
-        np.full(len(devices), eta),
+        [eta] * len(devices),
         config.p_d,
         config.f_ec,
         METHODS,

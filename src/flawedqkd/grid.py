@@ -11,7 +11,7 @@ makes one call per estimator module and combines entropies and rates.
 A point's values do not depend on the grid it is evaluated in: every
 stage keeps the operand order of its formula, the transmittance is
 Python's ``10.0 ** (-loss / 10.0)`` per point, the device-only terms
-are one row of ``math`` calls per device, each estimator keeps its points
+are two rows of ``math`` calls per device, each estimator keeps its points
 apart, and the entropies are one list pass of ``clamped_entropies``:
 ``math.log2`` runs only on open arguments in (0, 1/2), and a clamped
 argument gives h(1/2) = 1.0 exactly.  The sweep's rows are then zipped
@@ -32,10 +32,12 @@ from .channel import (
     clamped_entropies,
     detection_probability,
     detector_yields,
+    error_tilt,
+    yield_alignments,
     yield_prefactors,
 )
 from .errors import EstimatorError, InfeasibleStatisticsError, NoDetectionError
-from .lp_estimator import coin_phase_errors
+from .lp_estimator import coin_imbalance, coin_phase_errors
 from .lt_estimator import PAPER_FAITHFUL, SOLVER_MODES, LtTerms, lt_phase_errors, lt_terms
 from .qstates import DeviceModel, source_terms
 
@@ -92,14 +94,19 @@ def prepare(
     devices: DeviceModel | Sequence[tuple[float, float, bool, float]],
     probs: ProtocolProbabilities,
 ) -> PreparedDevice:
-    """Compute the device-only terms of both estimators once per device:
+    """Compute the device-only terms of both estimators once per device: one
+    ``source_terms`` call, then one pass for the receiver terms and Delta.
     devices is one DeviceModel (a device axis of length 1) or a sequence of
     parameter tuples (delta, theta_hat, dependent, mu), or DeviceModels."""
     if isinstance(devices, DeviceModel):
         devices = (devices,)
     source = source_terms(devices)
-    return PreparedDevice(probs, yield_prefactors(probs), source.alignment, source.tilt,
-                          lt_terms(source), source.coin)
+    values: list[float] = []
+    for (delta, _, _, _), overlaps in zip(devices, source.overlaps.tolist()):
+        values += (*yield_alignments(delta), error_tilt(delta), coin_imbalance(overlaps))
+    derived = np.fromiter(values, float, len(values)).reshape(-1, 7)
+    return PreparedDevice(probs, yield_prefactors(probs), derived[:, :5], derived[:, 5],
+                          lt_terms(source), derived[:, 6])
 
 
 def _entropies(
@@ -124,19 +131,23 @@ def evaluate_grid(
 ) -> dict[str, GridRates]:
     """e_z, e_x and the unclamped rate of each method at each transmittance.
 
-    eta has shape (n,); prepared holds one device, evaluated at every
-    point, or n devices, device i at point i.  Before anything is
-    evaluated, ``check_estimators`` checks the methods and solver and
-    ``channel.check`` checks p_d, f_ec and every eta, so a ValueError names
-    the first bad one in the wording every entry point uses.  A failure at
-    one point is kept in that point's error slot and never stops the
-    others.  Per point, a failure reports in the order the chain meets it:
-    no detections at all, a bit error rate e_z below 0, no Z-basis
-    detections (lt), a singular yield system (lt), infeasible yields (lt), a
-    degenerate virtual state (lt).
+    eta is a sequence or array of shape (n,); prepared holds one device,
+    evaluated at every point, or n devices, device i at point i.  Before
+    anything is evaluated, ``check_estimators`` checks the methods and
+    solver, and ``channel.check`` p_d, f_ec and every eta, so a ValueError
+    names the first bad one in the wording every entry point uses.  A
+    failure at one point is kept in that point's error slot and never
+    stops the others.  Per point, a failure reports in the order the chain
+    meets it: no detections at all, a bit error rate e_z below 0, no
+    Z-basis detections (lt), a singular yield system (lt), infeasible
+    yields (lt), a degenerate virtual state (lt).
     """
     check_estimators(methods, solver)
     check(p_d=p_d, f_ec=f_ec)
+    # No dtype: an integer past the float range must reach check unrounded.
+    eta = np.asarray(eta)
+    if eta.ndim != 1:
+        raise ValueError(f"transmittances of shape {eta.shape} are not a grid of shape (n,)")
     for x in eta.tolist():
         if not 0.0 <= x <= 1.0:
             check(eta=x)

@@ -10,11 +10,11 @@ suffers three imperfections:
   setting-dependent side-channel state.
 
 ``DeviceModel`` holds one transmitter's validated parameters, and
-``source_terms`` computes every device-only term of many, one flat row per
+``source_terms`` characterizes the emitted states of many, one flat row per
 device in Python floats: it splits the three sent states (settings 0Z, 1Z,
 0X, 1X) and the virtual states that define phase errors into a qubit part
-plus an orthogonal rest, pairs each Z state with each X state for the
-quantum coin, and adds the yield alignments, error tilt and coin imbalance.
+plus an orthogonal rest, and pairs each Z state with each X state for the
+quantum coin; ``grid.prepare`` derives the receiver's terms and Delta.
 
 All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 """
@@ -28,9 +28,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import FLOAT_LIMIT, check, error_tilt, yield_alignments
+from .channel import FLOAT_LIMIT, check
 from .errors import DegenerateStateError
-from .lp_estimator import coin_imbalance
 
 THETA_MODES = ("independent", "dependent")
 
@@ -95,8 +94,7 @@ def _sent_split(amplitude: float, c0: float, c1: float) -> tuple:
 
 def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> tuple:
     # One device's terms, flat: the sent splits of 0Z, 1Z and 0X, the
-    # virtual splits of j = 0 and 1 (7 each), the overlaps, the yield
-    # alignments, the error tilt and the coin imbalance; and its
+    # virtual splits of j = 0 and 1 (7 each) and the overlaps; and its
     # DegenerateStateError or None.
     if not (0.0 <= delta < math.pi and 0.0 <= theta_hat < math.pi / 2):
         check(delta=delta, theta_hat=theta_hat)
@@ -143,12 +141,11 @@ def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> t
     overlaps = (cos_0 * cos_2 * c_i * c_i * x_0, cos_0 * cos_3 * c_i * c_i * y_0,
                 cos_1 * cos_2 * c_i * c_i * (-s_half * x_0 + c_half * x_1),
                 cos_1 * cos_3 * c_i * c_i * (-s_half * y_0 + c_half * y_1))
-    return (*sent, *bits, *overlaps, *yield_alignments(delta), error_tilt(delta),
-            coin_imbalance(overlaps)), error
+    return (*sent, *bits, *overlaps), error
 
 
 class SourceTerms(NamedTuple):
-    """Every device-only term of m devices, with a leading device axis.
+    """The emitted states of m devices, with a leading device axis.
 
     sent (m, 3, 7) splits the sent states 0Z, 1Z and 0X, virtual (m, 2, 7)
     the virtual states of bits j = 0 and 1.  A split holds the weights of
@@ -156,22 +153,17 @@ class SourceTerms(NamedTuple):
     bounds lambda_max and lambda_min on the non-qubit contribution to any
     detection probability, and the Bloch components px, pz of the
     normalized qubit part.  overlaps (m, 4) pairs (0Z, 0X), (0Z, 1X),
-    (1Z, 0X) and (1Z, 1X); alignment (m, 5) holds ``yield_alignments``,
-    tilt (m,) ``error_tilt`` and coin (m,) ``coin_imbalance`` of each
-    device.  degenerate holds each device's DegenerateStateError or None;
-    a degenerate device's virtual splits are zeros."""
+    (1Z, 0X), (1Z, 1X).  degenerate holds each device's DegenerateStateError
+    or None; a degenerate device's virtual splits are zeros."""
 
     sent: np.ndarray
     virtual: np.ndarray
     overlaps: np.ndarray
-    alignment: np.ndarray
-    tilt: np.ndarray
-    coin: np.ndarray
     degenerate: tuple[DegenerateStateError | None, ...]
 
 
 def source_terms(devices: Sequence[tuple[float, float, bool, float]]) -> SourceTerms:
-    """Every device's terms from one pass over the devices.
+    """Every device's source terms from one pass over the devices.
 
     devices holds parameter tuples (delta, theta_hat, dependent, mu), as a
     ``DeviceModel`` unpacks, with dependent true in the dependent theta
@@ -188,11 +180,9 @@ def source_terms(devices: Sequence[tuple[float, float, bool, float]]) -> SourceT
     so its values do not depend on the batch; numpy's exp and squares
     differ from these in the last bit for some inputs."""
     m = len(devices)
-    table, degenerate = np.empty((m, 46)), []
+    table, degenerate = np.empty((m, 39)), []
     for i, device in enumerate(devices):
         table[i], error = _device_row(*device)
         degenerate.append(error)
-    return SourceTerms(
-        table[:, :21].reshape(m, 3, 7), table[:, 21:35].reshape(m, 2, 7), table[:, 35:39],
-        table[:, 39:44], table[:, 44], table[:, 45], tuple(degenerate),
-    )
+    return SourceTerms(table[:, :21].reshape(m, 3, 7), table[:, 21:35].reshape(m, 2, 7),
+                       table[:, 35:], tuple(degenerate))

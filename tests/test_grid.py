@@ -450,10 +450,35 @@ class TestDeviceAxis:
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate_grid(prepare([device], ProtocolProbabilities()), np.array([0.1]), 1e-7, 1.16)
 
+    def test_no_devices_prepare_empty_arrays(self):
+        prepared = prepare([], ProtocolProbabilities())
+        shapes = {name: array.shape for name, array in self.arrays(prepared).items()}
+        assert shapes["alignment"] == (0, 5) and shapes["tilt"] == shapes["coin"] == (0,)
+        assert self.failures(prepared) == []
+
     def test_device_count_must_match_the_grid(self):
         prepared = prepare(self.DEVICES[:2], ProtocolProbabilities())
         with pytest.raises(ValueError, match="2 prepared devices do not match 3"):
             evaluate_grid(prepared, np.array([1.0, 0.5, 0.1]), 1e-7, 1.16)
+
+    def test_a_list_of_transmittances_gives_the_array_rates(self):
+        prepared = prepare(self.DEVICES[:3], ProtocolProbabilities())
+        eta = [1.0, 0.5, 1e-3]
+        from_list = evaluate_grid(prepared, eta, 1e-7, 1.16)
+        from_array = evaluate_grid(prepared, np.array(eta), 1e-7, 1.16)
+        for method, rates in from_array.items():
+            for name in ("e_z", "e_x", "rate_raw"):
+                assert getattr(from_list[method], name).tobytes() == getattr(rates, name).tobytes()
+            assert list(map(repr, from_list[method].errors)) == list(map(repr, rates.errors))
+
+    # Unrefused, a 0-d array fails on iterating a float and a 2-D one on a
+    # comparison, each with a TypeError that names nothing.
+    @pytest.mark.parametrize("eta", [np.array(0.5), np.array([[0.5]]), [[0.5, 0.1]]],
+                             ids=["0-d", "1x1", "nested-list"])
+    def test_a_grid_of_another_shape_fails_by_name(self, eta):
+        prepared = prepare(self.DEVICES[0], ProtocolProbabilities())
+        with pytest.raises(ValueError, match=r"^transmittances of shape \(.*\) are not a grid"):
+            evaluate_grid(prepared, eta, 1e-7, 1.16)
 
     @pytest.mark.parametrize(
         "eta, p_d, f_ec, message",

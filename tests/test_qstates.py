@@ -1,14 +1,23 @@
+import ast
 import hashlib
 import math
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flawedqkd import DegenerateStateError, DeviceModel, tha_coefficients
+from flawedqkd import (
+    DegenerateStateError,
+    DeviceModel,
+    ProtocolProbabilities,
+    prepare,
+    qstates,
+    tha_coefficients,
+)
 from flawedqkd.qstates import source_terms
 
 # Strategy kept away from the delta -> pi corner where the virtual states
@@ -329,13 +338,17 @@ class TestBitIdentity:
     def test_source_terms_digest(self):
         # Every array's bytes and every degenerate message of 10,000 devices
         # (1,175 of them degenerate), as computed at commit ea7d09b with
-        # glibc's libm on x86-64.  Squaring any one of cos_0, cos_1, sin_0 or
-        # sin_1 as x * x in place of x ** 2, or regrouping a product such as
+        # glibc's libm on x86-64: the source terms' sent, virtual and
+        # overlaps, then the alignment, tilt and coin that prepare derives
+        # from them.  Squaring any one of cos_0, cos_1, sin_0 or sin_1 as
+        # x * x in place of x ** 2, or regrouping a product such as
         # 0.25 * c_i * c_i, changes it; at 2,000 devices the sin_1 square
         # did not.
-        terms = source_terms(pin_devices(10_000))
+        devices = pin_devices(10_000)
+        terms = source_terms(devices)
+        prepared = prepare(devices, ProtocolProbabilities())
         digest = hashlib.sha256()
-        for array in terms[:6]:
+        for array in (*terms[:3], prepared.alignment, prepared.tilt, prepared.coin):
             digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
         for error in terms.degenerate:
             digest.update(f"{error!r}\n".encode())
@@ -343,3 +356,24 @@ class TestBitIdentity:
         assert digest.hexdigest() == (
             "1e027a33379d3d20153a567c9f75c0ceb235d4324aceaed98c06b7e77123663d"
         )
+
+
+# The source model characterizes the emitted states alone; the receiver's
+# terms and the coin imbalance are derived from it in grid.prepare.
+SOURCE_IMPORTS = {("channel", "FLOAT_LIMIT"), ("channel", "check"),
+                  ("errors", "DegenerateStateError")}
+
+
+def test_source_model_imports_no_receiver_or_estimator_term():
+    tree = ast.parse(Path(qstates.__file__).read_text(encoding="utf-8"))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] == "flawedqkd"]
+    assert imported <= SOURCE_IMPORTS and not absolute, sorted(imported - SOURCE_IMPORTS)
+
+
+def test_source_terms_hold_only_the_source():
+    assert qstates.SourceTerms._fields == ("sent", "virtual", "overlaps", "degenerate")
+    row, _ = qstates._device_row(0.1, 1e-3, True, 1e-6)
+    assert len(row) == 39
