@@ -50,10 +50,16 @@ DOMAINS = {
 
 
 def check(**values: float) -> None:
-    """Raise a ValueError naming the first value that breaks its DOMAINS rules."""
+    """Raise a ValueError naming the first value that breaks its DOMAINS
+    rules; a value that cannot be compared, a string or None, breaks the
+    first."""
     for name, value in values.items():
         for valid, wording in DOMAINS[name]:
-            if not valid(value):
+            try:
+                ok = valid(value)
+            except TypeError:
+                raise ValueError(f"{name} {wording}, got {value!r}") from None
+            if not ok:
                 raise ValueError(f"{name} {wording}, got {value}")
 
 

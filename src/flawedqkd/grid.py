@@ -148,8 +148,11 @@ def evaluate_grid(
     eta = np.asarray(eta)
     if eta.ndim != 1:
         raise ValueError(f"transmittances of shape {eta.shape} are not a grid of shape (n,)")
+    # A float grid takes one comparison per point; any other entry, an int,
+    # a string or None, goes through check.
+    floats = eta.dtype.kind == "f"
     for x in eta.tolist():
-        if not 0.0 <= x <= 1.0:
+        if not (floats and 0.0 <= x <= 1.0):
             check(eta=x)
     if len(prepared.tilt) not in (1, len(eta)):
         raise ValueError(

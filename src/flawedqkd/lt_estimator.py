@@ -9,7 +9,9 @@ region:
 * ``paper_faithful`` propagates the per-setting eigenvalue interval through
   the inverse sign-by-sign, giving a closed-form box checked for physicality.
 * ``vertex_lp`` intersects the same interval constraints with physicality
-  boxes and enumerates the polytope's vertices exactly.
+  boxes and enumerates the polytope's vertices exactly: each vertex is
+  where three of the 16 halfspaces meet, out of a fixed table of the 400
+  triples that can meet in a feasible vertex for some device.
 
 With no side channels both collapse to the unique linear-system solution.
 
@@ -18,9 +20,12 @@ terms ``lt_terms`` computes once per device.  Each point's yields go
 through its device's inverse as one BLAS product, and the vertex solver's
 vertices are elementwise products with each device's closed-form triple
 inverses, so a point's values do not depend on the points evaluated with
-it.  The paper solver's values are the per-point code's bit for bit; the
-vertex solver's inverses agree with the LAPACK solves they replaced to
-rounding, not bit for bit.
+it.  On a sweep, each (point, outcome) skips the triples on physical
+facets that its interval box, widened by the feasibility tolerance,
+stays clear of: their vertices would all fail the feasibility test, so
+the boxes are those of solving every triple.  The paper solver's values
+are the per-point code's bit for bit; the vertex solver's inverses agree
+with the LAPACK solves they replaced to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -43,15 +48,42 @@ _DET_TOL = 1e-12
 _FEAS_TOL = 1e-9
 INFEASIBLE = "no physical transmission rates are consistent with the yields"
 
-# All 3-subsets of the 16 halfspaces, fixed once; the polytope never has
-# more facets than that.  A triple whose determinant is no larger than
-# _REGULAR_DET in magnitude meets in no single vertex.
-_TRIPLES = np.array(list(itertools.combinations(range(16), 3)), dtype=np.intp)
+# Physicality rows a . q <= b: q_Id in [0, 1], then, for q_x and q_z with
+# either sign, |q_axis| <= q_Id and |q_axis| <= 1 - q_Id.  They follow the
+# six slab rows, as halfspace rows 6 to 15, and are facets 0 to 9.
+_PHYSICAL_A = np.array([(1, 0, 0), (-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0), (1, -1, 0),
+                        (-1, 0, 1), (1, 0, 1), (-1, 0, -1), (1, 0, -1)], dtype=float)
+_PHYSICAL_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+
+def _usable_triples() -> np.ndarray:
+    # The 3-subsets of the 16 halfspaces that can meet in a feasible vertex
+    # for some device.  Dropped: those singular for every device (a slab
+    # row with its negation, a parallel pair or coplanar triple of
+    # physical rows) and three physical rows whose one vertex is
+    # unphysical.  Triples are ascending, so slab rows come first.
+    triples = np.array(list(itertools.combinations(range(16), 3)))
+    physical = np.vstack((np.zeros((6, 3)), _PHYSICAL_A))[triples]
+    slab_pair = ((triples[:, :2] // 2 == triples[:, 1:] // 2) & (triples[:, 1:] < 6)).any(axis=1)
+    cross = np.cross(physical[:, 1], physical[:, 2])
+    count = (triples >= 6).sum(axis=1)
+    dependent = np.where(count == 3, (physical[:, 0] * cross).sum(axis=1) == 0.0,
+                         (count == 2) & ~cross.any(axis=1))
+    fixed = (count == 3) & ~dependent
+    verts = np.linalg.solve(physical[fixed], _PHYSICAL_B[triples[fixed] - 6][:, :, None])
+    unphysical = np.zeros(len(triples), dtype=bool)
+    unphysical[fixed] = (verts[:, :, 0] @ _PHYSICAL_A.T > _PHYSICAL_B + _FEAS_TOL).any(axis=1)
+    return triples[~(slab_pair | dependent | unphysical)]
+
+
+# The triples worth solving, fixed once.  A triple whose determinant is no
+# larger than _REGULAR_DET in magnitude meets in no single vertex.
+_TRIPLES = _usable_triples()
 _REGULAR_DET = 1e-14
 
 # Gathers from a flattened (16, 3) row array, per triple (a, b, c): the
-# components of a, shape (3, 560), and the four factors of each adjugate
-# entry, shape (4, 3, 3, 560).  Entry [i, j] is component i of the cross
+# components of a, shape (3, T), and the four factors of each adjugate
+# entry, shape (4, 3, 3, T).  Entry [i, j] is component i of the cross
 # product u x v of the pair (b, c), (c, a) or (a, b) for j = 0, 1, 2:
 # u[i + 1] v[i + 2] - u[i + 2] v[i + 1], indices mod 3.
 _FIRST_ROW = 3 * _TRIPLES[:, 0] + np.arange(3)[:, None]
@@ -65,16 +97,23 @@ def _cross_gathers() -> np.ndarray:
 
 _CROSS = _cross_gathers()
 
-# Right-hand sides per chunk of the vertex enumeration: the chunk's slack
-# array, 8 bytes per halfspace, triple and right-hand side, stays under
-# 600 kB.
-_CHUNK = 600_000 // (8 * 16 * len(_TRIPLES))
+# Bytes of one chunk's slack array in the vertex enumeration, 8 per
+# halfspace, triple and right-hand side; the other arrays of a chunk are
+# about half as large again.
+_SLACK_BYTES = 300_000
 
-# Physicality rows a . q <= b: q_Id in [0, 1], then, for q_x and q_z with
-# either sign, |q_axis| <= q_Id and |q_axis| <= 1 - q_Id.
-_PHYSICAL_A = np.array([(1, 0, 0), (-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0), (1, -1, 0),
-                        (-1, 0, 1), (1, 0, 1), (-1, 0, -1), (1, 0, -1)], dtype=float)
-_PHYSICAL_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+# A facet counts as missed when the tolerance-widened slab box stays below
+# it by more than _MISS_ROUNDING * max|triple inverse| * max|b|, the
+# largest entries over the triples and right-hand sides enumerated
+# together: more than a computed vertex can stray from its own facets, or
+# a box or slack from its exact value, by rounding.
+_MISS_ROUNDING = 2.0 ** -40
+# Fewer points than this enumerate every triple: for so few right-hand
+# sides the facet test costs more than the vertices it saves.
+_FACET_TEST_POINTS = 3
+_PHYSICAL_POS, _PHYSICAL_NEG = np.maximum(_PHYSICAL_A, 0.0).T, np.minimum(_PHYSICAL_A, 0.0).T
+_FACET_BITS = 1 << np.arange(10)
+_FACET_BIT_OF_ROW = np.concatenate((np.zeros(6, dtype=int), _FACET_BITS))
 
 _EYE = np.eye(3)
 _MOMENTS = np.array([0, 5, 6])  # qubit weight, px, pz of a source split
@@ -208,20 +247,63 @@ def _vertices(
     return verts, feasible
 
 
+def missed_facets(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
+                  inv: np.ndarray) -> np.ndarray:
+    """Bitmask per right-hand side, the rows of rhs, of the physical facets
+    a . q = b (bit r for halfspace row 6 + r) that the box [lower, upper],
+    of shape (K, 3), stays below by more than rounding; inv holds the
+    triple inverses the vertices will come from."""
+    # a has entries in {-1, 0, 1}, so the box's reach is a . upper over the
+    # positive entries plus a . lower over the negative ones.
+    reach = upper @ _PHYSICAL_POS + lower @ _PHYSICAL_NEG
+    margin = _MISS_ROUNDING * float(np.abs(inv).max()) * float(np.abs(rhs).max())
+    return (reach < _PHYSICAL_B - margin) @ _FACET_BITS
+
+
+def _capacity(triples: int) -> int:
+    # Right-hand sides per chunk, so that the chunk's slack array over that
+    # many triples stays within _SLACK_BYTES.
+    return max(1, _SLACK_BYTES // (128 * max(1, triples)))
+
+
+def _chunks(systems: tuple[np.ndarray, np.ndarray], missed: np.ndarray | None, count: int):
+    # The count right-hand sides in chunks, as slices or index arrays, each
+    # with the triples and inverses it solves: every triple without missed
+    # sets, else, per run of equal missed sets, the triples on none of
+    # their facets.
+    triples, inv = systems
+    if missed is None:
+        size = _capacity(triples.shape[1])
+        for start in range(0, count, size):
+            yield slice(start, start + size), systems
+        return
+    uses = _FACET_BIT_OF_ROW[triples].sum(axis=0)
+    order = np.argsort(missed, kind="stable")
+    ends = [0, *(np.flatnonzero(np.diff(missed[order])) + 1).tolist(), count]
+    for lo, hi in zip(ends, ends[1:]):
+        keep = (uses & int(missed[order[lo]])) == 0
+        solved = triples[:, keep], inv[:, :, keep]
+        size = _capacity(int(keep.sum()))
+        for start in range(lo, hi, size):
+            yield order[start:min(start + size, hi)], solved
+
+
 def vertex_bounds(
-    rows: np.ndarray, systems: tuple[np.ndarray, np.ndarray], rhs: np.ndarray
+    rows: np.ndarray, systems: tuple[np.ndarray, np.ndarray], rhs: np.ndarray,
+    missed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Componentwise extremes of the polytopes a . q <= b for the K
     right-hand sides b, the rows of rhs, and whether each has a feasible
     vertex: lower and upper (K, 3) and feasible (K,).  An infeasible
-    polytope's extremes are +inf and -inf."""
+    polytope's extremes are +inf and -inf.  missed, from
+    ``missed_facets``, lets a right-hand side skip the triples on facets
+    its polytope cannot reach; no vertex of theirs is feasible."""
     # Chunks bound the memory, whatever K; a right-hand side's result does
     # not depend on the others in its chunk.
     lower, upper = np.empty((len(rhs), 3)), np.empty((len(rhs), 3))
     feasible = np.empty(len(rhs), dtype=bool)
-    for start in range(0, len(rhs), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        verts, ok = _vertices(rows, systems, rhs[chunk])
+    for chunk, solved in _chunks(systems, missed, len(rhs)):
+        verts, ok = _vertices(rows, solved, rhs[chunk])
         lower[chunk] = verts.min(axis=2, initial=np.inf, where=ok).T
         upper[chunk] = verts.max(axis=2, initial=-np.inf, where=ok).T
         feasible[chunk] = ok.any(axis=1)
@@ -266,8 +348,17 @@ def _lt_bounds(
     groups = [(0, points)] if len(terms.coef) == 1 else [(i, [i]) for i in points.tolist()]
     for k, idx in groups:
         rows = halfspace_rows(terms.coef[k])
-        rhs = halfspace_rhs(ytil[idx], terms.lam_min[k], terms.lam_max[k])
-        lo, hi, ok = vertex_bounds(rows, triple_inverses(rows), rhs.reshape(-1, len(rows)))
+        systems = triple_inverses(rows)
+        rhs = halfspace_rhs(ytil[idx], terms.lam_min[k], terms.lam_max[k]).reshape(-1, len(rows))
+        missed = None
+        if len(idx) >= _FACET_TEST_POINTS:
+            # The interval box bounds the slab polytopes; widened by the
+            # feasibility tolerance, it holds every vertex that can pass.
+            box_lower, box_upper = interval_box(ytil, terms)
+            widen = _FEAS_TOL * np.abs(terms.inv[k]).sum(axis=0)
+            missed = missed_facets((box_lower[idx] - widen).reshape(-1, 3),
+                                   (box_upper[idx] + widen).reshape(-1, 3), rhs, systems[1])
+        lo, hi, ok = vertex_bounds(rows, systems, rhs, missed)
         lower[idx], upper[idx] = lo.reshape(-1, 2, 3), hi.reshape(-1, 2, 3)
         feasible[idx] = ok.reshape(-1, 2)
     infeasible = ~feasible.all(axis=1)

@@ -492,13 +492,16 @@ class TestDeviceAxis:
             ([0.1], 1e-7, math.nan, "f_ec must be finite and >= 1, got nan"),
             ([0.1], 1e-7, 0.5, "f_ec must be finite and >= 1, got 0.5"),
             ([0.1], 1e-7, math.inf, "f_ec must be finite and >= 1, got inf"),
+            (["0.5"], 1e-7, 1.16, "eta must lie in [0, 1], got '0.5'"),
+            ([None], 1e-7, 1.16, "eta must lie in [0, 1], got None"),
         ],
         ids=["eta-above-1", "eta-nan", "eta-inf", "eta-negative", "p_d-nan", "p_d-1",
-             "f_ec-nan", "f_ec-below-1", "f_ec-inf"],
+             "f_ec-nan", "f_ec-below-1", "f_ec-inf", "eta-str", "eta-none"],
     )
     def test_out_of_range_channel_fails_by_name(self, eta, p_d, f_ec, message):
         # Unchecked, f_ec = nan gives a silent nan rate, eta = 2 a live lt
-        # rate, and a nan eta or p_d fails late at the entropy.
+        # rate, and a nan eta or p_d fails late at the entropy; a string or
+        # None fails the range comparison with a TypeError naming nothing.
         prepared = prepare(self.DEVICES[0], ProtocolProbabilities())
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate_grid(prepared, np.array(eta), p_d, f_ec)

@@ -1,13 +1,18 @@
 """The vertex solver's batched enumeration.
 
 The polytope of every (point, outcome) is enumerated from each device's
-closed-form triple inverses, many right-hand sides at a time.  These tests
-hold it to the per-point LAPACK arithmetic it replaced, check that a
-point's result does not depend on the points it is enumerated with, and
-bound the memory one sweep takes.
+closed-form triple inverses, many right-hand sides at a time, each
+skipping the triples on physical facets its slab box cannot reach.  These
+tests hold it to the per-point LAPACK arithmetic it replaced and to the
+dense enumeration that solved every triple, derive the fixed triple table
+exactly, check that a point's result does not depend on the points it is
+enumerated with, and bound the memory one sweep takes.
 """
 
+import itertools
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,20 +30,27 @@ from flawedqkd import (
     run_sweep,
 )
 from flawedqkd.channel import X_ROWS, detector_yields
-from flawedqkd.lt_estimator import _CHUNK, _TRIPLES, halfspace_rhs, halfspace_rows
+from flawedqkd.lt_estimator import (
+    _PHYSICAL_A,
+    _PHYSICAL_B,
+    _TRIPLES,
+    halfspace_rhs,
+    halfspace_rows,
+)
 
 PROBS = ProtocolProbabilities()
 ALL_FLAWS = DeviceModel(delta=0.063, theta_hat=1e-3, theta_mode="dependent", mu=1e-7)
 LOSSES = np.arange(0.0, 70.0 + 1e-9, 0.25)
+ALL_TRIPLES = np.array(list(itertools.combinations(range(16), 3)))
 
 
 def reference_systems(rows):
     """LAPACK det picks the regular triples of the per-point enumeration
-    that the batched one replaced."""
-    sub_a = rows[_TRIPLES]
+    that the batched one replaced, out of all 560 triples of halfspaces."""
+    sub_a = rows[ALL_TRIPLES]
     with np.errstate(divide="ignore", invalid="ignore"):
         regular = np.abs(np.linalg.det(sub_a)) > 1e-14
-    return sub_a[regular], _TRIPLES[regular]
+    return sub_a[regular], ALL_TRIPLES[regular]
 
 
 def reference_box(rows, systems, bvec):
@@ -119,9 +131,12 @@ def test_enumeration_matches_the_per_point_solves(monkeypatch, theta_mode, seed)
         ]
 
 
-@pytest.mark.parametrize("points", [1, _CHUNK // 2 - 1, _CHUNK // 2, _CHUNK // 2 + 1, 701])
+@pytest.mark.parametrize("points", [1, 3, 4, 5, 701])
 def test_sweep_rows_equal_single_points_across_chunk_edges(points):
     # A sweep point's two outcomes fill two right-hand sides of a chunk.
+    # One point solves every triple; from three points on, the right-hand
+    # sides skip the triples on facets they miss, in chunks of one missed
+    # set each.
     config = SweepConfig(ALL_FLAWS, 0.0, 0.1 * (points - 1), 0.1, methods=("lt",), solver=VERTEX_LP)
     rows = run_sweep(config)
     assert len(rows) == points
@@ -186,3 +201,168 @@ def test_sweep_enumeration_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunks_take_each_right_hand_side_once_within_the_budget(seed):
+    # Six missed sets of a few facets each, so that chunks hold tens of
+    # right-hand sides, and runs of up to 400 of each, in any order.
+    rng = np.random.default_rng(seed)
+    rows = halfspace_rows(prepare(ALL_FLAWS, PROBS).lt.coef[0])
+    systems = lt_estimator.triple_inverses(rows)
+    uses = lt_estimator._FACET_BIT_OF_ROW[systems[0]].sum(axis=0)
+    masks = (rng.random((6, 10)) < 0.3) @ (1 << np.arange(10))
+    missed = rng.permutation(np.repeat(masks, rng.integers(1, 400, len(masks))))
+    taken = []
+    for chunk, (triples, inv) in lt_estimator._chunks(systems, missed, len(missed)):
+        skip = np.bitwise_and.reduce(missed[chunk])
+        assert triples.shape[1] == inv.shape[2] == ((uses & skip) == 0).sum()
+        assert len(missed[chunk]) == 1 or (
+            128 * len(missed[chunk]) * triples.shape[1] <= lt_estimator._SLACK_BYTES)
+        taken += np.arange(len(missed))[chunk].tolist()
+    assert sorted(taken) == list(range(len(missed)))
+
+
+def exact_det(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def test_the_triple_table_drops_exactly_what_no_device_can_use():
+    # Exact arithmetic over the physical rows and random rational slab rows
+    # (+v_k, -v_k): a triple whose determinant vanishes for every draw is
+    # singular for every device, and three physical rows meet in one fixed
+    # vertex, which either is physical or never passes the feasibility test.
+    rng = random.Random(29)
+    physical = [[Fraction(int(a)) for a in row] for row in _PHYSICAL_A.tolist()]
+    bounds = [Fraction(int(b)) for b in _PHYSICAL_B.tolist()]
+    draws = []
+    for _ in range(3):
+        slabs = [[Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(3)]
+                 for _ in range(3)]
+        draws.append([row for v in slabs for row in (v, [-x for x in v])] + physical)
+    singular, unphysical, violations = [], [], []
+    for triple in itertools.combinations(range(16), 3):
+        if all(exact_det([rows[i] for i in triple]) == 0 for rows in draws):
+            singular.append(triple)
+        elif min(triple) >= 6:
+            a = [physical[i - 6] for i in triple]
+            b = [bounds[i - 6] for i in triple]
+            det = exact_det(a)
+            vertex = []
+            for col in range(3):
+                m = [row[:col] + [bi] + row[col + 1:] for row, bi in zip(a, b)]
+                vertex.append(exact_det(m) / det)
+            excess = max(sum(x * y for x, y in zip(row, vertex)) - bi
+                         for row, bi in zip(physical, bounds))
+            if excess > 0:
+                unphysical.append(triple)
+                violations.append(excess)
+    assert (len(singular), len(unphysical)) == (128, 32)
+    # Each dropped vertex breaks a physical row by far more than 1e-9.
+    assert min(violations) >= Fraction(1, 2)
+    dropped = set(singular) | set(unphysical)
+    kept = [t for t in itertools.combinations(range(16), 3) if t not in dropped]
+    assert [tuple(t) for t in _TRIPLES.tolist()] == kept
+    assert len(kept) == 400
+
+
+# A copy of the enumeration that solved every one of the 560 triples for
+# every right-hand side, in chunks of 8 right-hand sides: the same
+# closed-form inverses, vertices, slacks and masked extremes.
+DENSE_FIRST_ROW = 3 * ALL_TRIPLES[:, 0] + np.arange(3)[:, None]
+DENSE_CHUNK = 8
+
+
+def dense_cross_gathers():
+    i = np.arange(3)[:, None, None]
+    u, v = 3 * ALL_TRIPLES[:, [1, 2, 0]].T, 3 * ALL_TRIPLES[:, [2, 0, 1]].T
+    return np.stack((u + (i + 1) % 3, v + (i + 2) % 3, u + (i + 2) % 3, v + (i + 1) % 3))
+
+
+DENSE_CROSS = dense_cross_gathers()
+
+
+def dense_triple_inverses(rows):
+    flat = rows.ravel()
+    u, v, u_swap, v_swap = flat[DENSE_CROSS]
+    adjugate = u * v - u_swap * v_swap
+    first = flat[DENSE_FIRST_ROW]
+    det = first[0] * adjugate[0, 0] + first[1] * adjugate[1, 0] + first[2] * adjugate[2, 0]
+    regular = np.abs(det) > 1e-14
+    return ALL_TRIPLES.T[:, regular], adjugate[:, :, regular] / det[regular]
+
+
+def dense_vertex_bounds(rows, systems, rhs):
+    triples, inv = systems
+    lower, upper = np.empty((len(rhs), 3)), np.empty((len(rhs), 3))
+    feasible = np.empty(len(rhs), dtype=bool)
+    for start in range(0, len(rhs), DENSE_CHUNK):
+        chunk = slice(start, start + DENSE_CHUNK)
+        g = np.take(rhs[chunk], triples, axis=1)
+        g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
+        verts = np.stack([inv[i, 0] * g0 + inv[i, 1] * g1 + inv[i, 2] * g2 for i in range(3)])
+        slack = (rows @ verts.reshape(3, -1)).reshape(len(rows), *g0.shape)
+        ok = np.logical_and.reduce(slack <= (rhs[chunk].T + 1e-9)[:, :, None], axis=0)
+        lower[chunk] = verts.min(axis=2, initial=np.inf, where=ok).T
+        upper[chunk] = verts.max(axis=2, initial=-np.inf, where=ok).T
+        feasible[chunk] = ok.any(axis=1)
+    return lower, upper, feasible
+
+
+def dense_lt_bounds(terms, ytil, todo, solver):
+    """lt_estimator._lt_bounds in vertex mode with the dense enumeration."""
+    assert solver == VERTEX_LP
+    lower, upper = np.zeros_like(ytil), np.zeros_like(ytil)
+    feasible = np.ones(ytil.shape[:2], dtype=bool)
+    points = np.flatnonzero(todo)
+    groups = [(0, points)] if len(terms.coef) == 1 else [(i, [i]) for i in points.tolist()]
+    for k, idx in groups:
+        rows = halfspace_rows(terms.coef[k])
+        rhs = halfspace_rhs(ytil[idx], terms.lam_min[k], terms.lam_max[k])
+        lo, hi, ok = dense_vertex_bounds(rows, dense_triple_inverses(rows), rhs.reshape(-1, 16))
+        lower[idx], upper[idx] = lo.reshape(-1, 2, 3), hi.reshape(-1, 2, 3)
+        feasible[idx] = ok.reshape(-1, 2)
+    infeasible = ~feasible.all(axis=1)
+    lower[infeasible], upper[infeasible] = 0.0, 0.0
+    return lower, upper, infeasible
+
+
+@pytest.mark.parametrize("seed", [290, 291, 292, 293])
+def test_skipping_unreachable_facets_keeps_the_dense_enumeration(monkeypatch, seed):
+    # Random devices far beyond the paper's (delta and theta_hat up to 0.5,
+    # mu up to 0.1), losses up to 400 dB.  Every fourth has no leak, no
+    # rotation and no dark counts: its slabs are exact planes, and beyond
+    # about 60 dB its yields fall below the absolute feasibility tolerance,
+    # which lets the polytopes reach facets their exact slabs miss.  Boxes
+    # and feasibility equal the dense enumeration's by value (a zero may
+    # change sign), and e_x, the rate and the errors bit for bit.
+    rng = np.random.default_rng(seed)
+    for i in range(25):
+        exact = i % 4 == 0
+        device = DeviceModel(
+            delta=float(rng.uniform(0.0, 0.5)),
+            theta_hat=0.0 if exact else float(rng.uniform(0.0, 0.5)),
+            theta_mode=("dependent", "independent")[int(rng.integers(2))],
+            mu=0.0 if exact else float(10.0 ** rng.uniform(-9.0, -1.0)),
+        )
+        prepared = prepare(device, PROBS)
+        losses = np.sort(rng.uniform(0.0, 400.0, int(rng.integers(3, 40))))
+        eta = np.array([10.0 ** (-loss / 10.0) for loss in losses.tolist()])
+        p_d = 0.0 if exact else float(10.0 ** rng.uniform(-9.0, -2.0))
+        if prepared.lt.singular[0] is None:
+            ytil = normalized_yields(prepared, eta, p_d)
+            todo = np.ones(len(eta), dtype=bool)
+            skipped = lt_estimator._lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
+            dense = dense_lt_bounds(prepared.lt, ytil, todo, VERTEX_LP)
+            for got, want in zip(skipped, dense):
+                assert np.array_equal(got, want)
+
+        rates = evaluate_grid(prepared, eta, p_d, 1.16, ("lt",), VERTEX_LP)["lt"]
+        with monkeypatch.context() as m:
+            m.setattr(lt_estimator, "_lt_bounds", dense_lt_bounds)
+            want = evaluate_grid(prepared, eta, p_d, 1.16, ("lt",), VERTEX_LP)["lt"]
+        assert rates.e_x.tobytes() == want.e_x.tobytes()
+        assert rates.rate_raw.tobytes() == want.rate_raw.tobytes()
+        assert list(map(str, rates.errors)) == list(map(str, want.errors))
