@@ -24,6 +24,7 @@ from flawedqkd import (
 )
 from flawedqkd.channel import (
     X_ROWS,
+    Z_ROWS,
     bit_errors,
     detection_probability,
     detector_yields,
@@ -121,3 +122,61 @@ def explicit_state_lt(device, loss_db):
         1.0 - binary_entropy(min(e_x, 0.5)) - channel.f_ec * binary_entropy(min(e_z, 0.5))
     )
     return e_x, rate_raw
+
+
+def qubit_moments(psi):
+    """Tr(rho sigma) for sigma in (I, X, Z), with rho the qubit's reduced
+    state of psi: what a measurement of qubit (x) I on polarization and
+    leak sees."""
+    m = psi.reshape(2, -1)
+    rho = m @ m.T
+    return np.array([np.trace(rho @ sigma) for sigma in PAULI_IXZ])
+
+
+def bob_axes(delta):
+    """The Bloch (x, z) axes n_Z and n_X along which the channel model's
+    Bob measures the qubit alone.
+
+    A sent qubit cos(phi/2)|0> + sin(phi/2)|1> has the Bloch vector
+    (sin phi, cos phi), with phi = 0, pi + delta and pi/2 + delta/2 for
+    0Z, 1Z and 0X.  The click model gives outcome 0 of a row eta/4 (1 + c)
+    and outcome 1 eta/4 (1 - c), where c = n . r is the alignment that
+    ``yield_alignments`` lists for the rows (0Z, X), (0Z, Z), (1Z, X),
+    (1Z, Z) and (0X, X).
+
+    Z axis: (0Z, Z) gives n_z = cos delta, and (1Z, Z) gives
+    -n_x sin delta - cos^2 delta = -cos 2 delta, so n_x = -sin delta:
+    n_Z = (-sin delta, cos delta).
+
+    X axis: (0Z, X) gives n_z = sin(delta/2), and (0X, X) gives
+    n_x cos(delta/2) - sin^2(delta/2) = cos delta, so n_x = cos(delta/2):
+    n_X = (cos(delta/2), sin(delta/2)).  (1Z, X) then gives
+    -cos(delta/2) sin delta - sin(delta/2) cos delta = -sin(3 delta/2),
+    as listed.
+    """
+    n_z = np.array([-math.sin(delta), math.cos(delta)])
+    n_x = np.array([math.cos(delta / 2.0), math.sin(delta / 2.0)])
+    return n_z, n_x
+
+
+def honest_phase_error(device, eta, p_d):
+    """The true phase error of the model's own channel at transmittance eta
+    and dark-count probability p_d.
+
+    Bob measures each virtual state (psi_0Z +- psi_1Z)/2 along n_X with
+    qubit (x) I.  The click model is linear in the state, so a virtual
+    state of weight A_j and X moment m_j clicks as A_j pulses of alignment
+    m_j / A_j.  Outcome 1 on the + state and outcome 0 on the - state are
+    phase errors; their probability, at Alice's and Bob's Z-basis choice,
+    is divided by the sum of the library's Z-basis yields.
+    """
+    states = explicit_emitted_states(device)
+    _, n_x = bob_axes(device.delta)
+    moments = [qubit_moments(explicit_virtual_state(states, j)) for j in (0, 1)]
+    weights = np.array([w for w, _, _ in moments])
+    alignment = np.array([[n_x @ (x, z) / w for w, x, z in moments]])
+    virtual = detector_yields(PROBS.p_za * PROBS.p_zb * weights, alignment, eta, p_d)[0]
+    yields = detector_yields(
+        yield_prefactors(PROBS), np.array([yield_alignments(device.delta)]), eta, p_d
+    )[0]
+    return (virtual[1, 0] + virtual[0, 1]) / yields[:, Z_ROWS].sum()

@@ -1,18 +1,31 @@
-"""The explicit-state oracle reproduces the library's source terms.
+"""The explicit-state oracle reproduces the library's source terms and
+channel, and bounds the printed phase errors.
 
 The oracle (tests/oracle.py) builds each emitted state as a vector and
 splits it numerically; the library's source_terms uses closed forms.  The
 sent and virtual splits and the cross-basis overlaps are compared on
-devices with flaws far larger than the key-rate tests use.
+devices with flaws far larger than the key-rate tests use.  Bob's two
+measurement axes reproduce the channel's alignments, and the true phase
+error they give is a floor for every sound bound.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
+from flawedqkd import ChannelModel, DeviceModel, ProtocolProbabilities, key_rate_lp
+from flawedqkd.channel import efficiency, yield_alignments
 from flawedqkd.qstates import source_terms
 from conftest import random_devices
-from oracle import explicit_emitted_states, explicit_qubit_split, explicit_virtual_state
+from oracle import (
+    bob_axes,
+    explicit_emitted_states,
+    explicit_qubit_split,
+    explicit_virtual_state,
+    honest_phase_error,
+    qubit_moments,
+)
 
 DEVICES = random_devices(seed=16, n=1000, delta_max=2.5, theta_max=1.4, mu_max=3.0)
 TERMS = source_terms(DEVICES)
@@ -64,3 +77,49 @@ def test_overlaps_match_explicit_states_without_rotation():
         states = explicit_emitted_states(device)
         explicit = [states[z] @ states[x] for z in (0, 1) for x in (2, 3)]
         assert np.abs(overlaps - explicit).max() <= TOL, device
+
+
+def test_bob_axes_reproduce_the_yield_alignments():
+    # Rows (0Z, X), (0Z, Z), (1Z, X), (1Z, Z), (0X, X): the sent state and
+    # the axis each measures along.
+    rows = ((0, 1), (0, 0), (1, 1), (1, 0), (2, 1))
+    for delta in np.linspace(0.0, 3.0, 301).tolist():
+        for theta_hat in (0.0, 0.3):
+            device = DeviceModel(delta=delta, theta_hat=theta_hat, mu=0.1)
+            axes = bob_axes(delta)
+            moments = [qubit_moments(psi) for psi in explicit_emitted_states(device)]
+            aligned = [axes[a] @ moments[k][1:] / moments[k][0] for k, a in rows]
+            assert np.abs(np.array(aligned) - yield_alignments(delta)).max() <= 2e-15, device
+
+
+def test_a_tilt_only_device_has_the_closed_form_phase_error():
+    # Without dark counts every click scales with eta, and the + and -
+    # virtual states of a delta-only device err with sin^2(delta/2).
+    for delta in np.linspace(0.0, 0.3, 31).tolist():
+        for eta in (1.0, 1e-3, 1e-7):
+            truth = honest_phase_error(DeviceModel(delta=delta), eta, 0.0)
+            assert abs(truth - math.sin(delta / 2.0) ** 2) <= 1e-12 * math.sin(delta / 2.0) ** 2
+
+
+def honest_draws(seed, n):
+    """Random devices, losses from 0 to 60 dB and dark counts, as
+    (device, loss_db, p_d)."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        device = DeviceModel(
+            delta=float(rng.uniform(0.0, 0.3)),
+            theta_hat=float(rng.choice([0.0, rng.uniform(0.0, 1e-2)])),
+            theta_mode=str(rng.choice(["independent", "dependent"])),
+            mu=float(rng.choice([0.0, 10.0 ** rng.uniform(-9.0, -4.0)])),
+        )
+        draws.append((device, float(rng.uniform(0.0, 60.0)), float(rng.choice([0.0, 1e-7, 1e-5]))))
+    return draws
+
+
+def test_lp_bound_is_at_least_the_honest_phase_error():
+    probs = ProtocolProbabilities()
+    for device, loss_db, p_d in honest_draws(seed=13, n=400):
+        row = key_rate_lp(device, ChannelModel(loss_db, p_d), probs)
+        truth = honest_phase_error(device, efficiency(loss_db), p_d)
+        assert row.e_x >= truth * (1.0 - 1e-12), (device, loss_db, p_d, row.e_x, truth)
