@@ -41,7 +41,7 @@ def main(argv=None):
         )
         box, vert = (
             run_sweep(SweepConfig(device, args.loss_start, args.loss_stop, args.loss_step,
-                                  args.pd, methods=("lt",), solver=solver))
+                                  args.pd, methods=("lt",), solver=solver)).rows()
             for solver in (PAPER_FAITHFUL, VERTEX_LP)
         )
     except ValueError as exc:

@@ -24,6 +24,7 @@ from .channel import (
 from .engine import (
     CrossoverConfig,
     CrossoverRecord,
+    Sweep,
     SweepConfig,
     SweepRow,
     find_crossover,

@@ -14,7 +14,9 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from typing import Any, Iterator, Sequence
+from itertools import chain, compress, count, repeat
+from operator import is_not, itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from .channel import ProtocolProbabilities, check
 from .engine import (
@@ -22,6 +24,7 @@ from .engine import (
     METHODS,
     CrossoverConfig,
     CrossoverRecord,
+    Sweep,
     SweepConfig,
     SweepRow,
     find_crossover,
@@ -50,8 +53,7 @@ def _num(x: float) -> float:
 # sweep's error message, which only the JSON form carries.
 _SWEEP_FIELDS = SweepRow._fields[:7]
 _CROSSOVER_FIELDS = CrossoverRecord._fields
-# Each record's CSV line in one format; "%.10g" renders a number as _fmt does.
-_SWEEP_LINE = "%.10g,%.10g,%s,%.10g,%.10g,%.10g,%.10g"
+# A crossover record's CSV line; "%.10g" renders a number as _fmt does.
 _CROSSOVER_LINE = "%s,%.10g,%.10g,%.10g,%.10g,%s"
 
 
@@ -68,12 +70,12 @@ def _value(x: str | float | None) -> str | float | None:
 
 
 def _csv(preamble: list[str], records: Sequence[tuple], names: tuple[str, ...], line: str) -> str:
-    lines, n = [*preamble, ",".join(names)], len(names)
+    lines = [*preamble, ",".join(names)]
     for r in records:
         try:
-            lines.append(line % r[:n])
-        except TypeError:  # a None cell, as in a failed row, renders empty
-            lines.append(",".join(map(_cell, r[:n])))
+            lines.append(line % r)
+        except TypeError:  # a None cell, as in a no-crossover record, renders empty
+            lines.append(",".join(map(_cell, r)))
     return "\n".join(lines) + "\n"
 
 
@@ -81,11 +83,40 @@ def _item(record: tuple, names: tuple[str, ...]) -> dict[str, Any]:
     return dict(zip(names, map(_value, record)))
 
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    return _csv([], rows, _SWEEP_FIELDS, _SWEEP_LINE)
+def _texts(values: list) -> list[str]:
+    # Each value rendered as _fmt does, by one % over the whole column.
+    return ("%.10g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def sweep_json(rows: Sequence[SweepRow]) -> str:
+def _failed(errors: list) -> Iterator[int]:
+    return compress(count(), map(is_not, errors, repeat(None)))
+
+
+def sweep_csv(sweep: Sweep) -> str:
+    # Each row from the columns: loss, eta and a shared e_z rendered once per
+    # loss, rate as rate_raw's text or 0 where rate_raw < 0, empty cells where failed.
+    losses, etas = _texts(sweep.losses), _texts(sweep.etas)
+    shared = {id(r.e_z): r.e_z for r in sweep.rates.values()}
+    e_z = {key: _texts(column.tolist()) for key, column in shared.items()}
+    columns: list[list[str]] = []
+    for method, r in sweep.rates.items():
+        e_x, raw = _texts(r.e_x.tolist()), _texts(r.rate_raw.tolist())
+        rate = ["0" if w < 0.0 else text for w, text in zip(r.rate_raw.tolist(), raw)]
+        lines = list(map(",".join, zip(losses, etas, repeat(method), e_z[id(r.e_z)], e_x, raw,
+                                       rate)))
+        for i in _failed(r.errors):
+            lines[i] = f"{losses[i]},{etas[i]},{method},,,,"
+        columns.append(lines)
+    return "\n".join([",".join(_SWEEP_FIELDS), *chain.from_iterable(zip(*columns))]) + "\n"
+
+
+def _failures(sweep: Sweep) -> list[tuple[float, str, EstimatorError]]:
+    # Each failed row's loss, method and error, in row order (a stable sort).
+    failed = [(i, m, r.errors[i]) for m, r in sweep.rates.items() for i in _failed(r.errors)]
+    return [(sweep.losses[i], m, error) for i, m, error in sorted(failed, key=itemgetter(0))]
+
+
+def sweep_json(rows: Iterable[SweepRow]) -> str:
     payload = [_item(r, _SWEEP_FIELDS if r.error is None else SweepRow._fields) for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -260,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_rows(settings: dict[str, Any]) -> list[SweepRow]:
+def _sweep(settings: dict[str, Any]) -> Sweep:
     device = _build(DeviceModel, settings)
     probs = _build(ProtocolProbabilities, settings)
     return run_sweep(_build(SweepConfig, settings, device=device, probs=probs))
@@ -276,12 +307,11 @@ def _run_rate(settings: dict[str, Any]) -> str:
     # One point: the sweep's range and jobs, if the file holds them, are not read.
     settings.update(loss_start=loss, loss_stop=loss, loss_step=1.0)
     settings.pop("jobs", None)
-    rows = _sweep_rows(settings)
+    sweep = _sweep(settings)
     # A single point has nothing to salvage: its first failure fails the command.
-    for r in rows:
-        if r.error is not None:
-            raise EstimatorError(r.error)
-    return sweep_json(rows) if settings.get("format") == "json" else sweep_csv(rows)
+    for _, _, error in _failures(sweep)[:1]:
+        raise error
+    return sweep_json(sweep) if settings.get("format") == "json" else sweep_csv(sweep)
 
 
 def _run_sweep(settings: dict[str, Any]) -> str:
@@ -289,14 +319,10 @@ def _run_sweep(settings: dict[str, Any]) -> str:
         raise ValueError(
             "sweep needs --loss-range (or loss_start/loss_stop/loss_step in the config file)"
         )
-    rows = _sweep_rows(settings)
-    for r in rows:
-        if r.error is not None:
-            print(
-                f"warning: loss={_fmt(r.loss_db)} method={r.method}: {r.error}",
-                file=sys.stderr,
-            )
-    return sweep_json(rows) if settings.get("format") == "json" else sweep_csv(rows)
+    sweep = _sweep(settings)
+    for loss, method, error in _failures(sweep):
+        print(f"warning: loss={_fmt(loss)} method={method}: {error}", file=sys.stderr)
+    return sweep_json(sweep) if settings.get("format") == "json" else sweep_csv(sweep)
 
 
 def _run_crossover(settings: dict[str, Any]) -> str:

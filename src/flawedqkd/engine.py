@@ -1,14 +1,14 @@
 """Single key-rate points, loss sweeps and the lt/lp crossover search.
 
 Each entry point takes a device model, evaluates the two estimators on the
-grid path and returns named-tuple records; rendering is left to the caller.
+grid path and returns columns or records; rendering is left to the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .channel import ChannelModel, ProtocolProbabilities, check, efficiency, system_efficiency
 from .errors import EstimatorError
@@ -136,37 +136,50 @@ class CrossoverRecord(NamedTuple):
     status: str
 
 
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """An evaluated loss sweep as columns: the losses, their transmittances
+    and each method's GridRates.  Iterating it yields its ``rows()``."""
+
+    losses: list[float]
+    etas: list[float]
+    rates: dict[str, GridRates]
+
+    def __len__(self) -> int:
+        return len(self.losses) * len(self.rates)
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return iter(self.rows())
+
+    def rows(self) -> list[SweepRow]:
+        """Rows by loss, then method; a failed point's row has its error and no numbers."""
+        columns = []
+        for method, r in self.rates.items():
+            raw = r.rate_raw.tolist()
+            # 0.0 if w < 0.0 else w is max(w, 0.0), -0.0 and nan included.
+            rate = [0.0 if w < 0.0 else w for w in raw]
+            cells = (self.losses, self.etas, repeat(method), r.e_z.tolist(), r.e_x.tolist())
+            rows = list(map(SweepRow._make, zip(*cells, raw, rate, repeat(None))))
+            for i, error in enumerate(r.errors):
+                if error is not None:
+                    rows[i] = SweepRow(*rows[i][:3], None, None, None, None, str(error))
+            columns.append(rows)
+        return list(chain.from_iterable(zip(*columns)))
+
+
 def loss_grid(start: float, stop: float, step: float) -> list[float]:
     """Inclusive dB grid; the stop value is included when it lands on the
     grid within floating-point slack.  A grid SweepConfig refuses is its ValueError."""
     return [start + i * step for i in range(_grid_size(start, stop, step))]
 
 
-def _rows(losses: list[float], etas: list[float], rates: dict[str, GridRates]) -> list[SweepRow]:
-    # Rows of an evaluated grid, by loss, then method, zipped from each
-    # method's columns; a failed point keeps its row with the error message
-    # and no numbers.  0.0 if w < 0.0 else w is max(w, 0.0), -0.0 and nan
-    # included.
-    columns = []
-    for method, r in rates.items():
-        raw = r.rate_raw.tolist()
-        rate = [0.0 if w < 0.0 else w for w in raw]
-        rows = list(map(SweepRow._make, zip(losses, etas, repeat(method), r.e_z.tolist(),
-                                            r.e_x.tolist(), raw, rate, repeat(None))))
-        for i, error in enumerate(r.errors):
-            if error is not None:
-                rows[i] = SweepRow(losses[i], etas[i], method, None, None, None, None, str(error))
-        columns.append(rows)
-    return list(chain.from_iterable(zip(*columns)))
-
-
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> Sweep:
     """Evaluate every (loss, method) pair of the sweep on one prepared
-    device, with the whole loss grid as arrays.
+    device, with the whole loss grid as arrays, and return the columns.
 
-    Estimator failures are kept as rows with the error message and no
-    rate, so one bad point cannot take down a long sweep.  Rows are
-    ordered by loss, then method.  config.jobs is ignored.
+    Estimator failures are kept in each method's error slots, and become
+    rows with the error message and no rate, so one bad point cannot take
+    down a long sweep.  config.jobs is ignored.
     """
     losses = loss_grid(config.loss_start, config.loss_stop, config.loss_step)
     etas = [efficiency(loss) for loss in losses]
@@ -178,7 +191,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         config.methods,
         config.solver,
     )
-    return _rows(losses, etas, rates)
+    return Sweep(losses, etas, rates)
 
 
 def _point(device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilities,
@@ -191,7 +204,7 @@ def _point(device: DeviceModel, channel: ChannelModel, probs: ProtocolProbabilit
     error = rates[method].errors[0]
     if error is not None:
         raise error
-    return _rows([channel.loss_db], [eta], rates)[0]
+    return Sweep([channel.loss_db], [eta], rates).rows()[0]
 
 
 def key_rate_lt(

@@ -14,8 +14,8 @@ Python's ``10.0 ** (-loss / 10.0)`` per point, the device-only terms
 are two rows of ``math`` calls per device, each estimator keeps its points
 apart, and the entropies are one list pass of ``clamped_entropies``:
 ``math.log2`` runs only on open arguments in (0, 1/2), and a clamped
-argument gives h(1/2) = 1.0 exactly.  The sweep's rows are then zipped
-from these columns (``engine._rows``).
+argument gives h(1/2) = 1.0 exactly.  A sweep keeps these columns
+(``engine.Sweep``), and its rows are zipped from them.
 """
 
 from __future__ import annotations

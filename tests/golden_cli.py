@@ -136,6 +136,13 @@ CASES = [
      " --theta 1e-6 --compare-loss 20", None),
     ("crossover-one-value-json", "crossover --sweep-param mu --sweep-values 1e-9 --theta 1e-6"
      " --format json", None),
+    # Single-method sweep CSVs with their warnings: an lp-only error row,
+    # and collinear lt error rows.
+    ("sweep-lp-error-row", "sweep --loss-range 0:5000:2500 --pd 0 --method lp",
+     "warning: loss=5000 method=lp: no detections: eta = 0 and p_d = 0\n"),
+    ("collinear-sweep-lt", "sweep --loss-range 0:10:5 --theta 1.0 --method lt", "".join(
+        f"warning: loss={loss} method=lt: the three encoding states are collinear; the yield"
+        " system cannot be inverted\n" for loss in ("0", "5", "10"))),
 ]
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,9 @@ from flawedqkd import (
     CrossoverConfig,
     CrossoverRecord,
     DeviceModel,
+    EstimatorError,
+    GridRates,
+    Sweep,
     SweepConfig,
     SweepRow,
     loss_grid,
@@ -159,8 +163,8 @@ class TestRunSweep:
             loss_stop=20.0,
             loss_step=5.0,
         )
-        serial = run_sweep(SweepConfig(**base, jobs=1))
-        parallel = run_sweep(SweepConfig(**base, jobs=4))
+        serial = run_sweep(SweepConfig(**base, jobs=1)).rows()
+        parallel = run_sweep(SweepConfig(**base, jobs=4)).rows()
         assert serial == parallel
 
     def test_row_order_is_loss_major(self, probs):
@@ -191,7 +195,8 @@ class TestRunSweep:
         device = DeviceModel(delta=0.126, theta_hat=1e-3, mu=1e-8)
 
         def rows(methods):
-            return run_sweep(SweepConfig(device, 0.0, 20.0, 5.0, probs=probs, methods=methods))
+            return run_sweep(SweepConfig(device, 0.0, 20.0, 5.0, probs=probs,
+                                         methods=methods)).rows()
 
         assert rows(("lp", "lt")) == rows(METHODS)
         assert rows(("lt", "lt")) == rows(("lt",))
@@ -250,24 +255,46 @@ numbers = st.one_of(
     st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300, -1e-300]),
 )
 cells = st.one_of(st.none(), numbers)
-sweep_rows = st.one_of(
-    st.builds(SweepRow, numbers, numbers, st.text(), numbers, numbers, numbers, numbers),
-    st.builds(SweepRow, numbers, numbers, st.text(), st.none(), st.none(), st.none(),
-              st.none(), st.text()),
-    st.builds(SweepRow, numbers, numbers, st.text(), cells, cells, cells, cells,
-              st.one_of(st.none(), st.text())),
+# A method's columns are float arrays: the numbers a float holds, ints
+# among them.
+column_numbers = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.integers(-2**1000, 2**1000),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, -1e-300]),
 )
+
+
+@st.composite
+def sweeps(draw):
+    # One or two methods over up to 6 points, sharing one e_z column unless
+    # drawn apart, with a failure at any (point, method).
+    n = draw(st.integers(0, 6))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    def array():
+        return np.array(column(column_numbers), dtype=float)
+
+    methods = draw(st.lists(st.text(), min_size=1, max_size=2, unique=True))
+    shared = array() if draw(st.booleans()) else None
+    failures = st.one_of(st.none(), st.builds(EstimatorError, st.text()))
+    rates = {m: GridRates(array() if shared is None else shared, array(), array(),
+                          column(failures)) for m in methods}
+    return Sweep(column(numbers), column(numbers), rates)
+
 crossover_records = st.builds(
     CrossoverRecord, st.text(), numbers, cells, cells, cells, st.text()
 )
 
 
 class TestRendering:
-    @given(rows=st.lists(sweep_rows, max_size=8))
+    @given(sweep=sweeps())
     @settings(max_examples=200)
-    def test_sweep_renderers_equal_the_per_cell_rendering(self, rows):
-        assert _outcome(sweep_csv, rows) == _outcome(_per_cell_csv, [], rows, SWEEP_COLUMNS)
-        assert _outcome(sweep_json, rows) == _outcome(_per_cell_sweep_json, rows)
+    def test_sweep_renderers_equal_the_per_cell_rendering(self, sweep):
+        rows = sweep.rows()
+        assert _outcome(sweep_csv, sweep) == _outcome(_per_cell_csv, [], rows, SWEEP_COLUMNS)
+        assert _outcome(sweep_json, sweep) == _outcome(_per_cell_sweep_json, rows)
 
     @given(records=st.lists(crossover_records, max_size=8), compare_loss_db=numbers)
     @settings(max_examples=200)
@@ -287,10 +314,12 @@ class TestRendering:
             row.rate = 1.0
 
     def test_error_row_cells_are_empty(self):
-        rows = [SweepRow(5.0, 0.316, "lt", None, None, None, None, error="boom")]
-        csv_text = sweep_csv(rows)
+        numbers = np.array([0.25])
+        sweep = Sweep([5.0], [0.316], {"lt": GridRates(numbers, numbers, numbers,
+                                                       [EstimatorError("boom")])})
+        csv_text = sweep_csv(sweep)
         assert csv_text.splitlines()[1] == "5,0.316,lt,,,,"
-        payload = json.loads(sweep_json(rows))
+        payload = json.loads(sweep_json(sweep))
         assert payload[0]["rate"] is None
         assert payload[0]["error"] == "boom"
 
@@ -423,6 +452,19 @@ class TestSweepCommand:
         _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
         _, parallel, _ = run_cli(capsys, *argv, "--jobs", "4")
         assert serial == parallel
+
+    def test_csv_builds_no_rows(self, capsys, monkeypatch):
+        # The sweep CSV is written from the evaluated columns: no SweepRow
+        # is built on the way.
+        argv = ["sweep", "--loss-range", "0:10:5", "--method", "both"]
+        expected = run_cli(capsys, *argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SweepRow was built")
+
+        monkeypatch.setattr(SweepRow, "_make", refuse)
+        monkeypatch.setattr(SweepRow, "__new__", refuse)
+        assert run_cli(capsys, *argv) == expected
 
     def test_partial_failure_keeps_exit_zero(self, capsys):
         code, out, err = run_cli(

@@ -37,7 +37,7 @@ from flawedqkd import (
     system_efficiency,
 )
 from flawedqkd.channel import error_tilt, yield_alignments
-from flawedqkd.engine import SweepRow, _rows
+from flawedqkd.engine import Sweep, SweepRow
 import flawedqkd.grid as grid
 from flawedqkd.grid import GridRates
 from flawedqkd.lt_estimator import LtTerms
@@ -539,7 +539,7 @@ class TestColumnRows:
                     raw = r.rate_raw[i].item()
                     expected.append(SweepRow(loss, eta, m, r.e_z[i].item(), r.e_x[i].item(),
                                              raw, max(raw, 0.0)))
-        rows = _rows(self.LOSSES, etas, rates)
+        rows = Sweep(self.LOSSES, etas, rates).rows()
         assert [self.cells(row) for row in rows] == [self.cells(row) for row in expected]
         assert all(type(row) is SweepRow for row in rows)
         for row in rows:

@@ -38,6 +38,7 @@ EXPORTED = {
     "ProtocolProbabilities",
     "SOLVER_MODES",
     "SingularSystemError",
+    "Sweep",
     "SweepConfig",
     "SweepRow",
     "VERTEX_LP",

@@ -138,7 +138,7 @@ def test_sweep_rows_equal_single_points_across_chunk_edges(points):
     # sides skip the triples on facets they miss, in chunks of one missed
     # set each.
     config = SweepConfig(ALL_FLAWS, 0.0, 0.1 * (points - 1), 0.1, methods=("lt",), solver=VERTEX_LP)
-    rows = run_sweep(config)
+    rows = run_sweep(config).rows()
     assert len(rows) == points
     for row in rows:
         assert row == key_rate_lt(ALL_FLAWS, ChannelModel(row.loss_db), PROBS, VERTEX_LP)
