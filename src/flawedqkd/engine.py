@@ -224,16 +224,18 @@ def key_rate_lp(
     return _point(device, channel, probs, "lp", PAPER_FAITHFUL)
 
 
-def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]]) -> list:
+def _rates(config: CrossoverConfig, eta: float, points: list[tuple[float, float]],
+           fixed: dict) -> list:
     """Both clamped rates at each (delta, swept value) point, or the
     failure that stops a search there, lt's before lp's; the points are one
-    nonempty batch at the comparison transmittance."""
+    nonempty batch at the comparison transmittance.  fixed holds the
+    delta-independent source terms of the swept values met so far."""
     _, theta_hat, dependent, mu = config.device
     theta = config.swept_param == "theta"
     devices = [(delta, value if theta else theta_hat, dependent, mu if theta else value)
                for delta, value in points]
     both = evaluate_grid(
-        prepare(devices, config.probs),
+        prepare(devices, config.probs, fixed),
         [eta] * len(devices),
         config.p_d,
         config.f_ec,
@@ -305,16 +307,18 @@ def find_crossover(config: CrossoverConfig) -> list[CrossoverRecord]:
     Each round evaluates the deltas that every open ``_search`` asks for in
     one batch.  A value stops at its first failure; a failure past its
     first sign change is never read.  The failure of the first failed
-    value, the one a value-by-value search meets first, is raised.
+    value, the one a value-by-value search meets first, is raised.  Each
+    swept value's delta-independent source terms are computed once, in a
+    dict that lives for this call only.
     """
     eta = efficiency(config.compare_loss_db)
-    values, param = config.swept_values, config.swept_param
+    values, param, fixed = config.swept_values, config.swept_param, {}
     searches = [_search(config.bisection_tolerance) for _ in values]
     wanted = {k: next(search) for k, search in enumerate(searches)}
     outcomes = [None] * len(values)
     while wanted:
         points = [(d, values[k]) for k, deltas in wanted.items() for d in deltas]
-        results = iter(_rates(config, eta, points))
+        results = iter(_rates(config, eta, points, fixed))
         asked, wanted = wanted, {}
         for k, deltas in asked.items():
             sent = [next(results) for _ in deltas]

@@ -93,14 +93,17 @@ class GridRates:
 def prepare(
     devices: DeviceModel | Sequence[tuple[float, float, bool, float]],
     probs: ProtocolProbabilities,
+    fixed: dict | None = None,
 ) -> PreparedDevice:
     """Compute the device-only terms of both estimators once per device: one
     ``source_terms`` call, then one pass for the receiver terms and Delta.
     devices is one DeviceModel (a device axis of length 1) or a sequence of
-    parameter tuples (delta, theta_hat, dependent, mu), or DeviceModels."""
+    parameter tuples (delta, theta_hat, dependent, mu), or DeviceModels.
+    fixed goes to ``source_terms``: one dict over several batches computes
+    the delta-independent terms of each (theta_hat, dependent, mu) once."""
     if isinstance(devices, DeviceModel):
         devices = (devices,)
-    source = source_terms(devices)
+    source = source_terms(devices, fixed)
     values: list[float] = []
     for (delta, _, _, _), overlaps in zip(devices, source.overlaps.tolist()):
         values += (*yield_alignments(delta), error_tilt(delta), coin_imbalance(overlaps))

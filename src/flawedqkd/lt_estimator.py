@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -51,34 +52,39 @@ INFEASIBLE = "no physical transmission rates are consistent with the yields"
 # Physicality rows a . q <= b: q_Id in [0, 1], then, for q_x and q_z with
 # either sign, |q_axis| <= q_Id and |q_axis| <= 1 - q_Id.  They follow the
 # six slab rows, as halfspace rows 6 to 15, and are facets 0 to 9.
-_PHYSICAL_A = np.array([(1, 0, 0), (-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0), (1, -1, 0),
-                        (-1, 0, 1), (1, 0, 1), (-1, 0, -1), (1, 0, -1)], dtype=float)
-_PHYSICAL_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+_PHYSICAL_ROWS = ((1, 0, 0), (-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0), (1, -1, 0),
+                  (-1, 0, 1), (1, 0, 1), (-1, 0, -1), (1, 0, -1))
+_PHYSICAL_RHS = (1, 0, 0, 1, 0, 1, 0, 1, 0, 1)
+_PHYSICAL_A, _PHYSICAL_B = np.array(_PHYSICAL_ROWS, dtype=float), np.array(_PHYSICAL_RHS, float)
 
 
-def _usable_triples() -> np.ndarray:
-    # The 3-subsets of the 16 halfspaces that can meet in a feasible vertex
-    # for some device.  Dropped: those singular for every device (a slab
-    # row with its negation, a parallel pair or coplanar triple of
-    # physical rows) and three physical rows whose one vertex is
-    # unphysical.  Triples are ascending, so slab rows come first.
-    triples = np.array(list(itertools.combinations(range(16), 3)))
-    physical = np.vstack((np.zeros((6, 3)), _PHYSICAL_A))[triples]
-    slab_pair = ((triples[:, :2] // 2 == triples[:, 1:] // 2) & (triples[:, 1:] < 6)).any(axis=1)
-    cross = np.cross(physical[:, 1], physical[:, 2])
-    count = (triples >= 6).sum(axis=1)
-    dependent = np.where(count == 3, (physical[:, 0] * cross).sum(axis=1) == 0.0,
-                         (count == 2) & ~cross.any(axis=1))
-    fixed = (count == 3) & ~dependent
-    verts = np.linalg.solve(physical[fixed], _PHYSICAL_B[triples[fixed] - 6][:, :, None])
-    unphysical = np.zeros(len(triples), dtype=bool)
-    unphysical[fixed] = (verts[:, :, 0] @ _PHYSICAL_A.T > _PHYSICAL_B + _FEAS_TOL).any(axis=1)
-    return triples[~(slab_pair | dependent | unphysical)]
+def _cross(u: tuple, v: tuple) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-# The triples worth solving, fixed once.  A triple whose determinant is no
-# larger than _REGULAR_DET in magnitude meets in no single vertex.
-_TRIPLES = _usable_triples()
+def _usable(triple: tuple[int, int, int]) -> bool:
+    # Whether three of the 16 halfspaces, ascending, can meet in a feasible
+    # vertex for some device, in exact integer arithmetic.  Not: a slab row
+    # with its negation, a parallel pair or coplanar triple of physical
+    # rows (singular for every device), or three physical rows whose one
+    # vertex, num / det by Cramer's rule, is unphysical.
+    if any(i // 2 == j // 2 and j < 6 for i, j in zip(triple, triple[1:])):
+        return False
+    rows = [_PHYSICAL_ROWS[i - 6] for i in triple if i >= 6]
+    if len(rows) < 3:
+        return len(rows) < 2 or any(_cross(*rows))
+    a, b, c = rows
+    adjugate = (_cross(b, c), _cross(c, a), _cross(a, b))
+    det = sum(map(mul, a, adjugate[0]))
+    num = [sum(map(mul, (_PHYSICAL_RHS[i - 6] for i in triple), col)) for col in zip(*adjugate)]
+    return det != 0 and all(sum(map(mul, row, num)) * det <= rhs * det * det
+                            for row, rhs in zip(_PHYSICAL_ROWS, _PHYSICAL_RHS))
+
+
+# The triples worth solving, fixed once; slab rows come first in each.  A
+# triple whose determinant is no larger than _REGULAR_DET in magnitude
+# meets in no single vertex.
+_TRIPLES = np.array([t for t in itertools.combinations(range(16), 3) if _usable(t)])
 _REGULAR_DET = 1e-14
 
 # Gathers from a flattened (16, 3) row array, per triple (a, b, c): the

@@ -14,7 +14,9 @@ suffers three imperfections:
 device in Python floats: it splits the three sent states (settings 0Z, 1Z,
 0X, 1X) and the virtual states that define phase errors into a qubit part
 plus an orthogonal rest, and pairs each Z state with each X state for the
-quantum coin; ``grid.prepare`` derives the receiver's terms and Delta.
+quantum coin; ``grid.prepare`` derives the receiver's terms and Delta.  A
+row's delta-independent terms are computed once per (theta_hat, dependent,
+mu) in a dict its caller owns, such as one crossover search's.
 
 All kets are real, so Bloch vectors live in the x-z plane and py is omitted.
 """
@@ -80,42 +82,55 @@ def tha_coefficients(mu: float) -> tuple[float, float]:
     return c_i, c_d
 
 
-def _sent_split(amplitude: float, c0: float, c1: float) -> tuple:
-    # The split of a sent state of qubit amplitude C_I cos(theta) and ket
-    # (c0, c1).  lambda_max and lambda_min, the extreme eigenvalues of [[side,
-    # cross], [cross, 0]], bound the non-qubit part's detection contribution.
-    qubit_weight = amplitude ** 2
-    side_weight = 1.0 - qubit_weight
-    cross_mag = sqrt(max(qubit_weight * side_weight, 0.0))
-    root = sqrt(side_weight * side_weight + 4.0 * cross_mag * cross_mag)
-    return (qubit_weight, side_weight, cross_mag, (side_weight + root) / 2.0,
-            (side_weight - root) / 2.0, 2.0 * c0 * c1, c0 * c0 - c1 * c1)
-
-
-def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> tuple:
-    # One device's terms, flat: the sent splits of 0Z, 1Z and 0X, the
-    # virtual splits of j = 0 and 1 (7 each) and the overlaps; and its
-    # DegenerateStateError or None.
-    if not (0.0 <= delta < math.pi and 0.0 <= theta_hat < math.pi / 2):
-        check(delta=delta, theta_hat=theta_hat)
+def _fixed_terms(theta_hat: float, dependent: bool, mu: float) -> tuple:
+    # A device's terms that do not depend on delta, in their formulas'
+    # operand order: the sent splits' weights and lambda bounds, rotation
+    # squares, leak weights and theta-only heads of _delta_row's products.
+    if not 0.0 <= theta_hat < math.pi / 2:
+        check(theta_hat=theta_hat)
     c_i, c_d = tha_coefficients(mu)
     r_0, r_1, r_2, r_3 = _DEPENDENT_ROTATION if dependent else (1.0, 1.0, 1.0, 1.0)
     t_0, t_1 = r_0 * theta_hat, r_1 * theta_hat
     cos_0, cos_1, cos_2, cos_3 = cos(t_0), cos(t_1), cos(r_2 * theta_hat), cos(r_3 * theta_hat)
     sin_0, sin_1 = sin(t_0), sin(t_1)
-    # Kets of 0Z, 1Z, 0X and 1X in the Z eigenbasis: (1, 0), (-s_half,
-    # c_half), (x_0, x_1) and (y_0, y_1).  The Z states sit near the poles,
-    # the X states near the equator; delta tilts every state but 0Z.
+    splits = []
+    # Sent states 0Z, 1Z and 0X, of qubit amplitude C_I cos(theta).
+    # lambda_max and lambda_min, the extreme eigenvalues of [[side, cross],
+    # [cross, 0]], bound the non-qubit part's detection contribution.
+    for amplitude in (c_i * cos_0, c_i * cos_1, c_i * cos_2):
+        qubit_weight = amplitude ** 2
+        side_weight = 1.0 - qubit_weight
+        cross_mag = sqrt(max(qubit_weight * side_weight, 0.0))
+        root = sqrt(side_weight * side_weight + 4.0 * cross_mag * cross_mag)
+        splits.append((qubit_weight, side_weight, cross_mag, (side_weight + root) / 2.0,
+                       (side_weight - root) / 2.0))
+    cos1_sq = cos_1 ** 2
+    return (*splits, cos_0 ** 2, cos1_sq, sin_0 ** 2, sin_1 ** 2, 2.0 * cos_0 * cos_1,
+            2.0 * sin_0 * sin_1, 2.0 * cos1_sq, c_i * c_i, 0.25 * c_i * c_i, 2.0 * c_d * c_d,
+            cos_0 * cos_2 * c_i * c_i, cos_0 * cos_3 * c_i * c_i, cos_1 * cos_2 * c_i * c_i,
+            cos_1 * cos_3 * c_i * c_i)
+
+
+def _delta_row(delta: float, fixed: tuple) -> tuple:
+    # One device's terms, flat, from its _fixed_terms: the sent splits of
+    # 0Z, 1Z and 0X, the virtual splits of j = 0 and 1 (7 each) and the
+    # overlaps; and its DegenerateStateError or None.
+    if not 0.0 <= delta < math.pi:
+        check(delta=delta)
+    (split_0z, split_1z, split_0x, cos0_sq, cos1_sq, sin0_sq, sin1_sq, cos_pair, sin_pair,
+     cos1_pair, cc, quarter, leak, ov_00, ov_01, ov_10, ov_11) = fixed
+    # Kets of 0Z, 1Z, 0X and 1X in the Z eigenbasis: (1, 0), (z_0, c_half),
+    # (x_0, x_1) and (y_0, y_1).  The Z states sit near the poles, the X
+    # states near the equator; delta tilts every state but 0Z.  A split
+    # ends in the Bloch components 2 k_0 k_1 and k_0^2 - k_1^2 of its ket.
     s_half, c_half = sin(delta / 2), cos(delta / 2)
     a_0x, a_1x = math.pi / 4 + delta / 4, 3 * math.pi / 4 + 3 * delta / 4
     x_0, x_1, y_0, y_1 = cos(a_0x), sin(a_0x), cos(a_1x), sin(a_1x)
-    sent = (_sent_split(c_i * cos_0, 1.0, 0.0) + _sent_split(c_i * cos_1, -s_half, c_half)
-            + _sent_split(c_i * cos_2, x_0, x_1))
-
-    cos0_sq, cos1_sq, sin0_sq, sin1_sq = cos_0 ** 2, cos_1 ** 2, sin_0 ** 2, sin_1 ** 2
-    cos_cross, sin_cross = 2.0 * cos_0 * cos_1 * s_half, 2.0 * sin_0 * sin_1 * s_half
-    px_cross, px_rest = 2.0 * cos_0 * cos_1 * c_half, 2.0 * cos1_sq * c_half * s_half
-    cc, quarter, leak = c_i * c_i, 0.25 * c_i * c_i, 2.0 * c_d * c_d
+    cos_delta, z_0 = cos(delta), -s_half
+    sent = (*split_0z, 0.0, 1.0, *split_1z, 2.0 * z_0 * c_half, z_0 * z_0 - c_half * c_half,
+            *split_0x, 2.0 * x_0 * x_1, x_0 * x_0 - x_1 * x_1)
+    cos_cross, sin_cross = cos_pair * s_half, sin_pair * s_half
+    px_cross, px_rest = cos_pair * c_half, cos1_pair * c_half * s_half
     error, bits = None, ()
     # j = 1 first: when both virtual states vanish, its failure is reported.
     for j, sgn in ((1, -1.0), (0, 1.0)):
@@ -135,13 +150,17 @@ def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> t
         # on a lossless channel.
         denom = 4.0 * a_j / cc
         px = (sgn * px_cross - px_rest) / denom
-        pz = (cos1_sq * cos(delta) + sgn * cos_cross - cos0_sq) / denom
+        pz = (cos1_sq * cos_delta + sgn * cos_cross - cos0_sq) / denom
         bits = (a_j, c_j, b_j, (c_j + root) / 2.0, (c_j - root) / 2.0, px, pz) + bits
 
-    overlaps = (cos_0 * cos_2 * c_i * c_i * x_0, cos_0 * cos_3 * c_i * c_i * y_0,
-                cos_1 * cos_2 * c_i * c_i * (-s_half * x_0 + c_half * x_1),
-                cos_1 * cos_3 * c_i * c_i * (-s_half * y_0 + c_half * y_1))
+    overlaps = (ov_00 * x_0, ov_01 * y_0, ov_10 * (z_0 * x_0 + c_half * x_1),
+                ov_11 * (z_0 * y_0 + c_half * y_1))
     return (*sent, *bits, *overlaps), error
+
+
+def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> tuple:
+    # One device's row and DegenerateStateError or None, as in source_terms.
+    return _delta_row(delta, _fixed_terms(theta_hat, dependent, mu))
 
 
 class SourceTerms(NamedTuple):
@@ -162,7 +181,9 @@ class SourceTerms(NamedTuple):
     degenerate: tuple[DegenerateStateError | None, ...]
 
 
-def source_terms(devices: Sequence[tuple[float, float, bool, float]]) -> SourceTerms:
+def source_terms(
+    devices: Sequence[tuple[float, float, bool, float]], fixed: dict | None = None
+) -> SourceTerms:
     """Every device's source terms from one pass over the devices.
 
     devices holds parameter tuples (delta, theta_hat, dependent, mu), as a
@@ -177,12 +198,24 @@ def source_terms(devices: Sequence[tuple[float, float, bool, float]]) -> SourceT
     contribute nothing to the overlaps, so only the co-polarized
     leakage-free component survives.  Each device's row is computed with
     Python's ``math`` on Python floats, each shared square or product once,
-    so its values do not depend on the batch; numpy's exp and squares
-    differ from these in the last bit for some inputs."""
-    m = len(devices)
-    table, degenerate = np.empty((m, 39)), []
-    for i, device in enumerate(devices):
-        table[i], error = _device_row(*device)
+    so its values do not depend on the batch or on fixed; numpy's exp and
+    squares differ from these in the last bit for some inputs.  The leak
+    amplitudes, rotation terms and sent-state weights, which depend on
+    (theta_hat, dependent, mu) alone, are computed once per such tuple into
+    fixed, a dict the caller owns and may pass to several calls (None: a
+    fresh one for this call)."""
+    fixed = {} if fixed is None else fixed
+    values, degenerate = [], []
+    for delta, theta_hat, dependent, mu in devices:
+        key = theta_hat, dependent, mu
+        terms = fixed.get(key)
+        if terms is None:
+            if not 0.0 <= delta < math.pi:
+                check(delta=delta)  # delta is named first, as for a DeviceModel
+            terms = fixed[key] = _fixed_terms(theta_hat, dependent, mu)
+        row, error = _delta_row(delta, terms)
+        values += row
         degenerate.append(error)
-    return SourceTerms(table[:, :21].reshape(m, 3, 7), table[:, 21:35].reshape(m, 2, 7),
+    table = np.fromiter(values, float, len(values)).reshape(-1, 39)
+    return SourceTerms(table[:, :21].reshape(-1, 3, 7), table[:, 21:35].reshape(-1, 2, 7),
                        table[:, 35:], tuple(degenerate))

@@ -26,7 +26,7 @@ from flawedqkd import (
     prepare,
     system_efficiency,
 )
-from flawedqkd import engine
+from flawedqkd import engine, qstates
 from flawedqkd.engine import SWEPT_FIELDS
 
 METHODS = ("lt", "lp")
@@ -157,8 +157,8 @@ def faulty_prepare(faults):
     """prepare, with the devices at the (mu, delta) points of faults made
     singular with the given error."""
 
-    def prepare_with_faults(devices, probs):
-        prepared = prepare(devices, probs)
+    def prepare_with_faults(devices, probs, fixed=None):
+        prepared = prepare(devices, probs, fixed)
         devices = [devices] if isinstance(devices, DeviceModel) else devices
         singular = tuple(faults.get((mu, delta), s)
                          for (delta, _, _, mu), s in zip(devices, prepared.lt.singular))
@@ -239,6 +239,35 @@ def test_lazy_scan_device_count(monkeypatch):
     assert (sum(counted), len(counted)) == (1495, 31)
 
 
+def test_crossover_computes_each_swept_values_fixed_terms_once(monkeypatch):
+    # The 40-value search of test_lazy_scan_device_count shares one dict of
+    # delta-independent source terms over its 31 batches: one _fixed_terms
+    # call per swept value, and the same 1,495 devices.
+    calls, counted = [], []
+
+    def counting_fixed_terms(*key):
+        calls.append(key)
+        return fixed_terms(*key)
+
+    def counting_evaluate_grid(prepared, eta, *args):
+        counted.append(len(eta))
+        return evaluate_grid(prepared, eta, *args)
+
+    fixed_terms = qstates._fixed_terms
+    monkeypatch.setattr(qstates, "_fixed_terms", counting_fixed_terms)
+    monkeypatch.setattr(engine, "evaluate_grid", counting_evaluate_grid)
+    mus = tuple(10.0 ** (-9.0 + 2.0 * i / 39) for i in range(40))
+    config = CrossoverConfig("mu", mus, DeviceModel(theta_hat=1e-6), compare_loss_db=20.0,
+                             bisection_tolerance=1e-10)
+    records = find_crossover(config)
+    assert all(r.status == "crossover" for r in records)
+    assert (sum(counted), len(counted)) == (1495, 31)
+    assert sorted(calls) == [(1e-6, True, mu) for mu in mus]
+    # The dict lives for one call: a second search computes them again.
+    assert find_crossover(config) == records
+    assert len(calls) == 80
+
+
 @pytest.mark.parametrize(
     "tol, batches",
     [(1e-10, [5, 5, 1, 1]), (0.02, [5, 5, 1])],
@@ -251,7 +280,7 @@ def test_synthetic_gap_ends_the_bisection(monkeypatch, tol, batches):
     # tolerance, so no step is taken.  Either way delta* is 0.055.
     sizes = []
 
-    def synthetic_rates(config, eta, points):
+    def synthetic_rates(config, eta, points, fixed):
         if points:
             sizes.append(len(points))
         return [(1.0, 1.0) if d == 0.055 else (d, 0.055) for d, _ in points]

@@ -358,6 +358,48 @@ class TestBitIdentity:
         )
 
 
+def _exact(terms):
+    # A SourceTerms' arrays as integers, bit for bit, and its messages.
+    return ([np.ascontiguousarray(a).view(np.int64).tolist() for a in terms[:3]],
+            [None if e is None else repr(e) for e in terms.degenerate])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_fixed_terms_are_bit_equal_to_a_fresh_call_per_device(seed):
+    # One dict across several calls, in shuffled device order, with theta_hat
+    # and mu of both signs of zero met in either order first (they share a
+    # key) and degenerate mu = 2000 devices: every row and message is that
+    # of a fresh call for its device alone.
+    rng = random.Random(seed)
+    zeros = (0.0, -0.0) if seed % 2 else (-0.0, 0.0)
+    keys = [(theta_hat, dependent, mu) for theta_hat in (*zeros, 1e-3, 0.7)
+            for dependent in (True, False) for mu in (*zeros, 1e-8, 2000.0)]
+    devices = [(rng.choice((0.0, -0.0, 0.05, 1.3, 3.14159265)), *key)
+               for key in keys for _ in range(3)]
+    devices += pin_devices(400)[-300:]
+    rng.shuffle(devices)
+    fixed = {}
+    chunks = [devices[i:i + 37] for i in range(0, len(devices), 37)]
+    shared = [_exact(source_terms(chunk, fixed)) for chunk in chunks]
+    for chunk, (arrays, messages) in zip(chunks, shared):
+        for i, device in enumerate(chunk):
+            fresh_arrays, fresh_messages = _exact(source_terms([device]))
+            assert [a[i] for a in arrays] == [a[0] for a in fresh_arrays], device
+            assert messages[i] == fresh_messages[0], device
+    assert any(m is not None for _, messages in shared for m in messages)
+    assert len(fixed) < len(devices)
+
+
+def test_a_bad_delta_is_named_before_a_bad_theta_hat_or_mu():
+    # As a DeviceModel checks them, whether the fixed terms are new or not.
+    fixed = {}
+    source_terms([(0.1, 1e-3, True, 1e-8)], fixed)
+    for device in ((math.nan, 1e-3, True, 1e-8), (-1.0, 2.0, True, 1e-8),
+                   (-1.0, 1e-3, True, -1.0)):
+        with pytest.raises(ValueError, match="^delta must"):
+            source_terms([device], fixed)
+
+
 # The source model characterizes the emitted states alone; the receiver's
 # terms and the coin imbalance are derived from it in grid.prepare.
 SOURCE_IMPORTS = {("channel", "FLOAT_LIMIT"), ("channel", "check"),

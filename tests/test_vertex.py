@@ -268,6 +268,35 @@ def test_the_triple_table_drops_exactly_what_no_device_can_use():
     assert len(kept) == 400
 
 
+def numpy_usable_triples():
+    """The triple table derived in floating point with numpy: vectorized
+    slab-pair, parallel-pair and coplanarity tests, and the vertices of
+    three physical rows by LAPACK solves, judged with the feasibility
+    tolerance."""
+    physical = np.vstack((np.zeros((6, 3)), _PHYSICAL_A))[ALL_TRIPLES]
+    pairs = ALL_TRIPLES[:, :2] // 2 == ALL_TRIPLES[:, 1:] // 2
+    slab_pair = (pairs & (ALL_TRIPLES[:, 1:] < 6)).any(axis=1)
+    cross = np.cross(physical[:, 1], physical[:, 2])
+    count = (ALL_TRIPLES >= 6).sum(axis=1)
+    dependent = np.where(count == 3, (physical[:, 0] * cross).sum(axis=1) == 0.0,
+                         (count == 2) & ~cross.any(axis=1))
+    fixed = (count == 3) & ~dependent
+    verts = np.linalg.solve(physical[fixed], _PHYSICAL_B[ALL_TRIPLES[fixed] - 6][:, :, None])
+    unphysical = np.zeros(len(ALL_TRIPLES), dtype=bool)
+    excess = verts[:, :, 0] @ _PHYSICAL_A.T > _PHYSICAL_B + lt_estimator._FEAS_TOL
+    unphysical[fixed] = excess.any(axis=1)
+    return ALL_TRIPLES[~(slab_pair | dependent | unphysical)]
+
+
+def test_integer_triple_table_equals_the_numpy_derivation():
+    # The table is derived at import in integer arithmetic; the numpy
+    # derivation gives the same rows in the same order.
+    expected = numpy_usable_triples()
+    assert _TRIPLES.shape == expected.shape == (400, 3)
+    assert _TRIPLES.dtype == expected.dtype
+    assert np.array_equal(_TRIPLES, expected)
+
+
 # A copy of the enumeration that solved every one of the 560 triples for
 # every right-hand side, in chunks of 8 right-hand sides: the same
 # closed-form inverses, vertices, slacks and masked extremes.
