@@ -133,12 +133,9 @@ def yield_prefactors(probs: ProtocolProbabilities) -> np.ndarray:
 
 def yield_alignments(delta: float) -> tuple[float, float, float, float, float]:
     """Bloch alignment c of each yield row's pulse with the measured axis."""
+    cos_delta = math.cos(delta)
     return (
-        math.sin(delta / 2),
-        math.cos(delta),
-        -math.sin(3 * delta / 2),
-        -math.cos(2 * delta),
-        math.cos(delta),
+        math.sin(delta / 2), cos_delta, -math.sin(3 * delta / 2), -math.cos(2 * delta), cos_delta
     )
 
 
@@ -174,11 +171,6 @@ def detection_probability(eta, p_d):
     The symmetric channel makes this the same for both bases.
     """
     return 4.0 * (1.0 - eta / 2.0) * p_d + eta
-
-
-def error_tilt(delta: float) -> float:
-    """The device's share of the bit error: cos(2 delta) + cos(delta)."""
-    return math.cos(2 * delta) + math.cos(delta)
 
 
 def bit_errors(eta, p_d, tilt):

@@ -349,12 +349,24 @@ _HANDLERS = {"rate": _run_rate, "sweep": _run_sweep, "crossover": _run_crossover
 _parser: argparse.ArgumentParser | None = None
 
 
+def _parse(argv: Sequence[str]) -> tuple[str, dict[str, Any]]:
+    # A line that starts with a command is parsed once, by that command's own
+    # parser.  Any other line, and one with a token that parser leaves, goes
+    # through the full parser, which prints argparse's usage and message.
+    commands = next(a for a in _parser._actions if a.dest == "command").choices
+    if argv and argv[0] in commands:
+        namespace, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            return argv[0], vars(namespace)
+    given = vars(_parser.parse_args(argv))
+    return given.pop("command"), given
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    given = vars(_parser.parse_args(argv))
-    command = given.pop("command")
+    command, given = _parse(sys.argv[1:] if argv is None else argv)
     try:
         output = _HANDLERS[command](_settings(given))
     except (ValueError, OSError) as exc:

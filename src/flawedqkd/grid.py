@@ -32,7 +32,6 @@ from .channel import (
     clamped_entropies,
     detection_probability,
     detector_yields,
-    error_tilt,
     yield_alignments,
     yield_prefactors,
 )
@@ -106,10 +105,11 @@ def prepare(
     source = source_terms(devices, fixed)
     values: list[float] = []
     for (delta, _, _, _), overlaps in zip(devices, source.overlaps.tolist()):
-        values += (*yield_alignments(delta), error_tilt(delta), coin_imbalance(overlaps))
-    derived = np.fromiter(values, float, len(values)).reshape(-1, 7)
-    return PreparedDevice(probs, yield_prefactors(probs), derived[:, :5], derived[:, 5],
-                          lt_terms(source), derived[:, 6])
+        values += (*yield_alignments(delta), coin_imbalance(overlaps))
+    derived = np.fromiter(values, float, len(values)).reshape(-1, 6)
+    # The bit error's tilt is c(0Z, Z) - c(1Z, Z), cos(delta) + cos(2 delta).
+    return PreparedDevice(probs, yield_prefactors(probs), derived[:, :5],
+                          derived[:, 1] - derived[:, 3], lt_terms(source), derived[:, 5])
 
 
 def _entropies(

@@ -330,9 +330,15 @@ def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):
     return np.where(0.0 > y, 0.0, y)
 
 
-def _per_point(failures: tuple, n: int) -> tuple:
-    # Each point's device failure: a single device's serves every point.
-    return failures * n if len(failures) == 1 else failures
+def _fail(errors: list, failed: np.ndarray, failure: EstimatorError, devices: tuple) -> None:
+    # Where a point has no failure yet: failure at the failed points, then
+    # each device's failure at its points (a single device's at every point).
+    for i in np.flatnonzero(failed).tolist():
+        if errors[i] is None:
+            errors[i] = failure
+    if devices.count(None) < len(devices):
+        per_point = devices * len(errors) if len(devices) == 1 else devices
+        errors[:] = [d if e is None else e for e, d in zip(errors, per_point)]
 
 
 def _lt_bounds(
@@ -387,18 +393,15 @@ def lt_phase_errors(
     z_yields = yields[:, :, Z_ROWS]
     # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
     z_sum = z_yields[:, 0, 0] + z_yields[:, 1, 0] + z_yields[:, 0, 1] + z_yields[:, 1, 1]
+    # lt's own list: the caller's also serves lp.
+    errors = list(errors)
     no_z = NoDetectionError("no Z-basis detections; e_X is undefined")
-    errors = [no_z if e is None and z <= 0.0 else e for e, z in zip(errors, z_sum.tolist())]
-    n = len(errors)
-    errors = [s if e is None else e for e, s in zip(errors, _per_point(terms.singular, n))]
+    _fail(errors, z_sum <= 0.0, no_z, terms.singular)
 
     ytil = yields[:, :, X_ROWS] / prefactor[X_ROWS]
     todo = np.array([e is None for e in errors])
     lower, upper, infeasible = _lt_bounds(terms, ytil, todo, solver)
-    infeasible_error = InfeasibleStatisticsError(INFEASIBLE)
-    errors = [infeasible_error if e is None and bad else e
-              for e, bad in zip(errors, infeasible.tolist())]
-    errors = [d if e is None else e for e, d in zip(errors, _per_point(terms.degenerate, n))]
+    _fail(errors, infeasible, InfeasibleStatisticsError(INFEASIBLE), terms.degenerate)
 
     v = terms.virtual
     y = virtual_yields(lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6], p_zz)

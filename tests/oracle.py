@@ -28,7 +28,6 @@ from flawedqkd.channel import (
     bit_errors,
     detection_probability,
     detector_yields,
-    error_tilt,
     yield_alignments,
     yield_prefactors,
 )
@@ -115,9 +114,8 @@ def explicit_state_lt(device, loss_db):
     # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
     z_sum = yields[0, 1] + yields[1, 1] + yields[0, 3] + yields[1, 3]
     e_x = min(num / z_sum, 1.0)
-    e_z = bit_errors(eta, channel.p_d, error_tilt(device.delta)) / detection_probability(
-        eta, channel.p_d
-    )
+    tilt = math.cos(2 * device.delta) + math.cos(device.delta)
+    e_z = bit_errors(eta, channel.p_d, tilt) / detection_probability(eta, channel.p_d)
     rate_raw = z_basis_yield(channel, PROBS) * (
         1.0 - binary_entropy(min(e_x, 0.5)) - channel.f_ec * binary_entropy(min(e_z, 0.5))
     )

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from flawedqkd import (
     loss_grid,
     run_sweep,
 )
+from flawedqkd import cli
 from flawedqkd.cli import _SETTINGS, crossover_csv, crossover_json, main, sweep_csv, sweep_json
 from flawedqkd.grid import METHODS
 from golden_cli import CASES, GOLDEN_DIR, golden, run
@@ -420,6 +424,91 @@ class TestParserReuse:
         assert built == [1]
         assert first == second
         assert f"{first[0]}\n{first[1]}" == golden("rate-csv")
+
+
+def full_parse(argv):
+    # The reference parse: the whole line through the top-level parser,
+    # which hands the tokens after the command to that command's parser.
+    given = vars(cli.build_parser().parse_args(argv))
+    return given.pop("command"), given
+
+
+def outcome(argv):
+    """main's exit code, or SystemExit's, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_outcome(argv):
+    with mock.patch.object(cli, "_parse", full_parse):
+        return outcome(argv)
+
+
+# Command-line pieces for every command: flags of each command, an
+# abbreviation, help, stray options, and values good and bad for them.
+COMMANDS = ("rate", "sweep", "crossover")
+FLAGS = (
+    "--loss", "--los", "--method", "--delta", "--theta", "--theta-mode", "--mu", "--pd",
+    "--f-ec", "--pza", "--pzb", "--format", "--solver", "--config", "--loss-range", "--jobs",
+    "--sweep-param", "--sweep-values", "--compare-loss", "--bisect-tol", "--bogus", "-h",
+    "--he", "-x", "-",
+)
+VALUES = (
+    "20", "0", "0.1", "1e-9", "-1", "abc", "", "nan", "0:10:5", "0:1", "1", "lt", "lp", "both",
+    "qq", "json", "csv", "paper", "vertex-lp", "mu", "theta", "dependent", "1e-9,1e-7", "--",
+)
+command_lines = st.builds(
+    lambda head, parts: [*head, *(token for part in parts for token in part)],
+    st.sampled_from([[c] for c in COMMANDS] * 4 + [[], ["frobnicate"], ["--"], ["-h"]]),
+    st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+            st.builds(lambda f, v: (f"{f}={v}",), st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+            st.tuples(st.sampled_from(FLAGS + VALUES + COMMANDS)),
+        ),
+        max_size=6,
+    ),
+)
+
+
+class TestParseParity:
+    """main parses a line through its command's own parser; what it prints
+    and returns must equal what the full two-level parse gives."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "rate --loss 20 --bogus 1",
+            "rate --loss 20 --method qq",
+            "rate --loss abc",
+            "rate --loss",
+            "",
+            "frobnicate --loss 1",
+            "--delta 0.1 rate --loss 5",
+            "-- rate --loss 20",
+            "rate --los 20",
+            "rate --loss=20",
+            "rate -h",
+            "sweep --loss-range 0:1:1 --jobs 1 extra",
+        ],
+    )
+    def test_table(self, argv):
+        assert outcome(argv.split()) == reference_outcome(argv.split())
+
+    @given(argv=command_lines)
+    @settings(max_examples=150, deadline=None)
+    def test_generated_lines(self, argv):
+        assert outcome(argv) == reference_outcome(argv)
+
+    @pytest.mark.parametrize("argv", ["rate --loss 20", "rate --loss 20 extra", "-h"])
+    def test_none_reads_sys_argv(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["flawedqkd", *argv.split()])
+        assert outcome(None) == reference_outcome(argv.split())
 
 
 class TestSweepCommand:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flawedqkd import (
@@ -36,7 +36,7 @@ from flawedqkd import (
     run_sweep,
     system_efficiency,
 )
-from flawedqkd.channel import error_tilt, yield_alignments
+from flawedqkd.channel import yield_alignments
 from flawedqkd.engine import Sweep, SweepRow
 import flawedqkd.grid as grid
 from flawedqkd.grid import GridRates
@@ -381,6 +381,15 @@ class TestDeviceAxis:
     def test_singular_and_degenerate_rows(self):
         self.check_rows(self.DEVICES)
 
+    @given(deltas=st.lists(st.floats(0.0, math.pi, exclude_max=True), min_size=1, max_size=6))
+    @example(deltas=[0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(math.pi, 0.0)])
+    @settings(max_examples=200)
+    def test_tilt_is_the_bit_error_formula(self, deltas):
+        # c(0Z, Z) - c(1Z, Z) is cos(2 delta) + cos(delta) bit for bit.
+        tilt = prepare([(d, 0.0, True, 0.0) for d in deltas], ProtocolProbabilities()).tilt
+        formula = np.array([math.cos(2 * d) + math.cos(d) for d in deltas])
+        assert tilt.view(np.int64).tolist() == formula.view(np.int64).tolist()
+
     def check_rows(self, devices):
         probs = ProtocolProbabilities(0.6, 0.7)
         batch = prepare(devices, probs)
@@ -388,7 +397,7 @@ class TestDeviceAxis:
         for i, device in enumerate(devices):
             # The one pass computes each term with the function that defines it.
             assert tuple(batch.alignment[i].tolist()) == yield_alignments(device.delta)
-            assert batch.tilt[i] == error_tilt(device.delta)
+            assert batch.tilt[i] == math.cos(2 * device.delta) + math.cos(device.delta)
             assert batch.coin[i] == coin_imbalance(source_terms([device]).overlaps[0].tolist())
             alone = prepare(device, probs)
             for name, values in self.arrays(alone).items():
