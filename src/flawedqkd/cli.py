@@ -53,8 +53,6 @@ def _num(x: float) -> float:
 # sweep's error message, which only the JSON form carries.
 _SWEEP_FIELDS = SweepRow._fields[:7]
 _CROSSOVER_FIELDS = CrossoverRecord._fields
-# A crossover record's CSV line; "%.10g" renders a number as _fmt does.
-_CROSSOVER_LINE = "%s,%.10g,%.10g,%.10g,%.10g,%s"
 
 
 def _cell(x: str | float | None) -> str:
@@ -67,16 +65,6 @@ def _value(x: str | float | None) -> str | float | None:
     if isinstance(x, str) or x is None:
         return x
     return _num(x)
-
-
-def _csv(preamble: list[str], records: Sequence[tuple], names: tuple[str, ...], line: str) -> str:
-    lines = [*preamble, ",".join(names)]
-    for r in records:
-        try:
-            lines.append(line % r)
-        except TypeError:  # a None cell, as in a no-crossover record, renders empty
-            lines.append(",".join(map(_cell, r)))
-    return "\n".join(lines) + "\n"
 
 
 def _item(record: tuple, names: tuple[str, ...]) -> dict[str, Any]:
@@ -122,8 +110,9 @@ def sweep_json(rows: Iterable[SweepRow]) -> str:
 
 
 def crossover_csv(records: Sequence[CrossoverRecord], compare_loss_db: float) -> str:
-    preamble = [f"# compare_loss_db={_fmt(compare_loss_db)}"]
-    return _csv(preamble, records, _CROSSOVER_FIELDS, _CROSSOVER_LINE)
+    lines = [f"# compare_loss_db={_fmt(compare_loss_db)}", ",".join(_CROSSOVER_FIELDS)]
+    lines += (",".join(map(_cell, r)) for r in records)
+    return "\n".join(lines) + "\n"
 
 
 def crossover_json(records: Sequence[CrossoverRecord], compare_loss_db: float) -> str:

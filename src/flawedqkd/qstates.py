@@ -114,9 +114,7 @@ def _fixed_terms(theta_hat: float, dependent: bool, mu: float) -> tuple:
 def _delta_row(delta: float, fixed: tuple) -> tuple:
     # One device's terms, flat, from its _fixed_terms: the sent splits of
     # 0Z, 1Z and 0X, the virtual splits of j = 0 and 1 (7 each) and the
-    # overlaps; and its DegenerateStateError or None.
-    if not 0.0 <= delta < math.pi:
-        check(delta=delta)
+    # overlaps; and its DegenerateStateError or None.  delta is in range.
     (split_0z, split_1z, split_0x, cos0_sq, cos1_sq, sin0_sq, sin1_sq, cos_pair, sin_pair,
      cos1_pair, cc, quarter, leak, ov_00, ov_01, ov_10, ov_11) = fixed
     # Kets of 0Z, 1Z, 0X and 1X in the Z eigenbasis: (1, 0), (z_0, c_half),
@@ -158,11 +156,6 @@ def _delta_row(delta: float, fixed: tuple) -> tuple:
     return (*sent, *bits, *overlaps), error
 
 
-def _device_row(delta: float, theta_hat: float, dependent: bool, mu: float) -> tuple:
-    # One device's row and DegenerateStateError or None, as in source_terms.
-    return _delta_row(delta, _fixed_terms(theta_hat, dependent, mu))
-
-
 class SourceTerms(NamedTuple):
     """The emitted states of m devices, with a leading device axis.
 
@@ -188,7 +181,8 @@ def source_terms(
 
     devices holds parameter tuples (delta, theta_hat, dependent, mu), as a
     ``DeviceModel`` unpacks, with dependent true in the dependent theta
-    mode; out-of-range values raise ValueError.  A sent state's qubit weight is
+    mode; out-of-range values raise ValueError, and each device's delta is
+    checked once, before its other parameters.  A sent state's qubit weight is
     C_I^2 cos^2(theta) for the setting's rotation theta; the rest (rotated
     polarization, leaked light) is side channel, with worst-case mutually
     orthogonal side states.  The virtual state of bit j is the component of
@@ -207,11 +201,11 @@ def source_terms(
     fixed = {} if fixed is None else fixed
     values, degenerate = [], []
     for delta, theta_hat, dependent, mu in devices:
+        if not 0.0 <= delta < math.pi:
+            check(delta=delta)  # delta is named first, as for a DeviceModel
         key = theta_hat, dependent, mu
         terms = fixed.get(key)
         if terms is None:
-            if not 0.0 <= delta < math.pi:
-                check(delta=delta)  # delta is named first, as for a DeviceModel
             terms = fixed[key] = _fixed_terms(theta_hat, dependent, mu)
         row, error = _delta_row(delta, terms)
         values += row

@@ -588,6 +588,7 @@ class TestSweepCommand:
             (["sweep", "--loss-range", "0:10:inf"], "loss_step"),
             (["sweep", "--loss-range", "0:1e12:1e-9"], "loss_step"),
             (["sweep", "--loss-range", "inf:10:1"], "loss_start"),
+            (["sweep", "--loss-range", "0:a:1"], "--loss-range needs numeric start:stop:step"),
             # The crossover search varies delta and the swept flaw itself.
             (CROSSOVER_ARGV + ["--delta", "0.3"], "delta"),
             (CROSSOVER_ARGV + ["--mu", "5"], "mu"),
@@ -656,6 +657,8 @@ REFUSED_CONFIGS = [
     ("compare_loss_db-int-past-float-range",
      {**CROSSOVER_FILE, "device": {"theta_hat": 1e-6}, "compare_loss_db": 10**400}, "crossover",
      "error: compare_loss_db must be finite and >= 0"),
+    ("swept_param", {"swept_param": "delta", "swept_values": [1e-9]}, "crossover",
+     "swept_param must be one of ('theta', 'mu')"),
 ]
 
 # Per command, a config file giving every setting the command reads, and

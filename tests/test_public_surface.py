@@ -1,5 +1,6 @@
 """The package's public names, every use of them outside the library, and
-what the library itself imports.
+what the library itself imports; and that no test is skipped or expected to
+fail, so a known failing gate stays visible.
 
 The benchmark and the scripts import the package by name; a name they use
 must keep resolving, with the keyword arguments they pass.
@@ -22,6 +23,10 @@ LIBRARY = sorted((ROOT / "src" / "flawedqkd").glob("*.py"))
 CONSUMERS = sorted(
     [ROOT / "bench" / "check.py", ROOT / "bench" / "worker.py", *(ROOT / "scripts").glob("*.py")]
 )
+TEST_SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")])
+# The pytest markers and calls that skip a test or let it fail unseen.
+HIDING = {"pytest.mark.skip", "pytest.mark.skipif", "pytest.mark.xfail", "pytest.skip",
+          "pytest.xfail", "pytest.importorskip"}
 
 EXPORTED = {
     "ChannelModel",
@@ -174,3 +179,20 @@ def test_library_imports_only_the_standard_library_and_numpy(path):
     for module in modules:
         top = module.split(".")[0]
         assert top in sys.stdlib_module_names or top == "numpy", f"{path.name}: {module}"
+
+
+def _dotted(node):
+    # The dotted name of a name or attribute chain, or None.
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def test_no_test_is_skipped_or_expected_to_fail():
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}: {_dotted(node)}" for path in TEST_SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _dotted(node) in HIDING]
+    assert not found, found

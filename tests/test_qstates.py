@@ -417,5 +417,6 @@ def test_source_model_imports_no_receiver_or_estimator_term():
 
 def test_source_terms_hold_only_the_source():
     assert qstates.SourceTerms._fields == ("sent", "virtual", "overlaps", "degenerate")
-    row, _ = qstates._device_row(0.1, 1e-3, True, 1e-6)
-    assert len(row) == 39
+    terms = qstates.source_terms([(0.1, 1e-3, True, 1e-6)])
+    widths = [terms.sent[0].size, terms.virtual[0].size, terms.overlaps[0].size]
+    assert widths == [21, 14, 4]
