@@ -588,7 +588,6 @@ class TestSweepCommand:
             (["sweep", "--loss-range", "0:10:inf"], "loss_step"),
             (["sweep", "--loss-range", "0:1e12:1e-9"], "loss_step"),
             (["sweep", "--loss-range", "inf:10:1"], "loss_start"),
-            (["sweep", "--loss-range", "0:a:1"], "--loss-range needs numeric start:stop:step"),
             # The crossover search varies delta and the swept flaw itself.
             (CROSSOVER_ARGV + ["--delta", "0.3"], "delta"),
             (CROSSOVER_ARGV + ["--mu", "5"], "mu"),
@@ -597,6 +596,7 @@ class TestSweepCommand:
             (["crossover", "--sweep-param", "theta", "--sweep-values", "1.0,2.0"], "theta_hat"),
             # This once named loss_db, a channel field the user never set.
             (["sweep", "--loss-range=-1:10:1"], "loss_start must be nonnegative"),
+            (["sweep", "--loss-range", "0:a:1"], "--loss-range needs numeric start:stop:step"),
         ],
     )
     def test_unusable_grid_is_usage_error(self, capsys, argv, field):
