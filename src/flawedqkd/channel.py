@@ -11,6 +11,7 @@ source side by the estimators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import log2
 
@@ -89,6 +90,14 @@ class ProtocolProbabilities:
 
     def __post_init__(self) -> None:
         check(p_za=self.p_za, p_zb=self.p_zb)
+        # The estimators divide the yields by these again, which loses
+        # bits, or every bit, below the least normal float.
+        least = min(yield_prefactors(self).tolist())
+        if least < sys.float_info.min:
+            raise ValueError(
+                f"every yield prefactor must be at least {sys.float_info.min}, got {least}"
+                f" from p_za={self.p_za} and p_zb={self.p_zb}"
+            )
 
     @property
     def p_0z(self) -> float:

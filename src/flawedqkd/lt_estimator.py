@@ -243,12 +243,18 @@ def _vertices(
     # Every regular triple's vertex for each of the K right-hand sides, the
     # rows of rhs, as (3, K, T), and whether it is feasible, as (K, T).
     # The triples run along the last axis, so every operation and
-    # reduction below is over contiguous runs of T.
+    # reduction below is over contiguous runs of T.  Coordinate i is
+    # inv[i, 0] g0 + inv[i, 1] g1 + inv[i, 2] g2, summed in that order in
+    # place, for all three coordinates at once; the gathers and the term
+    # are freed before the slack array is made, which is the chunk's peak.
     triples, inv = systems
-    g = np.take(rhs, triples, axis=1)
-    g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
-    verts = np.stack([inv[i, 0] * g0 + inv[i, 1] * g1 + inv[i, 2] * g2 for i in range(3)])
-    slack = (rows @ verts.reshape(3, -1)).reshape(len(rows), *g0.shape)
+    g0, g1, g2 = rhs[:, triples[0]], rhs[:, triples[1]], rhs[:, triples[2]]
+    verts = np.multiply(inv[:, 0, None], g0)
+    term = np.multiply(inv[:, 1, None], g1)
+    verts += term
+    verts += np.multiply(inv[:, 2, None], g2, out=term)
+    del g0, g1, g2, term
+    slack = (rows @ verts.reshape(3, -1)).reshape(len(rows), *verts.shape[1:])
     feasible = np.logical_and.reduce(slack <= (rhs.T + _FEAS_TOL)[:, :, None], axis=0)
     return verts, feasible
 
@@ -305,15 +311,17 @@ def vertex_bounds(
     ``missed_facets``, lets a right-hand side skip the triples on facets
     its polytope cannot reach; no vertex of theirs is feasible."""
     # Chunks bound the memory, whatever K; a right-hand side's result does
-    # not depend on the others in its chunk.
+    # not depend on the others in its chunk.  Infeasible vertices enter
+    # each box as +inf or -inf, which min and max pass over exactly.
     lower, upper = np.empty((len(rhs), 3)), np.empty((len(rhs), 3))
-    feasible = np.empty(len(rhs), dtype=bool)
     for chunk, solved in _chunks(systems, missed, len(rhs)):
         verts, ok = _vertices(rows, solved, rhs[chunk])
-        lower[chunk] = verts.min(axis=2, initial=np.inf, where=ok).T
-        upper[chunk] = verts.max(axis=2, initial=-np.inf, where=ok).T
-        feasible[chunk] = ok.any(axis=1)
-    return lower, upper, feasible
+        lower[chunk] = np.where(ok, verts, np.inf).min(axis=2, initial=np.inf).T
+        upper[chunk] = np.where(ok, verts, -np.inf).max(axis=2, initial=-np.inf).T
+    # A feasible vertex is finite: an infinite or NaN coordinate gives some
+    # halfspace a slack of +inf or NaN, which fails the test.  So a
+    # polytope is feasible exactly when its box is not empty.
+    return lower, upper, lower[:, 0] <= upper[:, 0]
 
 
 def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):

@@ -15,6 +15,7 @@ from flawedqkd import (
     ProtocolProbabilities,
     binary_entropy,
     evaluate_grid,
+    key_rate_lt,
     prepare,
     system_efficiency,
     tha_coefficients,
@@ -30,6 +31,7 @@ from flawedqkd.channel import (
     yield_alignments,
     yield_prefactors,
 )
+from flawedqkd.cli import main
 
 channels = st.builds(
     ChannelModel,
@@ -157,6 +159,36 @@ class TestProtocolProbabilities:
     def test_rejects_degenerate_choices(self, kwargs):
         with pytest.raises(ValueError):
             ProtocolProbabilities(**kwargs)
+
+    # Below the least normal float a prefactor loses bits when the
+    # estimators divide the yields by it: at 10 dB, delta 0.1, theta_hat
+    # 1e-3 and mu 1e-6 lt's e_x read 0.1709371559 at p_za = 1e-315 and
+    # 0.16 at 1e-320 (0.1709371857 at every normal p_za), and p_za = 1e-322
+    # left no Z-basis detections.
+    @pytest.mark.parametrize("kwargs", [
+        {"p_za": 1e-315}, {"p_za": 1e-318}, {"p_za": 1e-320}, {"p_za": 1e-322},
+        {"p_za": 5e-324}, {"p_za": 4 * sys.float_info.min * (1 - 2**-52)},
+        {"p_za": 1e-160, "p_zb": 1e-160}, {"p_zb": 1e-320},
+    ])
+    def test_rejects_subnormal_yield_prefactors(self, kwargs):
+        with pytest.raises(ValueError, match=r"prefactor .* from p_za=.* and p_zb="):
+            ProtocolProbabilities(**kwargs)
+
+    def test_least_p_za_with_normal_prefactors(self):
+        # p_za / 4 is the smallest prefactor at p_zb = 1/2.
+        probs = ProtocolProbabilities(p_za=4 * sys.float_info.min)
+        assert yield_prefactors(probs).min() == sys.float_info.min
+        channel = ChannelModel(10.0)
+        device = DeviceModel(delta=0.1, theta_hat=1e-3, mu=1e-6)
+        e_x = key_rate_lt(device, channel, ProtocolProbabilities()).e_x
+        assert key_rate_lt(device, channel, probs).e_x == pytest.approx(e_x, rel=1e-9)
+
+    def test_cli_names_the_selection_probabilities(self, capsys):
+        code = main(["rate", "--loss", "10", "--pza", "1e-320"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: every yield prefactor must be at least 2.2250738585072014e-308,"
+            " got 2.5e-321 from p_za=1e-320 and p_zb=0.5\n")
 
 
 class TestActualYields:

@@ -203,6 +203,43 @@ def test_sweep_enumeration_memory_is_bounded():
     assert peak <= 1.25 * 2**20
 
 
+def test_chunk_kernel_keeps_the_three_term_sums_and_the_masked_extremes():
+    # On every chunk of a sweep, each vertex coordinate is the three-term
+    # sum inv[i, 0] g0 + inv[i, 1] g1 + inv[i, 2] g2 bit for bit, each box
+    # is the masked min and max of the feasible vertices by value (a zero
+    # may change sign), and a right-hand side is feasible exactly when one
+    # of its vertices is.
+    prepared = prepare(ALL_FLAWS, PROBS)
+    eta = np.array([10.0 ** (-loss / 10.0) for loss in LOSSES.tolist()])
+    ytil = normalized_yields(prepared, eta, 1e-7)
+    terms = prepared.lt
+    rows = halfspace_rows(terms.coef[0])
+    systems = lt_estimator.triple_inverses(rows)
+    rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0]).reshape(-1, 16)
+    some_infeasible = False
+    for chunk, (triples, inv) in lt_estimator._chunks(systems, None, len(rhs)):
+        b = rhs[chunk]
+        verts, ok = lt_estimator._vertices(rows, (triples, inv), b)
+        g = np.take(b, triples, axis=1)
+        for i in range(3):
+            want = inv[i, 0] * g[:, 0] + inv[i, 1] * g[:, 1] + inv[i, 2] * g[:, 2]
+            assert verts[i].tobytes() == want.tobytes()
+        lower, upper, feasible = lt_estimator.vertex_bounds(rows, (triples, inv), b)
+        assert np.array_equal(lower, verts.min(axis=2, initial=np.inf, where=ok).T)
+        assert np.array_equal(upper, verts.max(axis=2, initial=-np.inf, where=ok).T)
+        assert np.array_equal(feasible, ok.any(axis=1))
+        some_infeasible |= not ok.all()
+    assert some_infeasible
+
+
+def test_no_triples_leave_an_empty_box():
+    rows = halfspace_rows(prepare(ALL_FLAWS, PROBS).lt.coef[0])
+    systems = np.empty((3, 0), dtype=int), np.empty((3, 3, 0))
+    lower, upper, feasible = lt_estimator.vertex_bounds(rows, systems, np.ones((2, 16)))
+    assert (lower == np.inf).all() and (upper == -np.inf).all()
+    assert not feasible.any()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_chunks_take_each_right_hand_side_once_within_the_budget(seed):
     # Six missed sets of a few facets each, so that chunks hold tens of
