@@ -90,8 +90,8 @@ class ProtocolProbabilities:
 
     def __post_init__(self) -> None:
         check(p_za=self.p_za, p_zb=self.p_zb)
-        # The estimators divide the yields by these again, which loses
-        # bits, or every bit, below the least normal float.
+        # The rate carries p_za p_zb, and below the least normal float
+        # it keeps too few bits.
         least = min(yield_prefactors(self).tolist())
         if least < sys.float_info.min:
             raise ValueError(
@@ -152,14 +152,15 @@ def yield_alignments(delta: float) -> tuple[float, float, float, float, float]:
 _SHARE_DIVISORS = np.array([[4.0], [8.0]])
 
 
-def detector_yields(prefactor: np.ndarray, c: np.ndarray, eta, p_d: float) -> np.ndarray:
-    """Joint probabilities of Bob's two outcomes for each yield row.
+def detector_yields(c: np.ndarray, eta, p_d: float) -> np.ndarray:
+    """Probabilities of Bob's two outcomes for each yield row, given its
+    sent pulse and Bob's basis.
 
-    prefactor holds each row's selection probability, c of shape (m, 5)
-    each device's Bloch alignment of each row with the measured axis; eta
-    is a float or an array of shape (n,), where m is 1 or n.  The result
-    has shape (m, 2, 5) or (n, 2, 5), with the outcome (0, then 1) before
-    the row.  First order in p_d, double clicks split evenly.
+    c of shape (m, 5) holds each device's Bloch alignment of each row with
+    the measured axis; eta is a float or an array of shape (n,), where m
+    is 1 or n.  The result has shape (m, 2, 5) or (n, 2, 5), with the
+    outcome (0, then 1) before the row.  First order in p_d, double clicks
+    split evenly.
     """
     eta = np.asarray(eta, dtype=float)[..., None, None]
     c = c[:, None, :]
@@ -170,7 +171,7 @@ def detector_yields(prefactor: np.ndarray, c: np.ndarray, eta, p_d: float) -> np
     # eta/8 (1 + c) from the double clicks; likewise for 1 - c.
     aligned = share * (1.0 + c) * weight
     opposed = share[..., ::-1, :] * (1.0 - c) * weight[::-1]
-    return prefactor * (dark + aligned + opposed)
+    return dark + aligned + opposed
 
 
 def detection_probability(eta, p_d):

@@ -33,7 +33,6 @@ from .channel import (
     detection_probability,
     detector_yields,
     yield_alignments,
-    yield_prefactors,
 )
 from .errors import EstimatorError, InfeasibleStatisticsError, NoDetectionError
 from .lp_estimator import coin_imbalance, coin_phase_errors
@@ -60,15 +59,13 @@ class PreparedDevice:
     """Everything the estimators need that does not depend on the loss,
     for m devices.
 
-    prefactor holds the selection probabilities of the five yield rows.
-    The rest has a leading axis of length m: alignment the Bloch
-    alignments of the rows, tilt the device's term of the bit error, lt
-    the loss-tolerant device terms, in ``lt_estimator``'s own format, and
-    coin the quantum-coin imbalance Delta.
+    Every array has a leading axis of length m: alignment the Bloch
+    alignments of the five yield rows, tilt the device's term of the bit
+    error, lt the loss-tolerant device terms, in ``lt_estimator``'s own
+    format, and coin the quantum-coin imbalance Delta.
     """
 
     probs: ProtocolProbabilities
-    prefactor: np.ndarray
     alignment: np.ndarray
     tilt: np.ndarray
     lt: LtTerms
@@ -108,8 +105,8 @@ def prepare(
         values += (*yield_alignments(delta), coin_imbalance(overlaps))
     derived = np.fromiter(values, float, len(values)).reshape(-1, 6)
     # The bit error's tilt is c(0Z, Z) - c(1Z, Z), cos(delta) + cos(2 delta).
-    return PreparedDevice(probs, yield_prefactors(probs), derived[:, :5],
-                          derived[:, 1] - derived[:, 3], lt_terms(source), derived[:, 5])
+    return PreparedDevice(probs, derived[:, :5], derived[:, 1] - derived[:, 3],
+                          lt_terms(source), derived[:, 5])
 
 
 def _entropies(
@@ -161,7 +158,6 @@ def evaluate_grid(
         raise ValueError(
             f"{len(prepared.tilt)} prepared devices do not match {len(eta)} transmittances"
         )
-    p_zz = prepared.probs.p_za * prepared.probs.p_zb
     # Points that fail, or sit at a subnormal eta, may divide by zero or
     # overflow; their error slots and the clamps take care of the result.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -180,14 +176,13 @@ def evaluate_grid(
         # Each stage: e_x and the failure of each point.
         stages = {}
         if "lt" in methods:
-            yields = detector_yields(prepared.prefactor, prepared.alignment, eta, p_d)
-            stages["lt"] = lt_phase_errors(prepared.lt, yields, prepared.prefactor, p_zz,
-                                           errors, solver)
+            yields = detector_yields(prepared.alignment, eta, p_d)
+            stages["lt"] = lt_phase_errors(prepared.lt, yields, errors, solver)
         if "lp" in methods:
             enhanced = prepared.coin / y_det
             stages["lp"] = (coin_phase_errors(np.minimum(e_z, 0.5), enhanced), errors)
         h_z, h_x = _entropies(e_z, stages)
-        y_z = p_zz * y_det
+        y_z = prepared.probs.p_za * prepared.probs.p_zb * y_det
         ec_cost = f_ec * h_z
         return {
             m: GridRates(e_z, e_x, y_z * (1.0 - h_x[m] - ec_cost), method_errors)

@@ -324,17 +324,16 @@ def vertex_bounds(
     return lower, upper, lower[:, 0] <= upper[:, 0]
 
 
-def virtual_yields(lower, upper, corner, weight, lam_max, px, pz, p_zz):
+def virtual_yields(lower, upper, corner, weight, lam_max, px, pz):
     """Upper bounds on virtual yields from transmission-rate boxes.
 
     Maximizes the qubit term over the box, at the corner LtTerms.corner
-    picks, and adds the worst-case non-qubit eigenvalue; p_zz is the
-    probability that both parties choose Z.  The virtual-state terms
-    broadcast against the boxes' leading axes.
+    picks, and adds the worst-case non-qubit eigenvalue.  The
+    virtual-state terms broadcast against the boxes' leading axes.
     """
     best = np.where(corner, upper, lower)
     val = best[..., 0] + px * best[..., 1] + pz * best[..., 2]
-    y = p_zz * (weight * val + lam_max)
+    y = weight * val + lam_max
     return np.where(0.0 > y, 0.0, y)
 
 
@@ -388,15 +387,14 @@ def _lt_bounds(
 
 
 def lt_phase_errors(
-    terms: LtTerms, yields: np.ndarray, prefactor: np.ndarray, p_zz: float,
-    errors: list[EstimatorError | None], solver: str,
+    terms: LtTerms, yields: np.ndarray, errors: list[EstimatorError | None], solver: str,
 ) -> tuple[np.ndarray, list[EstimatorError | None]]:
     """e_x of the loss-tolerant bound at n points, from detector yields of
-    shape (n, 2, 5) whose rows have selection probabilities prefactor;
-    p_zz is the probability that both parties choose Z, and point i takes
-    device i of terms, or its only device.  errors holds each point's
-    failure so far; the returned list adds the first lt failure: no Z-basis
-    detections, a singular system, infeasible yields, a degenerate state.
+    shape (n, 2, 5), each conditional on its row's pulse and Bob's basis;
+    point i takes device i of terms, or its only device.  errors holds
+    each point's failure so far; the returned list adds the first lt
+    failure: no Z-basis detections, a singular system, infeasible yields,
+    a degenerate state.
     """
     z_yields = yields[:, :, Z_ROWS]
     # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
@@ -406,12 +404,14 @@ def lt_phase_errors(
     no_z = NoDetectionError("no Z-basis detections; e_X is undefined")
     _fail(errors, z_sum <= 0.0, no_z, terms.singular)
 
-    ytil = yields[:, :, X_ROWS] / prefactor[X_ROWS]
+    ytil = yields[:, :, X_ROWS]
     todo = np.array([e is None for e in errors])
     lower, upper, infeasible = _lt_bounds(terms, ytil, todo, solver)
     _fail(errors, infeasible, InfeasibleStatisticsError(INFEASIBLE), terms.degenerate)
 
     v = terms.virtual
-    y = virtual_yields(lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6], p_zz)
-    e_x = (y[:, 0] + y[:, 1]) / z_sum
+    y = virtual_yields(lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6])
+    # Each Z bit is sent half the time, so z_sum / 2 is the probability
+    # that a Z pulse is detected in Bob's Z basis.
+    e_x = (y[:, 0] + y[:, 1]) / (z_sum / 2.0)
     return np.minimum(np.where(0.0 > e_x, 0.0, e_x), 1.0), errors

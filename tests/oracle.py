@@ -29,7 +29,6 @@ from flawedqkd.channel import (
     detection_probability,
     detector_yields,
     yield_alignments,
-    yield_prefactors,
 )
 
 PROBS = ProtocolProbabilities()
@@ -97,23 +96,23 @@ def explicit_state_lt(device, loss_db):
     weights = np.array([w for w, _, _ in splits])
     lam = np.array([[lo, hi] for _, lo, hi in splits])
     eta = system_efficiency(channel)
-    prefactor = yield_prefactors(PROBS)
     alignment = np.array([yield_alignments(device.delta)])
-    yields = detector_yields(prefactor, alignment, eta, channel.p_d)[0]
+    yields = detector_yields(alignment, eta, channel.p_d)[0]
     corners = list(itertools.product((0, 1), repeat=3))
     num = 0.0
     for s, j in ((0, 1), (1, 0)):
-        ytil = yields[s, X_ROWS] / prefactor[X_ROWS]
+        ytil = yields[s, X_ROWS]
         qs = np.array(
             [np.linalg.solve(weights, ytil - lam[np.arange(3), c]) for c in corners]
         )
         q_box = np.array([qs.min(axis=0), qs.max(axis=0)])
         w_virtual, _, lam_max = explicit_qubit_split(explicit_virtual_state(states, j))
         best = max(w_virtual @ q_box[c, np.arange(3)] for c in corners)
-        num += max(PROBS.p_za * PROBS.p_zb * (best + lam_max), 0.0)
-    # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first.
+        num += max(best + lam_max, 0.0)
+    # (0Z, 0Z) + (1Z, 0Z) + (0Z, 1Z) + (1Z, 1Z), outcome first; each Z bit
+    # is sent half the time.
     z_sum = yields[0, 1] + yields[1, 1] + yields[0, 3] + yields[1, 3]
-    e_x = min(num / z_sum, 1.0)
+    e_x = min(num / (z_sum / 2.0), 1.0)
     tilt = math.cos(2 * device.delta) + math.cos(device.delta)
     e_z = bit_errors(eta, channel.p_d, tilt) / detection_probability(eta, channel.p_d)
     rate_raw = z_basis_yield(channel, PROBS) * (
@@ -165,16 +164,16 @@ def honest_phase_error(device, eta, p_d):
     qubit (x) I.  The click model is linear in the state, so a virtual
     state of weight A_j and X moment m_j clicks as A_j pulses of alignment
     m_j / A_j.  Outcome 1 on the + state and outcome 0 on the - state are
-    phase errors; their probability, at Alice's and Bob's Z-basis choice,
-    is divided by the sum of the library's Z-basis yields.
+    phase errors; their probability, given a Z pulse and Bob's Z basis,
+    is divided by the probability that such a pulse is detected: half the
+    sum of the library's Z-basis yields, as each Z bit is sent half the
+    time.
     """
     states = explicit_emitted_states(device)
     _, n_x = bob_axes(device.delta)
     moments = [qubit_moments(explicit_virtual_state(states, j)) for j in (0, 1)]
     weights = np.array([w for w, _, _ in moments])
     alignment = np.array([[n_x @ (x, z) / w for w, x, z in moments]])
-    virtual = detector_yields(PROBS.p_za * PROBS.p_zb * weights, alignment, eta, p_d)[0]
-    yields = detector_yields(
-        yield_prefactors(PROBS), np.array([yield_alignments(device.delta)]), eta, p_d
-    )[0]
-    return (virtual[1, 0] + virtual[0, 1]) / yields[:, Z_ROWS].sum()
+    virtual = weights * detector_yields(alignment, eta, p_d)[0]
+    yields = detector_yields(np.array([yield_alignments(device.delta)]), eta, p_d)[0]
+    return (virtual[1, 0] + virtual[0, 1]) / (yields[:, Z_ROWS].sum() / 2.0)

@@ -264,10 +264,8 @@ class TestSolverAgreement:
         for device in devices:
             channel = ChannelModel(float(rng.uniform(0.0, 30.0)))
             prepared = prepare(device, PROBS)
-            yields = detector_yields(
-                prepared.prefactor, prepared.alignment, system_efficiency(channel), channel.p_d
-            )[0]
-            ytil = yields[:, X_ROWS] / prepared.prefactor[X_ROWS]
+            eta = system_efficiency(channel)
+            ytil = detector_yields(prepared.alignment, eta, channel.p_d)[0, :, X_ROWS]
             coef = prepared.lt.coef[0]
             rows = halfspace_rows(coef)
             systems = triple_inverses(rows)

@@ -871,6 +871,25 @@ class TestCrossoverCommand:
         assert err.startswith("error: ") and "compare_loss_db" in err
 
 
+def test_module_entry_point_prints_what_main_prints(capsys):
+    # python -m flawedqkd runs __main__ and cli.entry, which exits with
+    # main's return code.
+    src = str(Path(flawedqkd.__file__).resolve().parents[1])
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "flawedqkd", *argv], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    argv = ("rate", "--loss", "10", "--delta", "0.1")
+    result = module(*argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, out.encode(), b"")
+    missing = module("rate")
+    assert missing.returncode == 2
+    assert missing.stderr == b"error: rate needs --loss (or 'loss' in the config file)\n"
+
+
 def test_package_import_leaves_cli_unloaded():
     src = str(Path(flawedqkd.__file__).resolve().parents[1])
     code = "import sys, flawedqkd; print('flawedqkd.cli' in sys.modules)"

@@ -123,7 +123,9 @@ def test_grid_order_and_length_leave_values_alone(device, p_d, losses):
 def per_point_reference(device, loss, p_d, f_ec, probs):
     """The paper-solver lt and the lp rows at one loss, computed scalar by
     scalar in the operand order of the per-point code the grid replaced:
-    (e_z, e_x, rate_raw) per method, or the estimator's error message."""
+    (e_z, e_x, rate_raw) per method, or the estimator's error message.
+    Like the grid, lt works on yields conditional on the sent pulse and
+    Bob's basis; p_za and p_zb enter only the rate."""
     eta = 10.0 ** (-loss / 10.0)
     d = delta = device.delta
     y_det = 4.0 * (1.0 - eta / 2.0) * p_d + eta
@@ -159,22 +161,20 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
 
     # Keyed by (outcome, sent) setting, numbered 0Z, 1Z, 0X, 1X.
     yields = {}
-    x_pair, z_pair = (2, 3, probs.p_xb), (0, 1, probs.p_zb)
-    sent_prob = {0: probs.p_0z, 1: probs.p_1z, 2: probs.p_0x}
-    for sent, (zero, one, p_basis), c in (
+    x_pair, z_pair = (2, 3), (0, 1)
+    for sent, (zero, one), c in (
         (0, x_pair, math.sin(d / 2)),
         (0, z_pair, math.cos(d)),
         (1, x_pair, -math.sin(3 * d / 2)),
         (1, z_pair, -math.cos(2 * d)),
         (2, x_pair, math.cos(d)),
     ):
-        pre = sent_prob[sent] * p_basis
-        yields[zero, sent] = pre * (
+        yields[zero, sent] = (
             (1.0 - eta / 2.0) * p_d
             + (eta / 4.0) * (1.0 + c) * (1.0 - p_d / 2.0)
             + (eta / 8.0) * (1.0 - c) * p_d
         )
-        yields[one, sent] = pre * (
+        yields[one, sent] = (
             (1.0 - eta / 2.0) * p_d
             + (eta / 8.0) * (1.0 + c) * p_d
             + (eta / 4.0) * (1.0 - c) * (1.0 - p_d / 2.0)
@@ -193,7 +193,7 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
     lam_max = np.array([q[3] for q in decs])
     num = 0.0
     for s, j in ((0, 1), (1, 0)):
-        ytil = np.array([yields[2 + s, k] / (sent_prob[k] * probs.p_xb) for k in range(3)])
+        ytil = np.array([yields[2 + s, k] for k in range(3)])
         central = ytil @ inv
         low = central + np.minimum(-lam_min[:, None] * inv, -lam_max[:, None] * inv).sum(axis=0)
         up = central + np.maximum(-lam_min[:, None] * inv, -lam_max[:, None] * inv).sum(axis=0)
@@ -207,10 +207,11 @@ def per_point_reference(device, loss, p_d, f_ec, probs):
         val = up[0]
         val += px * (up[1] if px >= 0.0 else low[1])
         val += pz * (up[2] if pz >= 0.0 else low[2])
-        num += max(probs.p_za * probs.p_zb * (a_j * val + lam_max_j), 0.0)
-    # Near a subnormal eta the Z sum is tiny and the ratio may overflow.
+        num += max(a_j * val + lam_max_j, 0.0)
+    # Each Z bit is sent half the time.  Near a subnormal eta the Z sum is
+    # tiny and the ratio may overflow.
     with np.errstate(over="ignore"):
-        e_x = num / z_sum
+        e_x = num / (z_sum / 2.0)
     out["lt"] = rate(float(min(max(e_x, 0.0), 1.0)))
     return out
 
@@ -254,6 +255,49 @@ def test_pinned_point_at_a_fifth_of_a_db():
         for row in at_fifth:
             assert row.eta == 10.0 ** (-0.2 / 10.0)
             assert_row_matches_point(row, device, 1e-7, 1.16, probs, solver)
+
+
+def selection_draws(seed, n):
+    """Seeded (device, p_d, probs) draws: small flaws in both theta modes,
+    every fourth device delta-only, p_d 0 or 1e-7, and two random (p_za,
+    p_zb) pairs per device."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n):
+        delta_only = i % 4 == 0
+        device = DeviceModel(
+            delta=float(rng.uniform(0.0, 0.3)),
+            theta_hat=0.0 if delta_only else float(rng.choice([0.0, rng.uniform(0.0, 5e-3)])),
+            theta_mode=str(rng.choice(["independent", "dependent"])),
+            mu=0.0 if delta_only else float(rng.choice([0.0, 10.0 ** rng.uniform(-9.0, -4.0)])),
+        )
+        probs = [ProtocolProbabilities(*rng.uniform(0.05, 0.95, 2).tolist()) for _ in range(2)]
+        draws.append((device, float(rng.choice([0.0, 1e-7])), probs))
+    return draws
+
+
+def test_error_rates_do_not_depend_on_the_selection_probabilities():
+    # lt works on yields conditional on the sent pulse and Bob's basis and
+    # lp on the detection probability, so p_za and p_zb enter only the
+    # rate: each point's failure, e_z and e_x keep the default's bits.
+    eta = np.array([10.0 ** (-loss / 10.0) for loss in (0.0, 0.2, 3.0, 10.0, 20.0, 35.0, 60.0)])
+
+    def error_rates(device, probs, p_d, solver):
+        # Per method and point, the failure or the bits of e_z and e_x.
+        rates = evaluate_grid(prepare(device, probs), eta, p_d, 1.16, solver=solver)
+        return {m: [str(e) if e is not None else (z.hex(), x.hex())
+                    for e, z, x in zip(r.errors, r.e_z.tolist(), r.e_x.tolist())]
+                for m, r in rates.items()}
+
+    for device, p_d, draws in selection_draws(seed=37, n=300):
+        for solver in SOLVER_MODES:
+            default = error_rates(device, ProtocolProbabilities(), p_d, solver)
+            for probs in draws:
+                assert error_rates(device, probs, p_d, solver) == default, (device, probs, solver)
+    device, channel = DeviceModel(delta=0.1, theta_hat=1e-3, mu=1e-6), ChannelModel(10.0)
+    e_x = key_rate_lt(device, channel, ProtocolProbabilities(), PAPER_FAITHFUL).e_x
+    assert e_x == 0.17093718566272897
+    assert key_rate_lt(device, channel, ProtocolProbabilities(p_za=0.3), PAPER_FAITHFUL).e_x == e_x
 
 
 class TestErrorsPerPoint:
@@ -362,9 +406,8 @@ class TestDeviceAxis:
     def arrays(prepared):
         lt = prepared.lt
         return {
-            "prefactor": prepared.prefactor, "alignment": prepared.alignment,
-            "tilt": prepared.tilt, "coin": prepared.coin, "coef": lt.coef, "inv": lt.inv,
-            "lam_min": lt.lam_min, "lam_max": lt.lam_max, "box_lower": lt.box_lower,
+            "alignment": prepared.alignment, "tilt": prepared.tilt, "coin": prepared.coin,
+            "coef": lt.coef, "inv": lt.inv, "lam_min": lt.lam_min, "lam_max": lt.lam_max, "box_lower": lt.box_lower,
             "box_upper": lt.box_upper, "virtual": lt.virtual, "corner": lt.corner,
         }
 
@@ -401,8 +444,7 @@ class TestDeviceAxis:
             assert batch.coin[i] == coin_imbalance(source_terms([device]).overlaps[0].tolist())
             alone = prepare(device, probs)
             for name, values in self.arrays(alone).items():
-                rows = self.arrays(batch)[name]
-                row = rows if name == "prefactor" else rows[i:i + 1]
+                row = self.arrays(batch)[name][i:i + 1]
                 assert row.shape == values.shape, name
                 assert row.tobytes() == values.tobytes(), name
             both = batch.lt.singular[i], batch.lt.degenerate[i]

@@ -20,7 +20,7 @@ from flawedqkd import (
     prepare,
     system_efficiency,
 )
-from flawedqkd.channel import X_ROWS, detector_yields, efficiency, yield_prefactors
+from flawedqkd.channel import X_ROWS, detector_yields, efficiency
 from flawedqkd.lt_estimator import (
     halfspace_rhs,
     halfspace_rows,
@@ -72,15 +72,15 @@ class TestCoefficientMatrix:
 class TestNormalizedYields:
     def test_composite_values(self, probs):
         prepared = prepare(COMPOSITE, probs)
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 1e-7)
-        ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(20.0), 1e-7)
+        ytil = yields[0, :, X_ROWS]
         assert ytil[0] == _triples((0.00257883646949, 0.00226420099521, 0.00499513964121))
         assert ytil[1] == _triples((0.00242136253051, 0.00273599800479, 5.05935878768e-06))
 
     def test_live_point_values(self, probs):
         prepared = prepare(COMPOSITE, probs)
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(10.0), 1e-7)
-        ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(10.0), 1e-7)
+        ytil = yields[0, :, X_ROWS]
         assert ytil[0] == _triples((0.0257874646949, 0.0226411099521, 0.0499504964121))
         assert ytil[1] == _triples((0.0242127253051, 0.0273590800479, 4.96935878768e-05))
 
@@ -91,8 +91,8 @@ class TestTransmissionRateBounds:
         # solution (eta/4) * (1, cos(delta/2), sin(delta/2)) for outcome 0
         prepared = prepare(DeviceModel(delta=0.126), probs)
         terms = prepared.lt
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 0.0)
-        ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(20.0), 0.0)
+        ytil = yields[0, :, X_ROWS]
         expected = {
             0: (0.0025, 0.00249504039072, 0.000157395834424),
             1: (0.0025, -0.00249504039072, -0.000157395834424),
@@ -111,15 +111,15 @@ class TestTransmissionRateBounds:
 
     def test_ideal_outcome_one(self, probs):
         prepared = prepare(DeviceModel(), probs)
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 0.0)
-        ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(20.0), 0.0)
+        ytil = yields[0, :, X_ROWS]
         lower, _ = interval_box(ytil[None], prepared.lt)
         assert lower[0, 1] == _triples((0.0025, -0.0025, 0.0))
 
     def test_interval_solver_composite(self, probs):
         prepared = prepare(COMPOSITE, probs)
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 1e-7)
-        ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(20.0), 1e-7)
+        ytil = yields[0, :, X_ROWS]
         lower, upper = interval_box(ytil[None], prepared.lt)
         assert not unphysical(lower, upper).any()
         assert lower[0, 0] == _triples(
@@ -138,8 +138,8 @@ class TestTransmissionRateBounds:
     def test_vertex_solver_composite(self, probs):
         prepared = prepare(COMPOSITE, probs)
         terms = prepared.lt
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 1e-7)
-        ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(20.0), 1e-7)
+        ytil = yields[0, :, X_ROWS]
         rows = halfspace_rows(terms.coef[0])
         systems = triple_inverses(rows)
         rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0])
@@ -160,8 +160,8 @@ class TestTransmissionRateBounds:
     def test_vertex_solver_live_point(self, probs):
         prepared = prepare(COMPOSITE, probs)
         terms = prepared.lt
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(10.0), 1e-7)
-        ytil = yields[0, 0, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(10.0), 1e-7)
+        ytil = yields[0, 0, X_ROWS]
         rows = halfspace_rows(terms.coef[0])
         lower, upper, _ = vertex_bounds(
             rows, triple_inverses(rows),
@@ -177,8 +177,8 @@ class TestTransmissionRateBounds:
     def test_vertex_never_looser_than_interval(self, probs):
         prepared = prepare(COMPOSITE, probs)
         terms = prepared.lt
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 1e-7)
-        ytil = yields[0, :, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, efficiency(20.0), 1e-7)
+        ytil = yields[0, :, X_ROWS]
         box_lower, box_upper = interval_box(ytil[None], terms)
         rows = halfspace_rows(terms.coef[0])
         systems = triple_inverses(rows)
@@ -210,8 +210,7 @@ class TestTransmissionRateBounds:
         # the X pulse almost never does; the unique linear solution then
         # needs |q_x| > min(q_Id, 1 - q_Id), which no state can do
         terms = prepare(DeviceModel(), probs).lt
-        observed = np.array([0.9 * 0.25 * 0.5, 0.9 * 0.25 * 0.5, 0.01 * 0.5 * 0.5])
-        ytil = observed / yield_prefactors(probs)[X_ROWS]
+        ytil = np.array([0.9, 0.9, 0.01])
         if mode == PAPER_FAITHFUL:
             assert unphysical(*interval_box(ytil[None, None], terms)).all()
         else:
@@ -225,9 +224,9 @@ class TestTransmissionRateBounds:
         # with q_Id near 0.1, far outside the physical region
         prepared = prepare(COMPOSITE, probs)
         terms = prepared.lt
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(10.0), 1e-7)
+        yields = detector_yields(prepared.alignment, efficiency(10.0), 1e-7)
         yields[0, 0, 4] *= 50.0
-        ytil = yields[0, 0, X_ROWS] / prepared.prefactor[X_ROWS]
+        ytil = yields[0, 0, X_ROWS]
         if mode == PAPER_FAITHFUL:
             assert unphysical(*interval_box(ytil[None, None], terms)).all()
         else:
@@ -255,8 +254,8 @@ class TestTransmissionRateBounds:
         prepared = prepare(device, ProtocolProbabilities())
         terms = prepared.lt
         eta = system_efficiency(ChannelModel(loss))
-        yields = detector_yields(prepared.prefactor, prepared.alignment, eta, 1e-7)
-        ytil = yields[0, s, X_ROWS] / prepared.prefactor[X_ROWS]
+        yields = detector_yields(prepared.alignment, eta, 1e-7)
+        ytil = yields[0, s, X_ROWS]
         box_lower, box_upper = interval_box(ytil[None, None], terms)
         assert not unphysical(box_lower, box_upper).any()
         bi_lower, bi_upper = box_lower[0, 0], box_upper[0, 0]
@@ -274,28 +273,23 @@ class TestVirtualYieldUpper:
     def test_ideal_phase_error_yield_vanishes(self, probs):
         prepared = prepare(DeviceModel(), probs)
         terms = prepared.lt
-        yields = detector_yields(prepared.prefactor, prepared.alignment, 1.0, 0.0)
-        lower, upper = interval_box(yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS], terms)
+        yields = detector_yields(prepared.alignment, 1.0, 0.0)
+        lower, upper = interval_box(yields[:, :, X_ROWS], terms)
         # Outcome s against the virtual state of bit 1 - s, s = 0 then 1.
         v = terms.virtual
-        y = virtual_yields(
-            lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6],
-            probs.p_za * probs.p_zb,
-        )
+        y = virtual_yields(lower, upper, terms.corner, v[..., 0], v[..., 3], v[..., 5], v[..., 6])
         assert y[0, 0] == 0.0
         assert y[0, 1] == 0.0
 
     def test_nonnegative_and_bounded(self, probs):
         prepared = prepare(COMPOSITE, probs)
-        yields = detector_yields(prepared.prefactor, prepared.alignment, efficiency(20.0), 1e-7)
-        lower, upper = interval_box(yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS], prepared.lt)
+        yields = detector_yields(prepared.alignment, efficiency(20.0), 1e-7)
+        lower, upper = interval_box(yields[:, :, X_ROWS], prepared.lt)
         for s in (0, 1):
             for j in (0, 1):
                 weight, _, _, lam_max, _, px, pz = source_terms([COMPOSITE]).virtual[0, j]
-                y = virtual_yields(
-                    lower[0, s], upper[0, s], prepared.lt.corner[0, 1 - j],
-                    weight, lam_max, px, pz, probs.p_za * probs.p_zb,
-                )
+                y = virtual_yields(lower[0, s], upper[0, s], prepared.lt.corner[0, 1 - j],
+                                   weight, lam_max, px, pz)
                 assert 0.0 <= y <= 1.0
 
 

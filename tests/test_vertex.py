@@ -89,8 +89,7 @@ def reference_lt_bounds(terms, ytil, todo, solver):
 
 
 def normalized_yields(prepared, eta, p_d):
-    yields = detector_yields(prepared.prefactor, prepared.alignment, eta, p_d)
-    return yields[:, :, X_ROWS] / prepared.prefactor[X_ROWS]
+    return detector_yields(prepared.alignment, eta, p_d)[:, :, X_ROWS]
 
 
 def oracle_devices(theta_mode, n, seed):
