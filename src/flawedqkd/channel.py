@@ -92,12 +92,10 @@ class ProtocolProbabilities:
         check(p_za=self.p_za, p_zb=self.p_zb)
         # The rate carries p_za p_zb, and below the least normal float
         # it keeps too few bits.
-        least = min(yield_prefactors(self).tolist())
-        if least < sys.float_info.min:
-            raise ValueError(
-                f"every yield prefactor must be at least {sys.float_info.min}, got {least}"
-                f" from p_za={self.p_za} and p_zb={self.p_zb}"
-            )
+        factor = self.p_za * self.p_zb
+        if factor < sys.float_info.min:
+            raise ValueError(f"the rate factor p_za * p_zb must be at least {sys.float_info.min},"
+                             f" got {factor} from p_za={self.p_za} and p_zb={self.p_zb}")
 
     @property
     def p_0z(self) -> float:
@@ -131,13 +129,6 @@ def system_efficiency(channel: ChannelModel) -> float:
 # Z-basis rows on the two Z pulses.
 X_ROWS = slice(0, 5, 2)
 Z_ROWS = slice(1, 4, 2)
-
-
-def yield_prefactors(probs: ProtocolProbabilities) -> np.ndarray:
-    """Alice's and Bob's selection probability of each yield row."""
-    p_0z, p_1z, p_0x = probs.p_0z, probs.p_1z, probs.p_0x
-    p_xb, p_zb = probs.p_xb, probs.p_zb
-    return np.array((p_0z * p_xb, p_0z * p_zb, p_1z * p_xb, p_1z * p_zb, p_0x * p_xb))
 
 
 def yield_alignments(delta: float) -> tuple[float, float, float, float, float]:

@@ -194,6 +194,8 @@ def interval_box(ytil: np.ndarray, terms: LtTerms) -> tuple[np.ndarray, np.ndarr
     only device."""
     # One stacked product: each point's rows go through their device's
     # inverse as one BLAS product, whatever n and the number of devices.
+    # Its operands stay strided on purpose: another layout can move numpy
+    # between its BLAS and non-BLAS loops, which need not round alike.
     central = np.matmul(ytil, terms.inv)
     return central + terms.box_lower[:, None], central + terms.box_upper[:, None]
 
@@ -216,10 +218,11 @@ def halfspace_rows(coef: np.ndarray) -> np.ndarray:
 def halfspace_rhs(ytil: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray) -> np.ndarray:
     """Right-hand sides b of the halfspaces for ytil of shape (..., 3) and
     side-channel intervals that broadcast against it."""
-    rhs = np.stack((ytil - lam_min, lam_max - ytil), axis=-1)
-    rhs = rhs.reshape(*rhs.shape[:-2], 6)
-    physical = np.broadcast_to(_PHYSICAL_B, (*rhs.shape[:-1], _PHYSICAL_B.size))
-    return np.concatenate((rhs, physical), axis=-1)
+    rhs = np.empty((*np.broadcast(ytil, lam_min, lam_max).shape[:-1], 16))
+    np.subtract(ytil, lam_min, out=rhs[..., 0:6:2])
+    np.subtract(lam_max, ytil, out=rhs[..., 1:6:2])
+    rhs[..., 6:] = _PHYSICAL_B
+    return rhs
 
 
 def triple_inverses(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +237,8 @@ def triple_inverses(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det = first[0] * adjugate[0, 0] + first[1] * adjugate[1, 0] + first[2] * adjugate[2, 0]
     # Singular triples (parallel facets) are expected and dropped.
     regular = np.abs(det) > _REGULAR_DET
-    return _TRIPLES.T[:, regular], adjugate[:, :, regular] / det[regular]
+    return (np.compress(regular, _TRIPLES.T, axis=1),
+            np.compress(regular, adjugate, axis=2) / det[regular])
 
 
 def _vertices(
@@ -242,13 +246,17 @@ def _vertices(
 ) -> tuple[np.ndarray, np.ndarray]:
     # Every regular triple's vertex for each of the K right-hand sides, the
     # rows of rhs, as (3, K, T), and whether it is feasible, as (K, T).
-    # The triples run along the last axis, so every operation and
-    # reduction below is over contiguous runs of T.  Coordinate i is
-    # inv[i, 0] g0 + inv[i, 1] g1 + inv[i, 2] g2, summed in that order in
-    # place, for all three coordinates at once; the gathers and the term
-    # are freed before the slack array is made, which is the chunk's peak.
+    # The triples run along the last axis, contiguous in memory: np.compress
+    # selects them and np.take gathers (K, T) arrays, where a boolean or
+    # fancy index would make T the slowest axis.  So every operation below
+    # runs over contiguous T, and verts.reshape is a view, the C-contiguous
+    # (3, K T) operand a copy of any layout would be: the slack GEMM's bits
+    # do not depend on it.  Coordinate i is inv[i, 0] g0 + inv[i, 1] g1 +
+    # inv[i, 2] g2, summed in that order in place, for all three at once;
+    # the gathers and the term are freed before the slack array is made,
+    # which is the chunk's peak.
     triples, inv = systems
-    g0, g1, g2 = rhs[:, triples[0]], rhs[:, triples[1]], rhs[:, triples[2]]
+    g0, g1, g2 = (np.take(rhs, t, axis=1) for t in triples)
     verts = np.multiply(inv[:, 0, None], g0)
     term = np.multiply(inv[:, 1, None], g1)
     verts += term
@@ -294,7 +302,7 @@ def _chunks(systems: tuple[np.ndarray, np.ndarray], missed: np.ndarray | None, c
     ends = [0, *(np.flatnonzero(np.diff(missed[order])) + 1).tolist(), count]
     for lo, hi in zip(ends, ends[1:]):
         keep = (uses & int(missed[order[lo]])) == 0
-        solved = triples[:, keep], inv[:, :, keep]
+        solved = np.compress(keep, triples, axis=1), np.compress(keep, inv, axis=2)
         size = _capacity(int(keep.sum()))
         for start in range(lo, hi, size):
             yield order[start:min(start + size, hi)], solved

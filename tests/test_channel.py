@@ -29,7 +29,6 @@ from flawedqkd.channel import (
     detector_yields,
     efficiency,
     yield_alignments,
-    yield_prefactors,
 )
 from flawedqkd.cli import main
 
@@ -176,28 +175,32 @@ class TestProtocolProbabilities:
     # where 2e-320 times the rate at p_za = 1/2 is 1.3839e-322.
     @pytest.mark.parametrize("kwargs", [
         {"p_za": 1e-315}, {"p_za": 1e-318}, {"p_za": 1e-320}, {"p_za": 1e-322},
-        {"p_za": 5e-324}, {"p_za": 4 * sys.float_info.min * (1 - 2**-52)},
+        {"p_za": 5e-324}, {"p_za": 2 * sys.float_info.min * (1 - 2**-52)},
         {"p_za": 1e-160, "p_zb": 1e-160}, {"p_zb": 1e-320},
     ])
     def test_rejects_subnormal_yield_prefactors(self, kwargs):
-        with pytest.raises(ValueError, match=r"prefactor .* from p_za=.* and p_zb="):
+        with pytest.raises(ValueError, match=r"rate factor p_za \* p_zb .* from p_za=.* and p_zb="):
             ProtocolProbabilities(**kwargs)
 
     def test_least_p_za_with_normal_prefactors(self):
-        # p_za / 4 is the smallest prefactor at p_zb = 1/2.
-        probs = ProtocolProbabilities(p_za=4 * sys.float_info.min)
-        assert yield_prefactors(probs).min() == sys.float_info.min
+        # At p_zb = 1/2 the rate factor p_za p_zb is normal from p_za =
+        # 2 min on; the other selection products, such as p_za / 4, may be
+        # subnormal, since they enter no result.
+        least = ProtocolProbabilities(p_za=2 * sys.float_info.min)
+        assert least.p_za * least.p_zb == sys.float_info.min
         channel = ChannelModel(10.0)
         device = DeviceModel(delta=0.1, theta_hat=1e-3, mu=1e-6)
         e_x = key_rate_lt(device, channel, ProtocolProbabilities()).e_x
-        assert key_rate_lt(device, channel, probs).e_x == pytest.approx(e_x, rel=1e-9)
+        for p_za in (2 * sys.float_info.min, 4 * sys.float_info.min * (1 - 2**-52)):
+            probs = ProtocolProbabilities(p_za=p_za)
+            assert key_rate_lt(device, channel, probs).e_x == e_x
 
     def test_cli_names_the_selection_probabilities(self, capsys):
         code = main(["rate", "--loss", "10", "--pza", "1e-320"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: every yield prefactor must be at least 2.2250738585072014e-308,"
-            " got 2.5e-321 from p_za=1e-320 and p_zb=0.5\n")
+            "error: the rate factor p_za * p_zb must be at least 2.2250738585072014e-308,"
+            " got 5e-321 from p_za=1e-320 and p_zb=0.5\n")
 
 
 class TestActualYields:

@@ -6,7 +6,8 @@ skipping the triples on physical facets its slab box cannot reach.  These
 tests hold it to the per-point LAPACK arithmetic it replaced and to the
 dense enumeration that solved every triple, derive the fixed triple table
 exactly, check that a point's result does not depend on the points it is
-enumerated with, and bound the memory one sweep takes.
+enumerated with, keep the triple axis contiguous, and bound the memory one
+sweep takes.
 """
 
 import itertools
@@ -229,6 +230,58 @@ def test_chunk_kernel_keeps_the_three_term_sums_and_the_masked_extremes():
         assert np.array_equal(feasible, ok.any(axis=1))
         some_infeasible |= not ok.all()
     assert some_infeasible
+
+
+def test_the_triple_axis_stays_last_and_contiguous():
+    # The triple selections and gathers keep T the fastest axis, so the
+    # kernel runs over contiguous T and the slack GEMM's (3, K T) operand is
+    # a view of the vertices, not a copy.
+    prepared = prepare(ALL_FLAWS, PROBS)
+    eta = np.array([10.0 ** (-loss / 10.0) for loss in LOSSES.tolist()])
+    ytil = normalized_yields(prepared, eta, 1e-7)
+    terms = prepared.lt
+    rows = halfspace_rows(terms.coef[0])
+    systems = lt_estimator.triple_inverses(rows)
+    assert all(a.flags.c_contiguous for a in systems)
+    rhs = halfspace_rhs(ytil, terms.lam_min[0], terms.lam_max[0]).reshape(-1, 16)
+    box_lower, box_upper = lt_estimator.interval_box(ytil, terms)
+    missed = lt_estimator.missed_facets(box_lower.reshape(-1, 3), box_upper.reshape(-1, 3),
+                                        rhs, systems[1])
+    assert len(set(missed.tolist())) > 1
+    for skip in (None, missed):
+        for chunk, solved in lt_estimator._chunks(systems, skip, len(rhs)):
+            assert all(a.flags.c_contiguous for a in solved)
+            verts = lt_estimator._vertices(rows, solved, rhs[chunk])[0]
+            assert verts.flags.c_contiguous
+            assert np.shares_memory(verts.reshape(3, -1), verts)
+
+
+def stacked_halfspace_rhs(ytil, lam_min, lam_max):
+    """The right-hand sides by stack, reshape and concatenate."""
+    rhs = np.stack((ytil - lam_min, lam_max - ytil), axis=-1)
+    rhs = rhs.reshape(*rhs.shape[:-2], 6)
+    physical = np.broadcast_to(_PHYSICAL_B, (*rhs.shape[:-1], _PHYSICAL_B.size))
+    return np.concatenate((rhs, physical), axis=-1)
+
+
+@pytest.mark.parametrize("shape, lam_shape", [
+    ((3,), (3,)), ((7, 3), (3,)), ((7, 2, 3), (3,)), ((7, 2, 3), (7, 1, 3)),
+])
+def test_halfspace_rhs_equals_the_stacked_formula(shape, lam_shape):
+    # Random values with zeros of both signs in every operand, bit for bit;
+    # the intervals broadcast against ytil.
+    rng = np.random.default_rng(38)
+
+    def draw(size):
+        zeros = rng.random(size) < 0.4
+        return np.where(zeros, rng.choice([0.0, -0.0], size), rng.standard_normal(size))
+
+    for _ in range(50):
+        ytil, lam_min, lam_max = draw(shape), draw(lam_shape), draw(lam_shape)
+        got = halfspace_rhs(ytil, lam_min, lam_max)
+        want = stacked_halfspace_rhs(ytil, lam_min, lam_max)
+        assert got.shape == want.shape == (*shape[:-1], 16)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_no_triples_leave_an_empty_box():
